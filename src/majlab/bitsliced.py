@@ -134,7 +134,7 @@ class BatchRun:
         self.window.append(new)
         if len(self.window) > 3:
             self.window.pop(0)
-        if self.t >= 2:
+        if self.t >= 2 and self.undecided:
             old = self.window[0]
             changed = 0
             for v in range(self.n):

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bitsliced import BatchRun, adjacency_lists, batch_step, tt_column
+from .bitsliced import BatchRun, tt_column
 from .dynamics import (
     OpinionVector,
     StabilisationResult,
@@ -34,6 +34,8 @@ from .dynamics import (
 from .errors import MajlabError
 from .probe import _recursion_map, fixed_point_q
 from .stability import (
+    _extension_batch,
+    _extension_vector,
     is_le_t_stable,
     is_one_close_to_stability,
     is_strongly_t_stable,
@@ -133,14 +135,6 @@ def _state_row(hist: np.ndarray, tau: int, s: int) -> np.ndarray:
     if s < hist.shape[0]:
         return hist[s]
     return hist[tau + ((s - tau) & 1)]
-
-
-def _pattern_vector(tree: RootedTree, ids: list[int], bits: int) -> OpinionVector:
-    """Opinions +1 everywhere except the listed vertices, set from ``bits``."""
-    signs = np.ones(tree.n, dtype=np.int8)
-    for i, u in enumerate(ids):
-        signs[u] = 1 if (bits >> i) & 1 else -1
-    return OpinionVector.from_signs(signs)
 
 
 def _weak(tree: RootedTree, xi0: OpinionVector, v: int, t: int) -> bool:
@@ -563,27 +557,22 @@ def _weak_definition_verdicts(
     whether every extension whose parent holds chi(v) at all odd times
     up to k returns v to chi(v) at time k + 1, for every odd k <= k_max.
     """
-    inside = [int(u) for u in np.flatnonzero(tree.subtree_mask(v))]
-    member = set(inside)
-    outside = [u for u in range(tree.n) if u not in member]
-    m = len(outside)
-    mask = (1 << (1 << m)) - 1
-    cols = [0] * tree.n
-    for i, u in enumerate(inside):
-        cols[u] = mask if chi[i] > 0 else 0
-    for j, u in enumerate(outside):
-        cols[u] = tt_column(j, m)
+    inside = np.flatnonzero(tree.subtree_mask(v))
+    base = np.ones(tree.n, dtype=np.int8)
+    base[inside] = chi
+    # every extension, whatever the count: the sweep is exhaustive by design
+    _, width, mask, cols = _extension_batch(tree, base, v, 1 << tree.n)
     target = cols[v]
     parent = int(tree.parent[v])
-    adj = adjacency_lists(tree)
+    run = BatchRun(tree, cols, mask)
     steps = max(step_budget(tree) + 2, k_max + 1)
     even_flip = 0
     prev_even = cols[v]
     pinned = mask
     pinned_ok = True
-    cur = cols
     for s in range(1, steps + 1):
-        cur = batch_step(adj, cur, mask)
+        run.advance()
+        cur = run.cols
         if s & 1:
             if s <= k_max:
                 pinned &= ~(cur[parent] ^ target) & mask
@@ -593,7 +582,7 @@ def _weak_definition_verdicts(
             if s - 1 <= k_max:
                 pinned_ok = pinned_ok and not (pinned & (cur[v] ^ target))
     survivors = ~even_flip & mask
-    canonical_index = (1 << m) - 1 if chi[inside.index(v)] > 0 else 0
+    canonical_index = width - 1 if base[v] > 0 else 0
     existential = survivors != 0
     canonical = bool((survivors >> canonical_index) & 1)
     return existential, canonical, pinned_ok
@@ -726,6 +715,7 @@ def _suite_strong_value_symmetry(
     tree = _binary_host(3)
     v = 1
     ids = [int(u) for u in np.flatnonzero(tree.subtree_mask(v))]
+    ones = np.ones(tree.n, dtype=np.int8)
     n = tree.n
     mask = (1 << (1 << n)) - 1
     cols0 = [tt_column(u, n) for u in range(n)]
@@ -737,7 +727,7 @@ def _suite_strong_value_symmetry(
     for t in range(4):
         strong_col = 0
         for bits in range(1 << len(ids)):
-            xi0 = _pattern_vector(tree, ids, bits)
+            xi0 = _extension_vector(ones, ids, bits)
             if not is_strongly_t_stable(tree, xi0, v, t).verdict:
                 continue
             col = mask

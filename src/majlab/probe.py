@@ -27,21 +27,29 @@ perfect hosts with reproducible per-trial seeds.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import get_context
 
 import numpy as np
 
-from .bitsliced import BatchRun, lowest_bit_index, pack_bit_rows, tt_column
+from .bitsliced import BatchRun, pack_bit_rows, tt_column
 from .dynamics import OpinionVector, stabilise, step_budget
 from .errors import (
     BadHostError,
     BadTimeError,
     BadVertexError,
     BudgetExceededError,
+    InvariantViolationError,
     MajlabError,
 )
-from .stability import EXTENSION_BUDGET, is_one_close_to_stability
+from .stability import (
+    EXTENSION_BUDGET,
+    _extension_vector,
+    _le_t_ok_bits,
+    _strong_ok_bits,
+    _weak_ok_bits,
+    is_one_close_to_stability,
+)
 from .trees import RootedTree, build_perfect_tree
 
 __all__ = [
@@ -128,172 +136,54 @@ def _host_and_subject(k: int, height: int) -> tuple[RootedTree, int]:
     return host, 1
 
 
-def _subtree_ids(host: RootedTree, v: int) -> list[int]:
-    return [int(u) for u in np.flatnonzero(host.subtree_mask(v))]
+def _sampler(method: str, trials: int, seed: int) -> np.random.Generator | None:
+    """None for ``exact``; for ``mc`` the generator every draw comes from."""
+    if method == "exact":
+        return None
+    if method != "mc":
+        raise MajlabError(f"unknown method {method!r}")
+    if trials < 1:
+        raise MajlabError(f"trials must be positive, got {trials}")
+    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def _pattern_strong(
+def _pattern_cols(
     host: RootedTree,
-    v: int,
-    inside: list[int],
-    cols_in: list[int],
-    bit: int,
-    outside: list[int],
-    t: int,
-) -> bool:
-    """Strong t-stability of one pattern by full extension enumeration."""
-    mo = len(outside)
-    width = 1 << mo
-    emask = (1 << width) - 1
+    ids: range | list[int],
+    trials: int,
+    rng: np.random.Generator | None,
+) -> tuple[list[int], int]:
+    """One column per host vertex, and the batch width.  The vertices in
+    ``ids`` carry the opinion variables (every assignment once without
+    ``rng``, ``trials`` uniform draws with it); the others hold 0."""
+    m = len(ids)
+    if rng is None:
+        draws, width = [tt_column(i, m) for i in range(m)], 1 << m
+    else:
+        draws = pack_bit_rows(rng.integers(0, 2, size=(m, trials), dtype=np.uint8))
+        width = trials
     cols = [0] * host.n
-    for u, col in zip(inside, cols_in):
-        cols[u] = emask if (col >> bit) & 1 else 0
-    for i, u in enumerate(outside):
-        cols[u] = tt_column(i, mo)
-    run = BatchRun(host, cols, emask)
-    parity = t & 1
-    flips = 0
-    while run.undecided:
-        run.advance()
-        if run.t >= t + 2 and (run.t & 1) == parity:
-            flips |= run.flip_col(v)
-    return flips == 0
-
-
-def _strong_ok_bits(
-    host: RootedTree,
-    v: int,
-    inside: list[int],
-    cols_in: list[int],
-    mask: int,
-    t: int,
-    budget: int,
-) -> tuple[int, int]:
-    """(stable bits, unresolved bits) for strong t-stability per pattern.
-
-    The extreme extensions decide almost everything: a parity flip after t
-    in either one is a counterexample, and equal settled opinions pin all
-    extensions in between.  Patterns whose extremes settle at opposite
-    opinions are re-decided by enumerating the extensions, or reported
-    unresolved (and excluded from the stable count) when 2^m exceeds the
-    budget.
-    """
-    parity = t & 1
-    bad = 0
-    values = []
-    for fill in (0, mask):
-        cols = [fill] * host.n
-        for u, col in zip(inside, cols_in):
-            cols[u] = col
-        run = BatchRun(host, cols, mask)
-        while run.undecided:
-            run.advance()
-            if run.t >= t + 2 and (run.t & 1) == parity:
-                bad |= run.flip_col(v)
-        while (run.t & 1) != parity:
-            run.advance()
-        values.append(run.cols[v])
-    ok = mask & ~bad & ~(values[0] ^ values[1])
-    pending = mask & ~bad & (values[0] ^ values[1])
-    if not pending:
-        return ok, 0
-    outside = [u for u in range(host.n) if u not in set(inside)]
-    if 1 << len(outside) > budget:
-        return ok, pending
-    cache: dict[int, bool] = {}
-    while pending:
-        bit = lowest_bit_index(pending)
-        pending &= pending - 1
-        key = sum(((col >> bit) & 1) << j for j, col in enumerate(cols_in))
-        if key not in cache:
-            cache[key] = _pattern_strong(host, v, inside, cols_in, bit, outside, t)
-        if cache[key]:
-            ok |= 1 << bit
-    return ok, 0
-
-
-def _le_t_ok_bits(
-    host: RootedTree, v: int, inside: list[int], cols_in: list[int], mask: int, t: int
-) -> int:
-    """Bits whose pattern is (<= t)-stable at ``v`` (even t only)."""
-    verdict = mask
-    for fill in (0, mask):
-        cols = [fill] * host.n
-        for u, col in zip(inside, cols_in):
-            cols[u] = col
-        run = BatchRun(host, cols, mask)
-        start = run.cols[v]
-        diff = 0
-        while run.t < t and run.undecided:
-            run.advance()
-            if (run.t & 1) == 0:
-                diff |= run.cols[v] ^ start
-        verdict &= mask & ~diff
-    return verdict
-
-
-def _weak_ok_bits(host: RootedTree, v: int, cols0: list[int], mask: int, t: int) -> int:
-    """Bits whose full-host pattern leaves ``v`` weakly t-stable."""
-    run = BatchRun(host, cols0, mask)
-    while run.t < t and run.undecided:
-        run.advance()
-    while (run.t & 1) != (t & 1):
-        run.advance()
-    inside = host.subtree_mask(v)
-    pad = run.cols[v]
-    cols = [run.cols[int(u)] if inside[u] else pad for u in range(host.n)]
-    side = BatchRun(host, cols, mask)
-    flips = 0
-    while side.undecided:
-        side.advance()
-        if (side.t & 1) == 0:
-            flips |= side.flip_col(v)
-    return mask & ~flips
-
-
-def _weak_zero_ok_bits(
-    host: RootedTree, v: int, inside: list[int], cols_in: list[int], mask: int
-) -> int:
-    """Bits whose subtree pattern leaves ``v`` weakly 0-stable."""
-    pad = cols_in[inside.index(v)]
-    cols = [pad] * host.n
-    for u, col in zip(inside, cols_in):
+    for u, col in zip(ids, draws):
         cols[u] = col
-    run = BatchRun(host, cols, mask)
-    flips = 0
-    while run.undecided:
-        run.advance()
-        if (run.t & 1) == 0:
-            flips |= run.flip_col(v)
-    return mask & ~flips
-
-
-def _tt_cols(m: int) -> list[int]:
-    return [tt_column(i, m) for i in range(m)]
-
-
-def _random_cols(m: int, trials: int, rng: np.random.Generator) -> list[int]:
-    rows = rng.integers(0, 2, size=(m, trials), dtype=np.uint8)
-    return pack_bit_rows(rows)
+    return cols, width
 
 
 def _estimate(
-    ok: int, want: int, mask: int, exact: bool, denominator: int, **meta
+    count: int, denominator: int, method: str, seed: int, **meta
 ) -> ProbEstimate:
-    good = ok & want & mask
-    count = good.bit_count()
     value = count / denominator
-    if exact:
+    if method == "exact":
         return ProbEstimate(
-            method="exact", value=value, count=count, denominator=denominator, **meta
+            method=method, value=value, count=count, denominator=denominator, **meta
         )
     sigma = (value * (1.0 - value) / denominator) ** 0.5
     return ProbEstimate(
-        method="mc",
+        method=method,
         value=value,
         count=count,
         trials=denominator,
         ci_halfwidth=3.0 * sigma,
+        seed=seed,
         **meta,
     )
 
@@ -328,6 +218,22 @@ def estimate_probability(
     ``"exact"``, ``"mc"``, or ``"auto"`` (exact when the enumeration
     fits the budget).
     """
+    return _probability(target, height, t, k, method, trials, seed, budget, None)
+
+
+def _probability(
+    target: str,
+    height: int,
+    t: int | None,
+    k: int,
+    method: str,
+    trials: int,
+    seed: int,
+    budget: int,
+    xi: int | None,
+) -> ProbEstimate:
+    """``estimate_probability``; a ``xi`` of +1 or -1 (le_t only) further
+    asks for the subject's time-0 opinion to equal it."""
     if target not in TARGETS:
         raise MajlabError(f"unknown target {target!r}")
     t = _validate_t(target, t)
@@ -336,115 +242,69 @@ def estimate_probability(
     host, v = _host_and_subject(k, height)
     if target == "one_close" and host.is_leaf(v):
         raise BadVertexError("1-close stability needs a non-leaf subject")
-    inside = _subtree_ids(host, v)
-    m = len(inside)
-    full_host = target == "weak" and t > 0
-    exact_bits = host.n if full_host else m
-    feasible = 1 << exact_bits <= budget
+    inside = np.flatnonzero(host.subtree_mask(v)).tolist()
+    # weak stability after time 0 depends on the whole host
+    ids = range(host.n) if target == "weak" and t > 0 else inside
+    feasible = 1 << len(ids) <= budget
     if target in ("one_close", "strong"):
-        feasible = feasible and 1 << (host.n - m) <= budget
+        feasible = feasible and 1 << (host.n - len(inside)) <= budget
     if method == "auto":
         method = "exact" if feasible else "mc"
     if method == "exact" and not feasible:
         raise BudgetExceededError(
-            f"exact evaluation needs 2^{exact_bits} patterns, over budget {budget}"
+            f"exact evaluation needs 2^{len(ids)} patterns, over budget {budget}"
         )
     meta = {"target": target, "k": k, "height": height, "t": t}
-    if method == "exact":
-        if target == "one_close":
-            return _one_close_exact(host, v, inside, budget, meta)
-        width = 1 << exact_bits
-        mask = (1 << width) - 1
-        cols = _tt_cols(exact_bits)
-        if target == "weak":
-            ok = (
-                _weak_ok_bits(host, v, cols, mask, t)
-                if full_host
-                else _weak_zero_ok_bits(host, v, inside, cols, mask)
-            )
-        elif target == "strong":
-            ok, _ = _strong_ok_bits(host, v, inside, cols, mask, t, budget)
-        else:
-            ok = _le_t_ok_bits(host, v, inside, cols, mask, t)
-        return _estimate(ok, mask, mask, True, width, **meta)
-    if method != "mc":
-        raise MajlabError(f"unknown method {method!r}")
-    if trials < 1:
-        raise MajlabError(f"trials must be positive, got {trials}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    mask = (1 << trials) - 1
+    rng = _sampler(method, trials, seed)
     if target == "one_close":
-        return _one_close_mc(host, v, inside, trials, rng, budget, meta, seed)
-    cols = _random_cols(exact_bits, trials, rng)
+        count, width = _one_close_count(host, v, inside, trials, rng, budget)
+        return _estimate(count, width, method, seed, **meta)
+    cols, width = _pattern_cols(host, ids, trials, rng)
+    mask = (1 << width) - 1
     if target == "weak":
-        ok = (
-            _weak_ok_bits(host, v, cols, mask, t)
-            if full_host
-            else _weak_zero_ok_bits(host, v, inside, cols, mask)
-        )
+        run = BatchRun(host, cols, mask)
+        while run.t < t and run.undecided:
+            run.advance()
+        if (run.t ^ t) & 1:
+            run.advance()
+        ok = _weak_ok_bits(host, run.cols, mask, v)
     elif target == "strong":
-        ok, pending = _strong_ok_bits(host, v, inside, cols, mask, t, budget)
-        est = _estimate(ok, mask, mask, False, trials, **meta)
-        return replace(est, seed=seed, unresolved=pending.bit_count())
+        ok, pending = _strong_ok_bits(host, cols, mask, v, t, budget)
+        if rng is not None:
+            meta["unresolved"] = pending.bit_count()
     else:
-        ok = _le_t_ok_bits(host, v, inside, cols, mask, t)
-    return replace(_estimate(ok, mask, mask, False, trials, **meta), seed=seed)
+        ok = _le_t_ok_bits(host, cols, mask, v, t)
+        if xi is not None:
+            ok &= cols[v] if xi > 0 else mask ^ cols[v]
+            meta["xi"] = xi
+    return _estimate(ok.bit_count(), width, method, seed, **meta)
 
 
-def _one_close_pattern_vector(
-    host: RootedTree, inside: list[int], pattern: int
-) -> OpinionVector:
-    signs = np.ones(host.n, dtype=np.int8)
-    for i, u in enumerate(inside):
-        signs[u] = 1 if (pattern >> i) & 1 else -1
-    return OpinionVector.from_signs(signs)
-
-
-def _one_close_exact(
-    host: RootedTree, v: int, inside: list[int], budget: int, meta: dict
-) -> ProbEstimate:
-    m = len(inside)
-    count = 0
-    for pattern in range(1 << m):
-        xi0 = _one_close_pattern_vector(host, inside, pattern)
-        if is_one_close_to_stability(host, xi0, v, budget).verdict:
-            count += 1
-    return ProbEstimate(
-        method="exact", value=count / (1 << m), count=count, denominator=1 << m, **meta
-    )
-
-
-def _one_close_mc(
+def _one_close_count(
     host: RootedTree,
     v: int,
     inside: list[int],
     trials: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     budget: int,
-    meta: dict,
-    seed: int,
-) -> ProbEstimate:
+) -> tuple[int, int]:
+    """(1-close patterns, patterns drawn): every subtree pattern without
+    ``rng``, ``trials`` uniform draws with it, each distinct one decided
+    once."""
     m = len(inside)
-    patterns = rng.integers(0, 1 << m, size=trials, dtype=np.uint64)
-    cache: dict[int, bool] = {}
+    if rng is None:
+        patterns = range(1 << m)
+    else:
+        patterns = rng.integers(0, 1 << m, size=trials, dtype=np.uint64).tolist()
+    ones = np.ones(host.n, dtype=np.int8)
+    verdicts: dict[int, bool] = {}
     count = 0
     for p in patterns:
-        p = int(p)
-        if p not in cache:
-            xi0 = _one_close_pattern_vector(host, inside, p)
-            cache[p] = is_one_close_to_stability(host, xi0, v, budget).verdict
-        count += cache[p]
-    value = count / trials
-    sigma = (value * (1.0 - value) / trials) ** 0.5
-    return ProbEstimate(
-        method="mc",
-        value=value,
-        count=count,
-        trials=trials,
-        ci_halfwidth=3.0 * sigma,
-        seed=seed,
-        **meta,
-    )
+        if p not in verdicts:
+            xi0 = _extension_vector(ones, inside, p)
+            verdicts[p] = is_one_close_to_stability(host, xi0, v, budget).verdict
+        count += verdicts[p]
+    return count, len(patterns)
 
 
 def le_t_positive_check(
@@ -465,32 +325,7 @@ def le_t_positive_check(
     """
     if xi not in (-1, 1):
         raise MajlabError(f"xi must be +1 or -1, got {xi}")
-    _validate_t("le_t", t)
-    host, v = _host_and_subject(k, height)
-    inside = _subtree_ids(host, v)
-    m = len(inside)
-    feasible = 1 << m <= budget
-    if method == "auto":
-        method = "exact" if feasible else "mc"
-    if method == "exact" and not feasible:
-        raise BudgetExceededError(
-            f"exact evaluation needs 2^{m} patterns, over budget {budget}"
-        )
-    meta = {"target": "le_t", "k": k, "height": height, "t": t}
-    pos = inside.index(v)
-    if method == "exact":
-        width = 1 << m
-        mask = (1 << width) - 1
-        cols = _tt_cols(m)
-        ok = _le_t_ok_bits(host, v, inside, cols, mask, t)
-        want = cols[pos] if xi > 0 else mask ^ cols[pos]
-        return replace(_estimate(ok, want, mask, True, width, **meta), xi=xi)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    mask = (1 << trials) - 1
-    cols = _random_cols(m, trials, rng)
-    ok = _le_t_ok_bits(host, v, inside, cols, mask, t)
-    want = cols[pos] if xi > 0 else mask ^ cols[pos]
-    return replace(_estimate(ok, want, mask, False, trials, **meta), xi=xi, seed=seed)
+    return _probability("le_t", height, t, k, method, trials, seed, budget, xi)
 
 
 def _recursion_map(x: float) -> float:
@@ -538,13 +373,11 @@ def fixed_point_q(
 
 
 _POOL_TREE: RootedTree | None = None
-_POOL_SHAPE: tuple[int, int] | None = None
 
 
 def _pool_init(k: int, h: int) -> None:
-    global _POOL_TREE, _POOL_SHAPE
+    global _POOL_TREE
     _POOL_TREE = build_perfect_tree(k, h)
-    _POOL_SHAPE = (k, h)
 
 
 def trial_seed(seed: int, index: int) -> int:
@@ -565,7 +398,8 @@ def _run_trial(tree: RootedTree, seed: int, index: int) -> int:
 
 def _pool_chunk(args: tuple[int, int, int]) -> list[int]:
     seed, start, stop = args
-    assert _POOL_TREE is not None
+    if _POOL_TREE is None:
+        raise InvariantViolationError("worker process was not initialised")
     return [_run_trial(_POOL_TREE, seed, i) for i in range(start, stop)]
 
 

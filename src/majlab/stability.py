@@ -22,6 +22,11 @@ extremes that are both t-stable but settle the vertex at opposite
 parity-t opinions pin nothing in between, and only then does the
 decision fall back to enumerating all extensions with the bit-sliced
 engine, subject to a budget.
+
+Single-trajectory fast paths run on the int8 engine of ``dynamics``,
+which stays fast on large hosts.  Batches run on ``BatchRun``: the
+private layer below decides each predicate for a batch of patterns, for
+the enumerating deciders here and for the estimates in ``probe``.
 """
 
 from __future__ import annotations
@@ -148,12 +153,118 @@ def _extension_batch(
 
 
 def _extension_vector(
-    base: np.ndarray, free: np.ndarray, index: int
+    base: np.ndarray, free: np.ndarray | list[int], index: int
 ) -> OpinionVector:
+    """``base`` with ``free[i]`` set from bit i of ``index``: one extension,
+    or one subtree pattern when ``free`` is the subtree."""
     signs = base.copy()
     for i, u in enumerate(free):
         signs[u] = 1 if (index >> i) & 1 else -1
     return OpinionVector.from_signs(signs)
+
+
+# -- the batched predicate layer: bit j of every column is one trajectory ----
+
+
+def _late_flips(run: BatchRun, v: int, t: int) -> int:
+    """Trajectories in which ``v`` flips at some time >= t + 2 of t's parity.
+
+    Runs the batch to its end: every trajectory is 2-periodic from then
+    on (Goles & Olivos, 1980), so no later flip exists.
+    """
+    parity = t & 1
+    flips = 0
+    while run.undecided:
+        run.advance()
+        if run.t >= t + 2 and (run.t & 1) == parity:
+            flips |= run.flip_col(v)
+    return flips
+
+
+def _enumerated_flips(
+    tree: RootedTree, base: np.ndarray, v: int, t: int, budget: int
+) -> tuple[int, np.ndarray, int]:
+    """Late flips of ``v`` over every extension of ``base``: (flip bits,
+    free vertices, number of extensions)."""
+    free, width, mask, cols = _extension_batch(tree, base, v, budget)
+    return _late_flips(BatchRun(tree, cols, mask), v, t), free, width
+
+
+def _padded(cols: list[int], inside: np.ndarray, fill: int) -> list[int]:
+    return [col if inside[u] else fill for u, col in enumerate(cols)]
+
+
+def _weak_ok_bits(tree: RootedTree, cols: list[int], mask: int, v: int) -> int:
+    """Bits whose state ``cols`` leaves ``v`` weakly 0-stable.
+
+    Runs the canonical extension of every trajectory at once: inside the
+    subtree the state is kept, outside it is replaced by the opinion of
+    ``v``.
+    """
+    side = BatchRun(tree, _padded(cols, tree.subtree_mask(v), cols[v]), mask)
+    return mask & ~_late_flips(side, v, 0)
+
+
+def _strong_ok_bits(
+    tree: RootedTree, cols: list[int], mask: int, v: int, t: int, budget: int
+) -> tuple[int, int]:
+    """(stable bits, pending bits) for strong t-stability of each pattern.
+
+    Only the subtree entries of ``cols`` are read.  The extreme extensions
+    decide almost every pattern (see ``_extreme_strong``).  Patterns whose
+    extremes settle ``v`` at opposite opinions are re-decided by
+    enumerating their extensions, as ``is_strongly_t_stable`` does, or
+    left pending when 2^(outside) exceeds the budget.
+    """
+    inside = tree.subtree_mask(v)
+    bad = 0
+    settled = []
+    for fill in (0, mask):
+        run = BatchRun(tree, _padded(cols, inside, fill), mask)
+        bad |= _late_flips(run, v, t)
+        if (run.t ^ t) & 1:
+            run.advance()
+        settled.append(run.cols[v])
+    pending = mask & ~bad & (settled[0] ^ settled[1])
+    ok = mask & ~bad & ~pending
+    ids = np.flatnonzero(inside).tolist()
+    if not pending or 1 << (tree.n - len(ids)) > budget:
+        return ok, pending
+    ones = np.ones(tree.n, dtype=np.int8)
+    verdicts: dict[int, bool] = {}
+    while pending:
+        bit = lowest_bit_index(pending)
+        pending &= pending - 1
+        key = sum(((cols[u] >> bit) & 1) << j for j, u in enumerate(ids))
+        if key not in verdicts:
+            base = _extension_vector(ones, ids, key).to_signs()
+            verdicts[key] = not _enumerated_flips(tree, base, v, t, budget)[0]
+        if verdicts[key]:
+            ok |= 1 << bit
+    return ok, 0
+
+
+def _le_t_ok_bits(
+    tree: RootedTree, cols: list[int], mask: int, v: int, t: int
+) -> int:
+    """Bits whose pattern is (<= t)-stable at ``v``, for even t.
+
+    Only the subtree entries of ``cols`` are read.  The time-0 opinion of
+    ``v`` is shared by all extensions, so constancy under both extreme
+    extensions pins every other one.
+    """
+    inside = tree.subtree_mask(v)
+    verdict = mask
+    for fill in (0, mask):
+        run = BatchRun(tree, _padded(cols, inside, fill), mask)
+        start = run.cols[v]
+        diff = 0
+        while run.t < t and run.undecided:
+            run.advance()
+            if (run.t & 1) == 0:
+                diff |= run.cols[v] ^ start
+        verdict &= mask & ~diff
+    return verdict
 
 
 def _extreme_strong(
@@ -213,14 +324,7 @@ def is_strongly_t_stable(
             certificate=extreme_cert,
             checked=2,
         )
-    free, width, mask, cols = _extension_batch(tree, base, v, budget)
-    run = BatchRun(tree, cols, mask)
-    parity = t & 1
-    flips = 0
-    while run.undecided:
-        run.advance()
-        if run.t >= t + 2 and (run.t & 1) == parity:
-            flips |= run.flip_col(v)
+    flips, free, width = _enumerated_flips(tree, base, v, t, budget)
     bad = lowest_bit_index(flips) if flips else -1
     return StabilityVerdict(
         kind="strong",
@@ -289,8 +393,6 @@ def is_one_close_to_stability(
     _check_length(tree, xi0)
     base = xi0.to_signs()
     free, width, mask, cols = _extension_batch(tree, base, v, budget)
-    inside = tree.subtree_mask(v)
-    inside_ids = [int(u) for u in np.flatnonzero(inside)]
     run = BatchRun(tree, cols, mask)
     flipped = 0
     violations = 0
@@ -301,7 +403,7 @@ def is_one_close_to_stability(
         newly = run.flip_col(v) & ~flipped & mask
         flipped |= newly
         if newly:
-            violations |= newly & ~_weakly_stable_bits(tree, run, v, inside_ids, mask)
+            violations |= newly & ~_weak_ok_bits(tree, run.cols, mask, v)
     bad = lowest_bit_index(violations) if violations else -1
     return StabilityVerdict(
         kind="one_close",
@@ -312,28 +414,6 @@ def is_one_close_to_stability(
         certificate=None if bad < 0 else _extension_vector(base, free, bad),
         checked=width,
     )
-
-
-def _weakly_stable_bits(
-    tree: RootedTree, run: BatchRun, v: int, inside_ids: list[int], mask: int
-) -> int:
-    """Bits of the batch whose current state leaves ``v`` weakly stable.
-
-    Runs the canonical extension of each trajectory's current state (all
-    of them at once): inside the subtree the state is kept, outside it is
-    replaced by the current opinion of ``v``.
-    """
-    pad = run.cols[v]
-    cols = [pad] * tree.n
-    for u in inside_ids:
-        cols[u] = run.cols[u]
-    side = BatchRun(tree, cols, mask)
-    flips = 0
-    while side.undecided:
-        side.advance()
-        if side.t & 1 == 0:
-            flips |= side.flip_col(v)
-    return mask & ~flips
 
 
 def strong_t_stable_extreme_runs(

@@ -11,7 +11,8 @@ exactly the maximum score.
 
 ``worst_case_tau`` evaluates that maximum with two linear-time sweeps
 over directed edges (down scores from leaves, up scores from the root)
-and reconstructs the lexicographically smallest maximising path.
+and reconstructs the lexicographically smallest maximising path.  The
+same sweep, scoring 1 per active vertex, gives ``active_path_bounds``.
 ``worst_case_witness`` builds an initial opinion vector that attains the
 score of a given candidate path, and ``brute_force_tau`` provides the
 independent exhaustive check used to validate both.
@@ -25,7 +26,12 @@ import numpy as np
 
 from .bitsliced import batch_max_tau, tt_column
 from .dynamics import OpinionVector
-from .errors import BadPathError, BudgetExceededError, TooSmallError
+from .errors import (
+    BadPathError,
+    BudgetExceededError,
+    InvariantViolationError,
+    TooSmallError,
+)
 from .trees import RootedTree, VertexClass, classify_all, reroot
 
 __all__ = [
@@ -76,8 +82,18 @@ def _terminal_scores(tree: RootedTree, codes: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _down_scores(tree: RootedTree, active: np.ndarray, base: np.ndarray) -> list[int]:
-    """down[v] = best score of a candidate path starting at v inside v's subtree."""
+def _path_scores(
+    tree: RootedTree, active: np.ndarray, base: np.ndarray
+) -> tuple[list[int], list[int], list[int]]:
+    """Best path scores by direction, over paths whose vertices are all
+    active except possibly the last.
+
+    ``base[v]`` scores the one-vertex path at v (``_NEG`` where no path
+    may end), and each further vertex adds 1.  Returns, per vertex,
+    ``down``: the best path from v into its own subtree; ``up`` (indexed
+    by child c): the best path from parent(c) that avoids c's subtree;
+    ``full``: the best path from v in any direction.
+    """
     down = [int(x) for x in base]
     for v in reversed(tree.order.tolist()):
         if not active[v]:
@@ -88,13 +104,6 @@ def _down_scores(tree: RootedTree, active: np.ndarray, base: np.ndarray) -> list
                 best = down[c]
         if best > _NEG and 1 + best > down[v]:
             down[v] = 1 + best
-    return down
-
-
-def _up_scores(
-    tree: RootedTree, active: np.ndarray, base: np.ndarray, down: list[int]
-) -> list[int]:
-    """up[c] = best score of a candidate path starting at parent(c) avoiding c."""
     up = [_NEG] * tree.n
     for u in tree.order.tolist():
         kids = tree.children(u)
@@ -118,12 +127,6 @@ def _up_scores(
                 if through > _NEG:
                     score = max(score, 1 + through)
             up[int(c)] = score
-    return up
-
-
-def _full_scores(
-    tree: RootedTree, active: np.ndarray, base: np.ndarray, down: list[int], up: list[int]
-) -> list[int]:
     full = [int(x) for x in base]
     for v in range(tree.n):
         if not active[v]:
@@ -134,7 +137,7 @@ def _full_scores(
                 best = down[c]
         if best > _NEG and 1 + best > full[v]:
             full[v] = 1 + best
-    return full
+    return down, up, full
 
 
 def _reconstruct_path(
@@ -157,7 +160,8 @@ def _reconstruct_path(
     path = [cur]
     remaining = target
     while base[cur] != remaining:
-        assert active[cur]
+        if not active[cur]:
+            raise InvariantViolationError(f"path continues through inactive {cur}")
         nxt = -1
         for x in tree.neighbours(cur):
             x = int(x)
@@ -167,7 +171,8 @@ def _reconstruct_path(
             if residual == remaining - 1:
                 nxt = x
                 break
-        assert nxt >= 0
+        if nxt < 0:
+            raise InvariantViolationError(f"no neighbour of {cur} continues the path")
         path.append(nxt)
         came, cur = cur, nxt
         remaining -= 1
@@ -181,46 +186,9 @@ def active_path_bounds(tree: RootedTree) -> dict[int, int]:
     vertices starting at v.  Non-active vertices are not listed (they
     settle within two steps regardless).
     """
-    codes = classify_all(tree)
-    active = codes == VertexClass.ACTIVE
-    down = [0] * tree.n
-    for v in reversed(tree.order.tolist()):
-        if not active[v]:
-            continue
-        best = 0
-        for c in tree.children(v):
-            if down[c] > best:
-                best = down[c]
-        down[v] = 1 + best
-    up = [0] * tree.n
-    for u in tree.order.tolist():
-        kids = tree.children(u)
-        if kids.size == 0:
-            continue
-        best1 = best2 = 0
-        arg1 = -1
-        for c in kids:
-            d = down[c]
-            if d > best1:
-                best1, best2, arg1 = d, best1, int(c)
-            elif d > best2:
-                best2 = d
-        for c in kids:
-            score = 0
-            if active[u]:
-                other = best2 if int(c) == arg1 else best1
-                score = 1 + max(up[u] if u != tree.root else 0, other)
-            up[int(c)] = score
-    bounds: dict[int, int] = {}
-    for v in range(tree.n):
-        if not active[v]:
-            continue
-        best = up[v] if v != tree.root else 0
-        for c in tree.children(v):
-            if down[c] > best:
-                best = down[c]
-        bounds[v] = 1 + best
-    return bounds
+    active = classify_all(tree) == VertexClass.ACTIVE
+    full = _path_scores(tree, active, active.astype(np.int64))[2]
+    return {v: full[v] for v in range(tree.n) if active[v]}
 
 
 def worst_case_tau(tree: RootedTree) -> WorstCaseReport:
@@ -232,14 +200,16 @@ def worst_case_tau(tree: RootedTree) -> WorstCaseReport:
     codes = classify_all(tree)
     active = codes == VertexClass.ACTIVE
     base = _terminal_scores(tree, codes)
-    down = _down_scores(tree, active, base)
-    up = _up_scores(tree, active, base, down)
-    full = _full_scores(tree, active, base, down, up)
+    down, up, full = _path_scores(tree, active, base)
     tau = max(full)
-    assert tau >= 1
+    if tau < 1:
+        raise InvariantViolationError(f"worst-case score {tau} is below 1")
     vertices = _reconstruct_path(tree, active, base, down, up, full, tau)
     touches = bool(_pendant_adjacency(tree)[vertices[-1]])
-    assert tau == len(vertices) + (1 if touches else 0)
+    if tau != len(vertices) + (1 if touches else 0):
+        raise InvariantViolationError(
+            f"path of {len(vertices)} vertices does not score {tau}"
+        )
     argmax = CandidatePath(tuple(vertices), tau, touches)
     witness = worst_case_witness(tree, list(argmax.vertices))
     return WorstCaseReport(tau, argmax, witness, active_path_bounds(tree))
@@ -300,7 +270,10 @@ def worst_case_witness(tree: RootedTree, path: list[int]) -> OpinionVector:
             sign = -1 if negatives < need else 1
             negatives += sign == -1
             signs[rt.subtree_mask(c)] = sign
-        assert negatives == need or rt.pendant[v]
+        if negatives != need and not rt.pendant[v]:
+            raise InvariantViolationError(
+                f"path vertex {v} got {negatives} negative subtrees, needs {need}"
+            )
     return OpinionVector.from_signs(signs)
 
 

@@ -1,0 +1,106 @@
+"""Golden pins recorded with majlab 0.1.0.
+
+The statistical tests allow a Monte Carlo estimate 4 sigma of slack, so
+an implementation that drew or decided differently could still pass
+them.  These pins fix the exact counts instead, and fix every verdict,
+method, extension count and certificate of the strong, (<= t) and
+1-close deciders on each subtree pattern of a small host.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from majlab.dynamics import OpinionVector
+from majlab.probe import estimate_probability, le_t_positive_check
+from majlab.stability import (
+    is_le_t_stable,
+    is_one_close_to_stability,
+    is_strongly_t_stable,
+)
+from majlab.trees import RootedTree
+
+# the host of test_stability: its depth-1 vertex has height 2
+HOST = RootedTree.from_edges(
+    [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (4, 6), (4, 7)]
+)
+
+
+@pytest.mark.parametrize(
+    "target,height,t,trials,seed,count,unresolved",
+    [
+        ("strong", 3, 2, 2000, 3, 1237, 763),
+        # n = 12,286: the outside of the subject is far over budget
+        ("strong", 11, 2, 64, 1, 42, 20),
+        ("weak", 3, 0, 2000, 3, 1882, None),
+        ("weak", 3, 1, 2000, 3, 1958, None),
+        ("weak", 2, 3, 2000, 3, 2000, None),
+        ("le_t", 3, 4, 2000, 3, 1119, None),
+        ("one_close", 2, None, 500, 3, 500, None),
+    ],
+)
+def test_mc_counts(target, height, t, trials, seed, count, unresolved):
+    est = estimate_probability(
+        target, height, t, method="mc", trials=trials, seed=seed
+    )
+    assert (est.method, est.trials, est.seed) == ("mc", trials, seed)
+    assert (est.count, est.unresolved) == (count, unresolved)
+    assert est.value == count / trials
+
+
+@pytest.mark.parametrize(
+    "xi,method,count,denominator",
+    [
+        (1, "exact", 36, 128),
+        (-1, "exact", 36, 128),
+        (1, "mc", 571, 2000),
+        (-1, "mc", 548, 2000),
+    ],
+)
+def test_le_t_positive_counts(xi, method, count, denominator):
+    est = le_t_positive_check(2, 4, xi, method=method, trials=2000, seed=3)
+    assert (est.xi, est.method, est.count) == (xi, method, count)
+    assert (est.denominator or est.trials) == denominator
+
+
+def _pattern_vector(ids, bits):
+    signs = np.ones(HOST.n, dtype=np.int8)
+    for i, u in enumerate(ids):
+        signs[u] = 1 if (bits >> i) & 1 else -1
+    return OpinionVector.from_signs(signs)
+
+
+@pytest.mark.parametrize(
+    "decide,vertices,times,rows,stable,digest",
+    [
+        (
+            is_strongly_t_stable, (1, 4), (0, 1, 2, 3), 160, 152,
+            "803fd1a52a50b17444fc61d5b84b7ee4581fd169499128c8ff6ac698538d7994",
+        ),
+        (
+            is_le_t_stable, range(1, 8), (2, 3, 4), 150, 112,
+            "e285bc43a6a85f15f96b1718cda03bc89030a8a5014da9f48e8c8bc0177a85fc",
+        ),
+        (
+            is_one_close_to_stability, (1, 4), (None,), 40, 40,
+            "52d3aefa8824c25e9e3e9b897a0925bbc584ef1378881cf335681d14e16b43a1",
+        ),
+    ],
+)
+def test_decider_verdicts_on_every_pattern(decide, vertices, times, rows, stable, digest):
+    sha = hashlib.sha256()
+    seen = held = 0
+    for v in vertices:
+        ids = [int(u) for u in np.flatnonzero(HOST.subtree_mask(v))]
+        for t in times:
+            for bits in range(1 << len(ids)):
+                extra = () if t is None else (t,)
+                r = decide(HOST, _pattern_vector(ids, bits), v, *extra)
+                cert = "-" if r.certificate is None else r.certificate.to_string()
+                row = f"{r.vertex} {r.t} {int(r.verdict)} {r.method} {r.checked} {cert}\n"
+                sha.update(row.encode())
+                seen += 1
+                held += r.verdict
+    assert (seen, held) == (rows, stable)
+    assert sha.hexdigest() == digest

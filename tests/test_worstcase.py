@@ -5,7 +5,8 @@ import pytest
 
 from majlab.dynamics import OpinionVector, stabilise, step_budget
 from majlab.errors import BadPathError, BudgetExceededError, TooSmallError
-from majlab.trees import RootedTree, build_perfect_tree
+from majlab.treegen import random_even_size, random_odd_tree
+from majlab.trees import RootedTree, VertexClass, build_perfect_tree, classify_all
 from majlab.worstcase import (
     active_path_bounds,
     brute_force_tau,
@@ -81,6 +82,35 @@ def test_per_vertex_bounds_cap_last_flips():
         res = stabilise(tree, OpinionVector.random(tree.n, rng))
         for v, bound in report.per_vertex_bound.items():
             assert int(res.last_flip[v]) <= bound + 1
+
+
+def _longest_active_path(tree, active, v, came=-1):
+    """Vertices on the longest simple path of active vertices from v (DFS)."""
+    return 1 + max(
+        (
+            _longest_active_path(tree, active, int(x), v)
+            for x in tree.neighbours(v)
+            if x != came and active[x]
+        ),
+        default=0,
+    )
+
+
+def test_active_path_bounds_match_a_literal_dfs(random_suite):
+    # the small random trees have few active vertices; larger ones have long
+    # active paths
+    rng = np.random.default_rng(5)
+    larger = [random_odd_tree(random_even_size(40, 80, rng), rng) for _ in range(100)]
+    perfect = [build_perfect_tree(k, h) for k, h in ((2, 3), (2, 5), (4, 3))]
+    long_paths = 0
+    for tree in random_suite + larger + perfect:
+        active = classify_all(tree) == VertexClass.ACTIVE
+        want = {
+            v: _longest_active_path(tree, active, v) for v in range(tree.n) if active[v]
+        }
+        assert active_path_bounds(tree) == want
+        long_paths += sum(length >= 3 for length in want.values())
+    assert long_paths >= 50
 
 
 def test_rejects_tiny_hosts():
