@@ -9,9 +9,9 @@ eventually 2-periodic, and the stabilisation time
 is bounded by |E| - |V| / 2, so ``stabilise`` always terminates within
 floor(|E| - |V|/2) + 2 steps and treats anything beyond as a hard bug.
 
-Opinions are carried by :class:`OpinionVector`, an immutable bit-packed
-vector (bit i set <=> vertex i holds +1).  The stepping engine itself works
-on int8 sign arrays over the host's CSR adjacency.
+Opinions are carried by :class:`OpinionVector`, an immutable wrapper of a
+read-only int8 sign array (+1 or -1 per vertex), the same arrays the
+stepping engine works on over the host's CSR adjacency.
 """
 
 from __future__ import annotations
@@ -28,66 +28,70 @@ from .errors import (
     PartitionError,
 )
 
+# '+' and '-' are 43 and 45 in ASCII, so 44 - code maps them to +1 and -1
+# (mod 256) and back again; no other code maps to either.
+_MIDPOINT = np.uint8(44)
+
 
 class OpinionVector:
-    """Immutable opinion assignment, one bit per vertex (1 <=> +1)."""
+    """Immutable opinion assignment: a read-only int8 array of +1 / -1.
 
-    __slots__ = ("n", "bits")
+    The constructor takes such an array and freezes it without a copy;
+    build vectors with the ``from_*``, ``filled`` and ``random`` methods.
+    """
 
-    def __init__(self, n: int, bits: int):
-        if n < 0 or bits < 0 or bits >> n:
-            raise ValueError(f"bits out of range for n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
+    __slots__ = ("n", "_signs")
+
+    def __init__(self, signs: np.ndarray):
+        signs.flags.writeable = False
+        object.__setattr__(self, "n", int(signs.size))
+        object.__setattr__(self, "_signs", signs)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("OpinionVector is immutable")
 
     @classmethod
     def from_signs(cls, signs) -> "OpinionVector":
-        arr = np.asarray(signs)
-        packed = np.packbits(arr > 0, bitorder="little")
-        return cls(int(arr.size), int.from_bytes(packed.tobytes(), "little"))
+        """Positive entries hold +1, all others -1."""
+        return cls(((np.asarray(signs) > 0).view(np.int8) * 2 - 1).ravel())
 
     @classmethod
     def from_string(cls, text: str) -> "OpinionVector":
-        bad = set(text) - {"+", "-"}
-        if bad:
+        codes = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+        signs = (_MIDPOINT - codes).view(np.int8)
+        if not np.all(np.abs(signs) == 1):
+            bad = set(text) - {"+", "-"}
             raise OpinionFormatError(
                 f"opinion string may contain only '+' and '-', found {sorted(bad)!r}"
             )
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "+":
-                bits |= 1 << i
-        return cls(len(text), bits)
+        return cls(signs)
 
     @classmethod
     def filled(cls, n: int, opinion: int) -> "OpinionVector":
-        return cls(n, (1 << n) - 1 if opinion > 0 else 0)
+        return cls(np.full(n, 1 if opinion > 0 else -1, dtype=np.int8))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "OpinionVector":
-        nbytes = (n + 7) // 8
-        raw = int.from_bytes(rng.bytes(nbytes), "little")
-        return cls(n, raw & ((1 << n) - 1))
+        """Vertex i holds +1 iff bit i of the ceil(n/8) drawn bytes, read
+        little-endian, is set."""
+        raw = np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=n, bitorder="little")
+        return cls(bits.view(np.int8) * 2 - 1)
 
     def sign(self, v: int) -> int:
         if not (0 <= v < self.n):
             raise BadVertexError(f"vertex {v} out of range for n={self.n}")
-        return 1 if (self.bits >> v) & 1 else -1
+        return int(self._signs[v])
 
     def to_signs(self) -> np.ndarray:
-        nbytes = (self.n + 7) // 8
-        raw = np.frombuffer(self.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=self.n, bitorder="little")
-        return (bits.astype(np.int8) * 2) - 1
+        """A writable copy of the sign array."""
+        return self._signs.copy()
 
     def to_string(self) -> str:
-        return "".join("+" if (self.bits >> i) & 1 else "-" for i in range(self.n))
+        return (_MIDPOINT - self._signs.view(np.uint8)).tobytes().decode("ascii")
 
     def negated(self) -> "OpinionVector":
-        return OpinionVector(self.n, self.bits ^ ((1 << self.n) - 1))
+        return OpinionVector(-self._signs)
 
     def __len__(self) -> int:
         return self.n
@@ -95,10 +99,10 @@ class OpinionVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, OpinionVector):
             return NotImplemented
-        return self.n == other.n and self.bits == other.bits
+        return self.n == other.n and bool(np.array_equal(self._signs, other._signs))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.bits))
+        return hash(self._signs.tobytes())
 
     def __repr__(self) -> str:
         return f"OpinionVector({self.to_string()!r})"

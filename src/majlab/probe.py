@@ -243,11 +243,18 @@ def _probability(
     if target == "one_close" and host.is_leaf(v):
         raise BadVertexError("1-close stability needs a non-leaf subject")
     inside = np.flatnonzero(host.subtree_mask(v)).tolist()
+    outside = host.n - len(inside)
+    if target == "one_close" and 1 << outside > budget:
+        raise BudgetExceededError(
+            f"1-closeness enumerates all 2^{outside} outside extensions of each "
+            f"pattern, over budget {budget}; Monte Carlo needs the same budget "
+            "as exact evaluation"
+        )
     # weak stability after time 0 depends on the whole host
     ids = range(host.n) if target == "weak" and t > 0 else inside
     feasible = 1 << len(ids) <= budget
-    if target in ("one_close", "strong"):
-        feasible = feasible and 1 << (host.n - len(inside)) <= budget
+    if target == "strong":
+        feasible = feasible and 1 << outside <= budget
     if method == "auto":
         method = "exact" if feasible else "mc"
     if method == "exact" and not feasible:

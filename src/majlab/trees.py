@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from enum import IntEnum
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +132,8 @@ class RootedTree:
         ``height[v]`` is the distance from v to the farthest leaf inside the
         subtree of v (0 exactly at childless vertices).
     diameter : int
-        Eagerly computed with two BFS passes.
+        Longest path length, from the same leaves-up pass as ``height``:
+        the longest path through v joins its two tallest branches.
     """
 
     __slots__ = (
@@ -168,26 +170,17 @@ class RootedTree:
         src, dst = _validated_edge_arrays(n, edges)
         adj_flat, adj_offsets, degree = _build_csr(n, src, dst)
         _check_odd_degrees(degree)
-        parent, order = _bfs_tree(n, adj_flat, adj_offsets, root)
+        parent, order, depth = _bfs_tree(n, adj_flat, adj_offsets, root)
         if order.size != n:
             raise NotATreeError("input is disconnected")
-        return cls._finish(n, root, parent, order, adj_flat, adj_offsets, degree)
+        return cls._finish(n, root, parent, order, depth, adj_flat, adj_offsets, degree)
 
     @classmethod
-    def _finish(cls, n, root, parent, order, adj_flat, adj_offsets, degree,
-                depth=None, height=None, diameter=None):
-        if depth is None or height is None:
-            depth = np.zeros(n, dtype=np.int32)
-            height = np.zeros(n, dtype=np.int32)
-            for v in order[1:]:
-                depth[v] = depth[parent[v]] + 1
-            for v in order[::-1]:
-                p = parent[v]
-                if p >= 0 and height[v] + 1 > height[p]:
-                    height[p] = height[v] + 1
+    def _finish(cls, n, root, parent, order, depth, adj_flat, adj_offsets, degree,
+                height=None, diameter=None):
+        if height is None:
+            height, diameter = _height_and_diameter(n, parent, order)
         child_flat, child_offsets = _child_csr(n, parent, root)
-        if diameter is None:
-            diameter = _tree_diameter(n, adj_flat, adj_offsets, root)
         return cls(
             n=n, root=root, parent=parent, order=order, depth=depth,
             height=height, degree=degree, adj_flat=adj_flat,
@@ -249,23 +242,38 @@ class RootedTree:
 
 
 def _bfs_tree(n, adj_flat, adj_offsets, root):
-    parent = np.full(n, -1, dtype=np.int32)
-    order = np.empty(n, dtype=np.int32)
-    seen = np.zeros(n, dtype=bool)
-    seen[root] = True
-    order[0] = root
-    head, tail = 0, 1
-    while head < tail:
-        v = int(order[head])
-        head += 1
-        for u in adj_flat[adj_offsets[v] : adj_offsets[v + 1]]:
-            u = int(u)
-            if not seen[u]:
-                seen[u] = True
+    """Parent (-1 at the root), BFS order and depth from ``root``; the
+    order covers fewer than n vertices exactly when the graph is
+    disconnected."""
+    adj, offsets = adj_flat.tolist(), adj_offsets.tolist()
+    parent = [-1] * n
+    depth = [-1] * n
+    depth[root] = 0
+    order = [root]
+    for v in order:  # the list grows while it is read: a FIFO queue
+        below = depth[v] + 1
+        for u in adj[offsets[v] : offsets[v + 1]]:
+            if depth[u] < 0:
+                depth[u] = below
                 parent[u] = v
-                order[tail] = u
-                tail += 1
-    return parent, order[:tail]
+                order.append(u)
+    return tuple(np.array(xs, dtype=np.int32) for xs in (parent, order, depth))
+
+
+def _height_and_diameter(n, parent, order):
+    """Height per vertex and the diameter in one leaves-up pass: each
+    vertex keeps its two tallest branches, and the longest path through
+    it joins them."""
+    par = parent.tolist()
+    tallest = [0] * n
+    second = [0] * n
+    for v in reversed(order.tolist()[1:]):
+        p, branch = par[v], tallest[v] + 1
+        if branch > tallest[p]:
+            tallest[p], second[p] = branch, tallest[p]
+        elif branch > second[p]:
+            second[p] = branch
+    return np.array(tallest, dtype=np.int32), max(map(add, tallest, second))
 
 
 def _child_csr(n, parent, root):
@@ -276,29 +284,6 @@ def _child_csr(n, parent, root):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return child_flat, offsets
-
-
-def _bfs_distances(n, adj_flat, adj_offsets, src):
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[src] = 0
-    frontier = np.array([src], dtype=np.int64)
-    while frontier.size:
-        nxt = []
-        for v in frontier:
-            v = int(v)
-            for u in adj_flat[adj_offsets[v] : adj_offsets[v + 1]]:
-                u = int(u)
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = np.array(nxt, dtype=np.int64)
-    return dist
-
-def _tree_diameter(n, adj_flat, adj_offsets, root):
-    d0 = _bfs_distances(n, adj_flat, adj_offsets, root)
-    a = int(np.argmax(d0))
-    d1 = _bfs_distances(n, adj_flat, adj_offsets, a)
-    return int(d1.max())
 
 
 def build_perfect_tree(k: int, h: int) -> RootedTree:
@@ -331,8 +316,8 @@ def build_perfect_tree(k: int, h: int) -> RootedTree:
     order = np.arange(n, dtype=np.int32)
     height = (h - depth).astype(np.int32)
     return RootedTree._finish(
-        n, 0, parent, order, adj_flat, adj_offsets, degree,
-        depth=depth, height=height, diameter=2 * h if n > 1 else 0,
+        n, 0, parent, order, depth, adj_flat, adj_offsets, degree,
+        height=height, diameter=2 * h,
     )
 
 
@@ -340,10 +325,10 @@ def reroot(tree: RootedTree, new_root: int) -> RootedTree:
     """Same tree (same ids and edges), re-rooted by a BFS from new_root."""
     if not (0 <= new_root < tree.n):
         raise BadVertexError(f"root {new_root} out of range for n={tree.n}")
-    parent, order = _bfs_tree(tree.n, tree.adj_flat, tree.adj_offsets, new_root)
+    parent, order, depth = _bfs_tree(tree.n, tree.adj_flat, tree.adj_offsets, new_root)
     return RootedTree._finish(
-        tree.n, new_root, parent, order, tree.adj_flat, tree.adj_offsets,
-        tree.degree, diameter=tree.diameter,
+        tree.n, new_root, parent, order, depth, tree.adj_flat, tree.adj_offsets,
+        tree.degree,
     )
 
 

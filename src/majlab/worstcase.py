@@ -244,36 +244,37 @@ def worst_case_witness(tree: RootedTree, path: list[int]) -> OpinionVector:
     """
     _validate_candidate_path(tree, path)
     rt = reroot(tree, path[-1])
-    signs = np.full(tree.n, -1, dtype=np.int8)
+    pendant = rt.pendant.tolist()
+    parent = rt.parent.tolist()
+    # 0 marks a vertex that takes the opinion its parent hands down
+    signs = [0] * tree.n
     for v in path:
         signs[v] = 1
     first = path[0]
     # below the path head: children agree with it, deeper vertices do not
-    for c in rt.children(first):
-        c = int(c)
-        signs[rt.subtree_mask(c)] = -1
+    for c in rt.children(first).tolist():
         signs[c] = 1
-    on_path = np.zeros(tree.n, dtype=bool)
-    on_path[path] = True
     for i in range(1, len(path)):
         v = path[i]
         need = (rt.degree[v] - 1) // 2
         negatives = 0
-        for c in rt.children(v):
-            c = int(c)
-            if on_path[c]:
+        for c in rt.children(v).tolist():
+            if signs[c]:  # the path's previous vertex
                 continue
-            if rt.pendant[c]:
+            if pendant[c]:
                 signs[c] = 1
                 continue
             # children are id-sorted, so the first `need` non-pendant ones
-            sign = -1 if negatives < need else 1
-            negatives += sign == -1
-            signs[rt.subtree_mask(c)] = sign
-        if negatives != need and not rt.pendant[v]:
+            signs[c] = -1 if negatives < need else 1
+            negatives += signs[c] == -1
+        if negatives != need and not pendant[v]:
             raise InvariantViolationError(
                 f"path vertex {v} got {negatives} negative subtrees, needs {need}"
             )
+    for v in rt.order.tolist():
+        if not signs[v]:
+            p = parent[v]
+            signs[v] = -1 if parent[p] == first else signs[p]
     return OpinionVector.from_signs(signs)
 
 

@@ -58,6 +58,33 @@ def test_opinion_vector_basics():
         OpinionVector.from_string("+0-")
 
 
+def test_opinion_array_operations_at_scale():
+    n = 100003
+    signs = np.where(np.random.default_rng(12).random(n) < 0.5, 1, -1).astype(np.int8)
+    text = "".join("+" if s > 0 else "-" for s in signs.tolist())
+    xi = OpinionVector.from_string(text)
+    assert xi.to_string() == text
+    assert xi == OpinionVector.from_signs(signs)
+    assert np.array_equal(xi.to_signs(), signs)
+    assert xi.negated().to_string() == text.translate(str.maketrans("+-", "-+"))
+    assert xi.negated().negated() == xi
+    assert [xi.sign(v) for v in range(0, n, 997)] == signs[::997].tolist()
+
+
+def test_to_signs_returns_a_copy():
+    xi = OpinionVector.from_string("+-+")
+    signs = xi.to_signs()
+    signs[:] = -1
+    assert xi.to_string() == "+-+"
+    assert xi.to_signs().tolist() == [1, -1, 1]
+
+
+@pytest.mark.parametrize("text", ["+é-", "+−", "\ud800", "+ -"])
+def test_opinion_string_rejects_other_characters(text):
+    with pytest.raises(OpinionFormatError):
+        OpinionVector.from_string(text)
+
+
 def test_opinion_random_is_seed_deterministic():
     a = OpinionVector.random(50, np.random.default_rng(9))
     b = OpinionVector.random(50, np.random.default_rng(9))

@@ -104,3 +104,27 @@ def test_decider_verdicts_on_every_pattern(decide, vertices, times, rows, stable
                 held += r.verdict
     assert (seen, held) == (rows, stable)
     assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "n,seed,digest",
+    [
+        (1, 0, "a318c24216defe206feeb73ef5be00033fa9c4a74d0b967f6532a26ca5906d3b"),
+        (7, 0, "e1ecf64e5512ac805e76a710bc6d87abdd8b13714540eedcb9c983a03aa3377a"),
+        (8, 0, "ad7588c2775c6278f32ece793e7feda11097c95cacb86b401ef5a8b817ddbdf7"),
+        (9, 0, "167e8f46cfd66a84f857590361f606460ed3cb37495b90627d922c93ae6892aa"),
+        (64, 0, "1485a0b43c50986ce62d0f9ca264cdff85b87bdd3c12ed67b2cfb22179bae559"),
+        (100003, 0, "9bc57c2436a2522b40455b21ee9348980d955a0f69c6fb92fdbe63d6a1048e41"),
+        (1, 20261018, "a318c24216defe206feeb73ef5be00033fa9c4a74d0b967f6532a26ca5906d3b"),
+        (7, 20261018, "3ea7c3261a9864fa6cf81c02a2699f35c60516886b8a0d5a093f02a620cc4582"),
+        (8, 20261018, "b3b58bf578a89db91ce6001cdb3ec66ed1af64e35990c0779a9a317153c901f7"),
+        (9, 20261018, "f941b04fb8c00fdff3efbbfd21ec4e82aa2edf6820b122019a307dd31d599793"),
+        (64, 20261018, "be8d6b7b8216678477878a24dd07f146bcfdc2aeff92a643fff2721fb1cd6806"),
+        (100003, 20261018, "84015f644f78806585e74c8e878bc80030451e5718b4cf50168c41fc022b1da3"),
+    ],
+)
+def test_random_opinion_strings(n, seed, digest):
+    # ceil(n/8) drawn bytes read as little-endian bits; the trailing bits
+    # of the last byte are dropped
+    text = OpinionVector.random(n, np.random.default_rng(seed)).to_string()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

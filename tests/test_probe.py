@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import majlab.probe as probe
+from majlab.cli import main
 from majlab.dynamics import step_budget
 from majlab.errors import (
     BadHostError,
@@ -143,6 +145,23 @@ def test_estimate_validation_errors():
     # a leaf subject is never strongly stable, but the question is well posed
     leaf = estimate_probability("strong", 0, 0)
     assert (leaf.count, leaf.denominator) == (0, 2)
+
+
+@pytest.mark.parametrize("method", ["mc", "auto"])
+def test_one_close_refuses_an_unaffordable_outside_before_sampling(
+    method, monkeypatch, capsys
+):
+    # height 3: the 15-vertex subtree fits the budget, its 2^31 outside
+    # extensions do not, and 1-closeness enumerates them for every pattern
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking the budget")
+
+    monkeypatch.setattr(probe, "_sampler", no_sampling)
+    with pytest.raises(BudgetExceededError, match="Monte Carlo needs the same budget"):
+        estimate_probability("one_close", 3, method=method, trials=10)
+    argv = ["prob", "--target", "one_close", "--height", "3", "--method", method]
+    assert main([*argv, "--trials", "10"]) == 1
+    assert "2^31 outside extensions" in capsys.readouterr().err
 
 
 def test_fixed_point_of_the_weak_stability_recursion():

@@ -1,5 +1,7 @@
 """Tree construction, vertex classification, and the text format."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,45 @@ def test_subtree_mask_partitions():
         assert (mask == expect).all()
         if tree.is_leaf(v):
             assert mask.sum() == 1
+
+
+def bfs_distances(tree, src):
+    """Distances from ``src`` by a plain BFS over the adjacency."""
+    dist = [-1] * tree.n
+    dist[src] = 0
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        for u in tree.neighbours(v).tolist():
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def check_structure_against_definitions(tree):
+    depth = bfs_distances(tree, tree.root)
+    assert tree.depth.tolist() == depth
+    for v in range(tree.n):
+        inside = np.flatnonzero(tree.subtree_mask(v)).tolist()
+        # the farthest vertex of a subtree is a leaf of it
+        assert tree.height[v] == max(depth[u] for u in inside) - depth[v]
+    # double BFS: the vertex farthest from anywhere ends a longest path
+    far = bfs_distances(tree, int(np.argmax(depth)))
+    assert tree.diameter == max(far)
+
+
+def test_structure_arrays_match_their_definitions(random_suite, exhaustive_suite):
+    perfect = [build_perfect_tree(k, h) for k, h in [(2, 3), (2, 5), (4, 3)]]
+    for tree in [*random_suite, *exhaustive_suite, *perfect]:
+        check_structure_against_definitions(tree)
+        for new_root in {1, tree.n // 2, tree.n - 1}:
+            check_structure_against_definitions(reroot(tree, new_root))
+    # a cycle component plus an edge: the traversal misses a vertex
+    edges = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5), (6, 7)]
+    for root in (0, 6):
+        with pytest.raises(NotATreeError):
+            RootedTree.from_edges(edges, root=root, n=8)
 
 
 def test_reroot_preserves_structure():

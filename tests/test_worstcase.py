@@ -6,7 +6,13 @@ import pytest
 from majlab.dynamics import OpinionVector, stabilise, step_budget
 from majlab.errors import BadPathError, BudgetExceededError, TooSmallError
 from majlab.treegen import random_even_size, random_odd_tree
-from majlab.trees import RootedTree, VertexClass, build_perfect_tree, classify_all
+from majlab.trees import (
+    RootedTree,
+    VertexClass,
+    build_perfect_tree,
+    classify_all,
+    reroot,
+)
 from majlab.worstcase import (
     active_path_bounds,
     brute_force_tau,
@@ -111,6 +117,62 @@ def test_active_path_bounds_match_a_literal_dfs(random_suite):
         assert active_path_bounds(tree) == want
         long_paths += sum(length >= 3 for length in want.values())
     assert long_paths >= 50
+
+
+def per_subtree_witness(tree, path):
+    """The witness recipe written per subtree: one mask per off-path child."""
+    rt = reroot(tree, path[-1])
+    signs = np.full(tree.n, -1, dtype=np.int8)
+    signs[path] = 1
+    for c in rt.children(path[0]):
+        signs[rt.subtree_mask(int(c))] = -1
+        signs[c] = 1
+    for i in range(1, len(path)):
+        v = path[i]
+        negatives = 0
+        for c in rt.children(v):
+            c = int(c)
+            if c in path:
+                continue
+            if rt.pendant[c]:
+                signs[c] = 1
+                continue
+            sign = -1 if negatives < (rt.degree[v] - 1) // 2 else 1
+            negatives += sign == -1
+            signs[rt.subtree_mask(c)] = sign
+    return OpinionVector.from_signs(signs)
+
+
+def caterpillar(spine):
+    """A path of ``spine`` vertices, each carrying a cherry (a vertex with
+    two leaves), plus one more leaf at both ends of the path."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    n = spine
+    for i in range(spine):
+        edges += [(i, n), (n, n + 1), (n, n + 2)]
+        n += 3
+    edges += [(0, n), (spine - 1, n + 1)]
+    return RootedTree.from_edges(edges, n=n + 2)
+
+
+def test_witness_matches_the_per_subtree_recipe(random_suite, exhaustive_suite, monkeypatch):
+    perfect = [build_perfect_tree(k, h) for k, h in ((2, 3), (2, 5), (4, 3))]
+    cases = []
+    for tree in [*random_suite, *exhaustive_suite, *perfect, caterpillar(50)]:
+        path = list(worst_case_tau(tree).argmax.vertices)
+        cases.append((tree, path, per_subtree_witness(tree, path)))
+    masks = []
+    monkeypatch.setattr(
+        RootedTree, "subtree_mask", lambda self, v: masks.append(v) or None
+    )
+    for tree, path, want in cases:
+        assert worst_case_witness(tree, path) == want
+    assert masks == []
+    # the spine ends are balky, so the maximising path runs from one end
+    # through every other spine vertex; its witness replays to tau
+    tree, path, want = cases[-1]
+    assert sorted(path) == list(range(1, 50))
+    assert stabilise(tree, want).tau == worst_case_tau(tree).tau == 50
 
 
 def test_rejects_tiny_hosts():
