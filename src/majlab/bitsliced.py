@@ -1,8 +1,8 @@
 """Bit-sliced batch simulation: many trajectories in lock step.
 
-The batch is stored transposed: one Python integer per VERTEX, where bit j
+The batch is stored transposed: one integer per VERTEX, where bit j
 carries trajectory j's opinion of that vertex (1 <=> +1).  One majority
-update then costs a handful of bignum boolean operations per vertex,
+update then costs a handful of boolean operations per vertex,
 independent of the number of trajectories:
 
   * degree 1 copies the neighbour's column,
@@ -10,12 +10,19 @@ independent of the number of trajectories:
   * larger odd degrees tally neighbour bits in a ripple-carry counter and
     compare it against (d + 1) / 2 bit-slice by bit-slice.
 
-This is what makes 2^20-scale exhaustive enumerations (brute-force tau,
-extension quantifiers, exact probabilities) cheap: a full sweep is a few
-hundred bignum operations.
+Two engines apply this.  ``BatchRun`` holds one Python integer per vertex,
+so a batch has any width: this is what makes 2^20-scale exhaustive
+enumerations (brute-force tau, extension quantifiers, exact probabilities)
+cheap, a full sweep being a few hundred bignum operations.
+``PackedHost`` holds one uint64 word per vertex in a numpy array and
+updates a whole degree class of vertices per numpy call, so 64
+trajectories on a host of millions of vertices step together (E. Biham,
+"A fast new DES implementation in software", FSE 1997).
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import numpy as np
 
@@ -153,3 +160,196 @@ def batch_max_tau(host, cols0: list[int], mask: int) -> tuple[int, int]:
         # Width-0 masks are rejected upstream; undecided empties at t >= 2.
         raise InvariantViolationError("batch ended before the first check")
     return run.t - 2, lowest_bit_index(survivors)
+
+
+# -- the uint64 word engine ---------------------------------------------------
+
+LANES = 64  # trajectories per uint64 word
+
+# Vertices per slice of a degree >= 3 class: the slice's scratch rows stay
+# in cache however large the host is.
+_SLICE = 1 << 14
+
+# Words per slice of the lane transposition (64 x 1024 words = 512 KiB).
+_TRANSPOSE_SLICE = 1 << 10
+
+# Masks of the 64 x 64 bit-matrix transposition: rows k and k + s swap the
+# s-bit blocks that the mask leaves out of row k and keeps in row k + s.
+_TRANSPOSE_ROUNDS = tuple(
+    (s, np.uint64(m))
+    for s, m in (
+        (32, 0x00000000FFFFFFFF),
+        (16, 0x0000FFFF0000FFFF),
+        (8, 0x00FF00FF00FF00FF),
+        (4, 0x0F0F0F0F0F0F0F0F),
+        (2, 0x3333333333333333),
+        (1, 0x5555555555555555),
+    )
+)
+
+
+def _transpose_lanes(lanes: np.ndarray, out: np.ndarray) -> None:
+    """Bit v of lane row j, read little-endian, to bit j of ``out[v]``.
+
+    ``lanes`` is a (64, 8 w) uint8 matrix and ``out`` a word array of
+    length 64 w.  Each 64 x 64 bit block is transposed in place by six
+    rounds of masked block swaps (Hacker's Delight, section 7-3), all
+    blocks of a slice at once.
+    """
+    words = lanes.view("<u8")
+    blocks = out.reshape(-1, LANES)
+    for w0 in range(0, words.shape[1], _TRANSPOSE_SLICE):
+        block = np.array(words[:, w0 : w0 + _TRANSPOSE_SLICE], dtype=np.uint64)
+        width = block.shape[1]
+        for s, mask in _TRANSPOSE_ROUNDS:
+            pairs = block.reshape(LANES // (2 * s), 2, s, width)
+            low, high = pairs[:, 0], pairs[:, 1]
+            swap = (low >> np.uint64(s)) ^ high
+            swap &= mask
+            high ^= swap
+            swap <<= np.uint64(s)
+            low ^= swap
+        blocks[w0 : w0 + width] = block.T
+
+
+def _majority3(state, nb, out, scratch) -> None:
+    """maj(a, b, c) = (a AND b) OR (c AND (a OR b)), computed in place as
+    c XOR ((a XOR c) AND (b XOR c)) and written to ``out``."""
+    a, b = scratch[0, : out.size], scratch[1, : out.size]
+    np.take(state, nb[0], out=a, mode="clip")
+    np.take(state, nb[1], out=b, mode="clip")
+    np.take(state, nb[2], out=out, mode="clip")
+    a ^= out
+    b ^= out
+    a &= b
+    out ^= a
+
+
+def _majority_count(state, nb, out, scratch) -> None:
+    """``bit_majority`` on arrays: a ripple-carry counter of the neighbour
+    words, compared against (d + 1) / 2 from the top bit down."""
+    d, m = nb.shape
+    free = [row[:m] for row in scratch]
+    counter: list[np.ndarray] = []
+    for i in range(d):
+        carry = free.pop()
+        np.take(state, nb[i], out=carry, mode="clip")
+        for level in counter:
+            spare = free.pop()
+            np.bitwise_and(level, carry, out=spare)
+            level ^= carry
+            free.append(carry)
+            carry = spare
+        if i & (i + 1) == 0:  # the count may now reach i + 1, a power of two
+            counter.append(carry)
+        else:  # the count fits the counter, so the last carry is zero
+            free.append(carry)
+    threshold = (d + 1) // 2
+    above = equal = None
+    for i in reversed(range(len(counter))):
+        bit = counter[i]
+        if threshold >> i & 1:
+            equal = bit if equal is None else np.bitwise_and(equal, bit, out=equal)
+            continue
+        if equal is not None:
+            np.bitwise_and(equal, bit, out=bit)
+        above = bit if above is None else np.bitwise_or(above, bit, out=above)
+    # d >= 5 counts to d.bit_length() bits, at least one of them above the
+    # top bit of the threshold or zero in it, so ``above`` is set
+    np.bitwise_or(above, equal, out=out)
+
+
+class PackedHost:
+    """A host laid out for the uint64 word engine: 64 trajectories a word.
+
+    A state is one uint64 word per vertex, bit j carrying lane j's opinion
+    (1 <=> +1), kept in engine order: vertices sorted by degree, so that
+    each degree class is one contiguous slice, and ``order[p]`` is the host
+    vertex at engine position p.  Each class stores the engine positions
+    of its neighbours as a (degree, size) int32 array.
+    """
+
+    def __init__(self, host):
+        self.n = host.n
+        self.limit = step_budget(host) + 2
+        degree = host.degree
+        self.order = np.argsort(degree, kind="stable").astype(np.int32)
+        position = np.empty(host.n, dtype=np.int32)
+        position[self.order] = np.arange(host.n, dtype=np.int32)
+        bounds = np.searchsorted(degree[self.order], np.unique(degree), side="right")
+        self.classes: list[tuple[int, int, np.ndarray]] = []
+        lo = 0
+        for hi in bounds.tolist():
+            members = self.order[lo:hi]
+            d = int(degree[members[0]])
+            slots = host.adj_offsets[members] + np.arange(d)[:, None]
+            self.classes.append((lo, hi, position[host.adj_flat[slots]]))
+            lo = hi
+        # a degree-d counter holds d.bit_length() rows, a carry and a spare
+        rows = max(nb.shape[0].bit_length() + 2 for _, _, nb in self.classes)
+        widest = max(nb.shape[1] for _, _, nb in self.classes)
+        self._scratch = np.empty((rows, min(widest, _SLICE)), dtype=np.uint64)
+
+    def step(self, state: np.ndarray, out: np.ndarray) -> None:
+        """One synchronous majority update of every lane, into ``out``."""
+        for lo, hi, nb in self.classes:
+            if nb.shape[0] == 1:
+                np.take(state, nb[0], out=out[lo:hi], mode="clip")
+                continue
+            majority = _majority3 if nb.shape[0] == 3 else _majority_count
+            for a in range(0, hi - lo, _SLICE):
+                part = nb[:, a : a + _SLICE]
+                majority(state, part, out[lo + a : lo + a + part.shape[1]], self._scratch)
+
+    def taus(self, rows) -> list[int]:
+        """Stabilisation time of each row's opinions, 64 rows to a word.
+
+        Each row holds ceil(n / 8) bytes whose bit v, read little-endian,
+        is set iff vertex v holds +1 at time 0: the layout that
+        ``OpinionVector.random`` draws.  Rows are consumed as they come,
+        so at most one word of them is held at a time.
+        """
+        rows = iter(rows)
+        words = (self.n + LANES - 1) // LANES
+        ring = np.empty((3, words * LANES), dtype=np.uint64)
+        taus: list[int] = []
+        while True:
+            # ring[2] is free until step 2: it holds the lanes meanwhile
+            lanes = ring[2].view(np.uint8).reshape(LANES, 8 * words)
+            lanes[:] = 0
+            width = 0
+            for width, row in enumerate(islice(rows, LANES), 1):
+                lanes[width - 1, : (self.n + 7) // 8] = row
+            if not width:
+                return taus
+            _transpose_lanes(lanes, ring[1])
+            np.take(ring[1], self.order, out=ring[0, : self.n], mode="clip")
+            taus += self._run(ring[:, : self.n], width)
+
+    def _run(self, ring: np.ndarray, width: int) -> list[int]:
+        """Step the state in ``ring[0]`` until each of its first ``width``
+        lanes has a t with state t + 2 equal to state t; the first such t
+        is the lane's tau."""
+        taus = [0] * width
+        undecided = (1 << width) - 1
+        t = 0
+        while undecided:
+            if t >= self.limit:
+                raise InvariantViolationError(
+                    f"{undecided.bit_count()} lanes not 2-periodic within "
+                    f"{self.limit} steps; the word engine is broken"
+                )
+            self.step(ring[t % 3], ring[(t + 1) % 3])
+            t += 1
+            if t < 2:
+                continue
+            # state t - 2 is dead once compared: step t + 1 overwrites it
+            old = ring[(t + 1) % 3]
+            np.bitwise_xor(old, ring[t % 3], out=old)
+            changing = int(np.bitwise_or.reduce(old))
+            settled = undecided & ~changing
+            for j in range(width):
+                if settled >> j & 1:
+                    taus[j] = t - 2
+            undecided &= changing
+        return taus

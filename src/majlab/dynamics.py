@@ -33,6 +33,12 @@ from .errors import (
 _MIDPOINT = np.uint8(44)
 
 
+def _opinion_bytes(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw behind a uniformly random opinion vector on n vertices:
+    ceil(n/8) bytes, bit i of which, read little-endian, is vertex i's."""
+    return np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8)
+
+
 class OpinionVector:
     """Immutable opinion assignment: a read-only int8 array of +1 / -1.
 
@@ -72,10 +78,8 @@ class OpinionVector:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "OpinionVector":
-        """Vertex i holds +1 iff bit i of the ceil(n/8) drawn bytes, read
-        little-endian, is set."""
-        raw = np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=n, bitorder="little")
+        """Vertex i holds +1 iff bit i of ``_opinion_bytes(n, rng)`` is set."""
+        bits = np.unpackbits(_opinion_bytes(n, rng), count=n, bitorder="little")
         return cls(bits.view(np.int8) * 2 - 1)
 
     def sign(self, v: int) -> int:

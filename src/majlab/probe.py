@@ -21,7 +21,8 @@ estimate a lower bound.
 ``fixed_point_q`` locates the fixed point of the one-level recursion
 for the probability that a vertex fails to be weakly stable, and
 ``mc_tau`` samples stabilisation times of uniformly random opinions on
-perfect hosts with reproducible per-trial seeds.
+perfect hosts with reproducible per-trial seeds, 64 trials to a word of
+the uint64 word engine.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .bitsliced import BatchRun, pack_bit_rows, tt_column
-from .dynamics import OpinionVector, stabilise, step_budget
+from .bitsliced import LANES, BatchRun, PackedHost, pack_bit_rows, tt_column
+from .dynamics import _opinion_bytes, step_budget
 from .errors import (
     BadHostError,
     BadTimeError,
@@ -379,35 +380,36 @@ def fixed_point_q(
     )
 
 
-_POOL_TREE: RootedTree | None = None
+_POOL_HOST: PackedHost | None = None
 
 
-def _pool_init(k: int, h: int) -> None:
-    global _POOL_TREE
-    _POOL_TREE = build_perfect_tree(k, h)
+def _pool_init(packed: PackedHost) -> None:
+    global _POOL_HOST
+    _POOL_HOST = packed
+
+
+def _trial_sequence(seed: int, index: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
 
 
 def trial_seed(seed: int, index: int) -> int:
     """The derived 64-bit seed recorded for trial ``index``."""
-    return int(
-        np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(
-            1, np.uint64
-        )[0]
+    return int(_trial_sequence(seed, index).generate_state(1, np.uint64)[0])
+
+
+def _batch_taus(packed: PackedHost, seed: int, start: int, stop: int) -> list[int]:
+    """Taus of trials ``start`` to ``stop``, each trial's opinions drawn as
+    ``OpinionVector.random`` draws them from the trial's own generator."""
+    return packed.taus(
+        _opinion_bytes(packed.n, np.random.default_rng(_trial_sequence(seed, i)))
+        for i in range(start, stop)
     )
 
 
-def _run_trial(tree: RootedTree, seed: int, index: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    rng = np.random.default_rng(ss)
-    xi0 = OpinionVector.random(tree.n, rng)
-    return stabilise(tree, xi0).tau
-
-
-def _pool_chunk(args: tuple[int, int, int]) -> list[int]:
-    seed, start, stop = args
-    if _POOL_TREE is None:
+def _pool_batch(batch: tuple[int, int, int]) -> list[int]:
+    if _POOL_HOST is None:
         raise InvariantViolationError("worker process was not initialised")
-    return [_run_trial(_POOL_TREE, seed, i) for i in range(start, stop)]
+    return _batch_taus(_POOL_HOST, *batch)
 
 
 def mc_tau(
@@ -421,22 +423,29 @@ def mc_tau(
 
     Trial ``i`` draws its opinions from a generator seeded by spawning
     ``seed`` with key ``(i,)``; results are therefore independent of the
-    worker count and reproducible trial by trial.
+    worker count and reproducible trial by trial.  Trials run 64 to a
+    uint64 word on the word engine; ``workers`` processes, at most one per
+    word of trials, share the words.
     """
     if trials < 1:
         raise MajlabError(f"trials must be positive, got {trials}")
+    if workers < 1:
+        raise MajlabError(f"workers must be positive, got {workers}")
     tree = build_perfect_tree(k, h)
-    if workers <= 1:
-        taus = [_run_trial(tree, seed, i) for i in range(trials)]
+    packed = PackedHost(tree)
+    batches = [(seed, a, min(a + LANES, trials)) for a in range(0, trials, LANES)]
+    processes = min(workers, len(batches))
+    if processes == 1:
+        taus = _batch_taus(packed, seed, 0, trials)
     else:
-        chunk = max(1, trials // (workers * 8))
-        bounds = list(range(0, trials, chunk)) + [trials]
-        jobs = [(seed, a, b) for a, b in zip(bounds, bounds[1:])]
-        ctx = get_context("fork")
+        # forked workers inherit the packed host instead of rebuilding it
         with ProcessPoolExecutor(
-            max_workers=workers, mp_context=ctx, initializer=_pool_init, initargs=(k, h)
+            max_workers=processes,
+            mp_context=get_context("fork"),
+            initializer=_pool_init,
+            initargs=(packed,),
         ) as pool:
-            taus = [t for part in pool.map(_pool_chunk, jobs) for t in part]
+            taus = [t for part in pool.map(_pool_batch, batches) for t in part]
     return McSummary(
         k=k,
         h=h,

@@ -1,12 +1,15 @@
-"""Bit-sliced batch engine against the scalar reference engine."""
+"""Bit-sliced batch engines against the scalar reference engine."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import majlab.bitsliced as bitsliced
 from majlab.bitsliced import (
+    LANES,
     BatchRun,
+    PackedHost,
     adjacency_lists,
     batch_max_tau,
     batch_step,
@@ -15,9 +18,10 @@ from majlab.bitsliced import (
     pack_bit_rows,
     tt_column,
 )
-from majlab.dynamics import OpinionVector, stabilise, step
+from majlab.dynamics import OpinionVector, _step_signs, stabilise, step, step_budget
+from majlab.errors import InvariantViolationError
 from majlab.treegen import random_even_size, random_odd_tree
-from majlab.trees import build_perfect_tree
+from majlab.trees import RootedTree, build_perfect_tree
 
 
 def unpack_column(cols, j, n):
@@ -141,3 +145,95 @@ def test_batch_max_tau_matches_per_trajectory_maximum():
                 best, first = got, j
         assert tau == best
         assert argmax == first  # ties resolve to the lowest column index
+
+
+def random_hub_tree(rng):
+    """Random odd tree on a path of three hubs of degrees 7, 9 and 11: leaves
+    fill the hubs up, then pairs of new leaves hang on non-hub vertices."""
+    edges = [(0, 1), (1, 2)]
+    size = 3
+    for hub, leaves in ((0, 6), (1, 7), (2, 10)):
+        edges += [(hub, size + i) for i in range(leaves)]
+        size += leaves
+    for _ in range(int(rng.integers(0, 12))):
+        v = int(rng.integers(3, size))
+        edges += [(v, size), (v, size + 1)]
+        size += 2
+    return RootedTree.from_edges(edges)
+
+
+def hub_suite():
+    rng = np.random.default_rng(20261018)
+    return [random_hub_tree(rng) for _ in range(40)]
+
+
+def row_to_signs(row, n):
+    bits = np.unpackbits(row, count=n, bitorder="little")
+    return OpinionVector.from_signs(bits.astype(np.int8) * 2 - 1)
+
+
+@pytest.fixture(params=["default", "narrow"])
+def slices(request, monkeypatch):
+    """Hosts here are smaller than one slice; narrow slices make the word
+    engine cut every degree class and every lane transposition into parts."""
+    if request.param == "narrow":
+        monkeypatch.setattr(bitsliced, "_SLICE", 5)
+        monkeypatch.setattr(bitsliced, "_TRANSPOSE_SLICE", 1)
+
+
+def test_hub_suite_exercises_the_counter():
+    degrees = set()
+    for tree in hub_suite():
+        degrees.update(tree.degree.tolist())
+    assert {7, 9, 11} <= degrees
+
+
+def test_packed_step_matches_scalar_step(random_suite, slices):
+    rng = np.random.default_rng(5)
+    for tree in random_suite[:50] + hub_suite():
+        packed = PackedHost(tree)
+        words = rng.integers(0, 2**64, size=tree.n, dtype=np.uint64)
+        out = np.empty_like(words)
+        packed.step(words[packed.order], out)
+        stepped = np.empty_like(out)
+        stepped[packed.order] = out
+        for j in range(LANES):
+            lane = ((words >> np.uint64(j)) & np.uint64(1)).astype(np.int8) * 2 - 1
+            got = ((stepped >> np.uint64(j)) & np.uint64(1)).astype(np.int8) * 2 - 1
+            assert (got == _step_signs(tree, lane)).all()
+
+
+def test_packed_taus_match_stabilise(exhaustive_suite, random_suite, slices):
+    # rows carry random bits past n in their last byte: they must be ignored
+    rng = np.random.default_rng(6)
+    for tree in exhaustive_suite + random_suite + hub_suite():
+        rows = rng.integers(0, 256, size=(LANES + 1, (tree.n + 7) // 8), dtype=np.uint8)
+        want = [stabilise(tree, row_to_signs(row, tree.n)).tau for row in rows]
+        packed = PackedHost(tree)
+        for width in (1, LANES - 1, LANES, LANES + 1):
+            assert packed.taus(rows[:width]) == want[:width], (tree, width)
+
+
+def test_packed_taus_on_a_perfect_host(slices):
+    tree = build_perfect_tree(4, 4)
+    rng = np.random.default_rng(7)
+    vectors = [OpinionVector.random(tree.n, rng) for _ in range(LANES + 1)]
+    rows = [np.packbits(xi.to_signs() > 0, bitorder="little") for xi in vectors]
+    assert PackedHost(tree).taus(rows) == [stabilise(tree, xi).tau for xi in vectors]
+    assert PackedHost(tree).taus([]) == []
+
+
+def test_packed_run_aborts_at_the_step_budget(monkeypatch):
+    tree = build_perfect_tree(2, 3)
+    calls = []
+
+    def never_periodic(self, state, out):
+        # every lane runs a, a, not a, not a, a, ...: no state t + 2 equals state t
+        calls.append(1)
+        np.bitwise_xor(state, np.uint64(0 if len(calls) % 2 else 2**64 - 1), out=out)
+
+    monkeypatch.setattr(PackedHost, "step", never_periodic)
+    rows = np.zeros((3, (tree.n + 7) // 8), dtype=np.uint8)
+    with pytest.raises(InvariantViolationError, match="3 lanes"):
+        PackedHost(tree).taus(rows)
+    assert len(calls) == step_budget(tree) + 2

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from majlab.dynamics import OpinionVector
-from majlab.probe import estimate_probability, le_t_positive_check
+from majlab.probe import estimate_probability, le_t_positive_check, mc_tau
 from majlab.stability import (
     is_le_t_stable,
     is_one_close_to_stability,
@@ -62,6 +62,35 @@ def test_le_t_positive_counts(xi, method, count, denominator):
     est = le_t_positive_check(2, 4, xi, method=method, trials=2000, seed=3)
     assert (est.xi, est.method, est.count) == (xi, method, count)
     assert (est.denominator or est.trials) == denominator
+
+
+@pytest.mark.parametrize(
+    "k,h,trials,seed,taus",
+    [
+        (
+            4, 6, 130, 20261018,
+            "6457453544644544335544445534643333653435434336334333543535344333"
+            "3338464544332536445533253433435343436453454734555344455344444343"
+            "55",
+        ),
+        (
+            2, 8, 70, 7,
+            "5654423323354335324334443325432434423443325233247343443442323533"
+            "333343",
+        ),
+    ],
+)
+def test_mc_tau_taus(k, h, trials, seed, taus):
+    # both runs cross a 64-trial word boundary
+    summary = mc_tau(k, h, trials=trials, seed=seed)
+    assert "".join(map(str, summary.taus)) == taus
+
+
+def test_mc_tau_summary_is_worker_invariant():
+    one = mc_tau(4, 6, trials=130, seed=20261018, workers=1)
+    three = mc_tau(4, 6, trials=130, seed=20261018, workers=3)
+    assert (three.taus, three.trial_seeds) == (one.taus, one.trial_seeds)
+    assert three.stats() == one.stats()
 
 
 def _pattern_vector(ids, bits):

@@ -7,7 +7,7 @@ import pytest
 
 import majlab.probe as probe
 from majlab.cli import main
-from majlab.dynamics import step_budget
+from majlab.dynamics import OpinionVector, stabilise, step_budget
 from majlab.errors import (
     BadHostError,
     BadTimeError,
@@ -199,8 +199,49 @@ def test_mc_tau_is_worker_invariant_and_seeded():
     )
 
 
+def test_mc_tau_trials_are_the_scalar_runs_of_their_seeds():
+    host = build_perfect_tree(2, 4)
+    summary = mc_tau(2, 4, trials=70, seed=3)
+    want = []
+    for i in range(70):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(i,)))
+        want.append(stabilise(host, OpinionVector.random(host.n, rng)).tau)
+    assert summary.taus == want
+
+
+@pytest.mark.parametrize(
+    "trials,workers,processes",
+    [(10, 4, None), (64, 3, None), (65, 3, 2), (130, 2, 2), (200, 8, 4), (130, 1, None)],
+)
+def test_mc_tau_forks_at_most_one_process_per_word(monkeypatch, trials, workers, processes):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            pools.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(probe, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(probe, "_POOL_HOST", None)
+    summary = mc_tau(2, 3, trials=trials, seed=5, workers=workers)
+    assert pools == ([] if processes is None else [processes])
+    assert summary.taus == mc_tau(2, 3, trials=trials, seed=5).taus
+
+
 def test_mc_tau_validation():
     with pytest.raises(MajlabError):
         mc_tau(2, 3, trials=0, seed=0)
+    for workers in (0, -2):
+        with pytest.raises(MajlabError, match="workers"):
+            mc_tau(2, 3, trials=10, seed=0, workers=workers)
     with pytest.raises(MajlabError):
         mc_tau(3, 3, trials=10, seed=0)
