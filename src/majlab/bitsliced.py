@@ -111,15 +111,26 @@ class BatchRun:
     """
 
     def __init__(self, host, cols0: list[int], mask: int):
-        if len(cols0) != host.n:
+        self._begin(adjacency_lists(host), cols0, mask, step_budget(host) + 2)
+
+    @classmethod
+    def over(cls, adj: list[list[int]], cols0: list[int], mask: int, limit: int):
+        """A run on the graph given by its neighbour lists ``adj``, which
+        aborts once a trajectory is undecided after ``limit`` steps."""
+        run = cls.__new__(cls)
+        run._begin(adj, cols0, mask, limit)
+        return run
+
+    def _begin(self, adj, cols0: list[int], mask: int, limit: int) -> None:
+        if len(cols0) != len(adj):
             raise ValueError("one column per vertex required")
-        self.adj = adjacency_lists(host)
+        self.adj = adj
         self.mask = mask
-        self.n = host.n
+        self.n = len(adj)
         self.t = 0
         self.window: list[list[int]] = [list(cols0)]
         self.undecided = mask
-        self.limit = step_budget(host) + 2
+        self.limit = limit
 
     @property
     def cols(self) -> list[int]:

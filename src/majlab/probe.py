@@ -10,13 +10,17 @@ over it.
 
 Exact values enumerate the relevant opinions with the bit-sliced batch
 engine and return dyadic fractions; Monte Carlo estimates pack sampled
-opinions into the same batches.  Universal predicates are evaluated
-through the two extreme extensions (see ``stability``), which decide
-(<= t)-stability outright and strong t-stability except for patterns
-whose extremes settle the subject at opposite opinions; those are
-re-decided by extension enumeration when the budget allows and are
-otherwise scored unstable and reported as ``unresolved``, making the
-estimate a lower bound.
+opinions into the same batches.  Every sampled bit comes from one
+generator seeded with ``SeedSequence(seed)``, vertex row by vertex row,
+and is read as the top bit of one byte of its uint64 stream, eight rows
+at a time, so no vertices x trials byte matrix is held.
+
+Universal predicates are evaluated through the two extreme extensions
+(see ``stability``), which decide (<= t)-stability outright and strong
+t-stability except for patterns whose extremes settle the subject at
+opposite opinions; those are re-decided by extension enumeration when
+the budget allows and are otherwise scored unstable and reported as
+``unresolved``, making the estimate a lower bound.
 
 ``fixed_point_q`` locates the fixed point of the one-level recursion
 for the probability that a vertex fails to be weakly stable, and
@@ -156,12 +160,25 @@ def _pattern_cols(
 ) -> tuple[list[int], int]:
     """One column per host vertex, and the batch width.  The vertices in
     ``ids`` carry the opinion variables (every assignment once without
-    ``rng``, ``trials`` uniform draws with it); the others hold 0."""
+    ``rng``, ``trials`` uniform draws with it); the others hold 0.
+
+    The draws are those of ``rng.integers(0, 2, size=(m, trials),
+    dtype=np.uint8)``, row by row, without its m x trials byte matrix:
+    each of its bits is the top bit of one byte of the generator's uint64
+    stream, bytes read little-endian, so eight rows at a time come from
+    ``trials`` stream words.
+    """
     m = len(ids)
     if rng is None:
         draws, width = [tt_column(i, m) for i in range(m)], 1 << m
     else:
-        draws = pack_bit_rows(rng.integers(0, 2, size=(m, trials), dtype=np.uint8))
+        draws = []
+        for first in range(0, m, 8):
+            rows = min(8, m - first)
+            size = -(-rows * trials // 8)
+            words = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+            stream = words.astype("<u8", copy=False).view(np.uint8)
+            draws += pack_bit_rows((stream[: rows * trials] >> 7).reshape(rows, trials))
         width = trials
     cols = [0] * host.n
     for u, col in zip(ids, draws):

@@ -26,7 +26,10 @@ engine, subject to a budget.
 Single-trajectory fast paths run on the int8 engine of ``dynamics``,
 which stays fast on large hosts.  Batches run on ``BatchRun``: the
 private layer below decides each predicate for a batch of patterns, for
-the enumerating deciders here and for the estimates in ``probe``.
+the enumerating deciders here and for the estimates in ``probe``.  Its
+extreme and canonical runs fill the whole outside with one constant per
+trajectory, which then never changes, so they step only the subtree and
+the vertex's pinned parent (``_PinnedSubtree``).
 """
 
 from __future__ import annotations
@@ -36,7 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitsliced import BatchRun, lowest_bit_index, tt_column
-from .dynamics import OpinionVector, _check_length, _step_signs, stabilise
+from .dynamics import (
+    OpinionVector,
+    _check_length,
+    _step_signs,
+    stabilise,
+    step_budget,
+)
 from .errors import BadHostError, BadTimeError, BadVertexError, BudgetExceededError
 from .trees import RootedTree
 
@@ -190,8 +199,41 @@ def _enumerated_flips(
     return _late_flips(BatchRun(tree, cols, mask), v, t), free, width
 
 
-def _padded(cols: list[int], inside: np.ndarray, fill: int) -> list[int]:
-    return [col if inside[u] else fill for u, col in enumerate(cols)]
+class _PinnedSubtree:
+    """The subtree of ``v`` plus v's parent p, for runs whose outside
+    starts at one constant per trajectory (the extreme and canonical
+    extensions).
+
+    Every outside vertex other than p has only outside neighbours, and a
+    p of degree d >= 3 has d - 1 >= (d + 1) / 2 of them, so the whole
+    outside keeps its fill at every time: the run is exactly the subtree
+    plus a pinned p, whose neighbour list is p itself.  A p of degree 1
+    has v as its only neighbour and copies it; a root subject has no p.
+    Runs keep the whole host's abort bound.  Built once per predicate
+    call from the child CSR; v is vertex 0 of the runs.
+    """
+
+    def __init__(self, tree: RootedTree, v: int):
+        ids, adj = [v], [[]]
+        for i, u in enumerate(ids):  # BFS from v; the list grows while read
+            for c in tree.children(u).tolist():
+                adj[i].append(len(ids))
+                adj.append([i])
+                ids.append(c)
+        p = int(tree.parent[v])
+        self.pinned = p >= 0
+        if self.pinned:
+            adj[0].append(len(ids))
+            adj.append([len(ids)] if tree.degree[p] > 1 else [0])
+        self.ids, self.adj = ids, adj
+        self.limit = step_budget(tree) + 2
+
+    def run(self, cols: list[int], mask: int, fill: int) -> BatchRun:
+        """``cols`` (one per host vertex) on the subtree, ``fill`` outside."""
+        sub = [cols[u] for u in self.ids]
+        if self.pinned:
+            sub.append(fill)
+        return BatchRun.over(self.adj, sub, mask, self.limit)
 
 
 def _weak_ok_bits(tree: RootedTree, cols: list[int], mask: int, v: int) -> int:
@@ -201,8 +243,8 @@ def _weak_ok_bits(tree: RootedTree, cols: list[int], mask: int, v: int) -> int:
     subtree the state is kept, outside it is replaced by the opinion of
     ``v``.
     """
-    side = BatchRun(tree, _padded(cols, tree.subtree_mask(v), cols[v]), mask)
-    return mask & ~_late_flips(side, v, 0)
+    side = _PinnedSubtree(tree, v).run(cols, mask, cols[v])
+    return mask & ~_late_flips(side, 0, 0)
 
 
 def _strong_ok_bits(
@@ -216,18 +258,18 @@ def _strong_ok_bits(
     enumerating their extensions, as ``is_strongly_t_stable`` does, or
     left pending when 2^(outside) exceeds the budget.
     """
-    inside = tree.subtree_mask(v)
+    sub = _PinnedSubtree(tree, v)
     bad = 0
     settled = []
     for fill in (0, mask):
-        run = BatchRun(tree, _padded(cols, inside, fill), mask)
-        bad |= _late_flips(run, v, t)
+        run = sub.run(cols, mask, fill)
+        bad |= _late_flips(run, 0, t)
         if (run.t ^ t) & 1:
             run.advance()
-        settled.append(run.cols[v])
+        settled.append(run.cols[0])
     pending = mask & ~bad & (settled[0] ^ settled[1])
     ok = mask & ~bad & ~pending
-    ids = np.flatnonzero(inside).tolist()
+    ids = sub.ids
     if not pending or 1 << (tree.n - len(ids)) > budget:
         return ok, pending
     ones = np.ones(tree.n, dtype=np.int8)
@@ -253,16 +295,16 @@ def _le_t_ok_bits(
     ``v`` is shared by all extensions, so constancy under both extreme
     extensions pins every other one.
     """
-    inside = tree.subtree_mask(v)
+    sub = _PinnedSubtree(tree, v)
     verdict = mask
     for fill in (0, mask):
-        run = BatchRun(tree, _padded(cols, inside, fill), mask)
-        start = run.cols[v]
+        run = sub.run(cols, mask, fill)
+        start = run.cols[0]
         diff = 0
         while run.t < t and run.undecided:
             run.advance()
             if (run.t & 1) == 0:
-                diff |= run.cols[v] ^ start
+                diff |= run.cols[0] ^ start
         verdict &= mask & ~diff
     return verdict
 

@@ -32,7 +32,7 @@ from .errors import (
     InvariantViolationError,
     TooSmallError,
 )
-from .trees import RootedTree, VertexClass, classify_all, reroot
+from .trees import RootedTree, VertexClass, _bfs_tree, _child_csr, classify_all
 
 __all__ = [
     "CandidatePath",
@@ -243,22 +243,29 @@ def worst_case_witness(tree: RootedTree, path: list[int]) -> OpinionVector:
     so the lone positive parent edge decides, one step too late.
     """
     _validate_candidate_path(tree, path)
-    rt = reroot(tree, path[-1])
-    pendant = rt.pendant.tolist()
-    parent = rt.parent.tolist()
+    # rooted at the path's end; no reroot, which also recomputes heights
+    end = path[-1]
+    parent, order, _ = _bfs_tree(tree.n, tree.adj_flat, tree.adj_offsets, end)
+    child_flat, child_offsets = _child_csr(tree.n, parent, end)
+
+    def children(v: int) -> list[int]:
+        return child_flat[child_offsets[v] : child_offsets[v + 1]].tolist()
+
+    pendant = tree.pendant.tolist()
+    parent = parent.tolist()
     # 0 marks a vertex that takes the opinion its parent hands down
     signs = [0] * tree.n
     for v in path:
         signs[v] = 1
     first = path[0]
     # below the path head: children agree with it, deeper vertices do not
-    for c in rt.children(first).tolist():
+    for c in children(first):
         signs[c] = 1
     for i in range(1, len(path)):
         v = path[i]
-        need = (rt.degree[v] - 1) // 2
+        need = (tree.degree[v] - 1) // 2
         negatives = 0
-        for c in rt.children(v).tolist():
+        for c in children(v):
             if signs[c]:  # the path's previous vertex
                 continue
             if pendant[c]:
@@ -271,7 +278,7 @@ def worst_case_witness(tree: RootedTree, path: list[int]) -> OpinionVector:
             raise InvariantViolationError(
                 f"path vertex {v} got {negatives} negative subtrees, needs {need}"
             )
-    for v in rt.order.tolist():
+    for v in order.tolist():
         if not signs[v]:
             p = parent[v]
             signs[v] = -1 if parent[p] == first else signs[p]

@@ -50,6 +50,35 @@ def test_mc_counts(target, height, t, trials, seed, count, unresolved):
 
 
 @pytest.mark.parametrize(
+    "target,height,t,trials,seed,count,unresolved",
+    [
+        ("strong", 3, 2, 1001, 3, 645, 356),
+        # the host-wide draw: 46 rows
+        ("weak", 3, 1, 13, 1, 12, None),
+        ("weak", 3, 1, 1001, 3, 989, None),
+        ("le_t", 3, 4, 1001, 3, 583, None),
+        # the rows above read only the first block at even times; these
+        # also read the last one
+        ("strong", 3, 3, 1001, 3, 484, 517),
+        ("le_t", 4, 4, 1001, 3, 550, None),
+    ],
+)
+def test_mc_counts_at_trials_off_the_byte_grid(
+    target, height, t, trials, seed, count, unresolved
+):
+    # the last eight-row block of the draw ends inside a stream word
+    est = estimate_probability(
+        target, height, t, method="mc", trials=trials, seed=seed
+    )
+    assert (est.count, est.unresolved, est.trials) == (count, unresolved, trials)
+
+
+def test_le_t_positive_count_at_trials_off_the_byte_grid():
+    est = le_t_positive_check(2, 4, -1, method="mc", trials=999, seed=3)
+    assert (est.xi, est.count, est.trials) == (-1, 280, 999)
+
+
+@pytest.mark.parametrize(
     "xi,method,count,denominator",
     [
         (1, "exact", 36, 128),

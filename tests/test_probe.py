@@ -21,6 +21,7 @@ from majlab.probe import (
     mc_tau,
     trial_seed,
 )
+from majlab.bitsliced import pack_bit_rows
 from majlab.trees import build_perfect_tree
 
 
@@ -77,6 +78,23 @@ def test_mc_agrees_with_exact_within_four_sigma():
         assert mc.seed == 11
         sigma = mc.ci_halfwidth / 3
         assert abs(mc.value - exact.value) <= 4 * sigma + 1e-12
+
+
+@pytest.mark.parametrize(
+    "m,trials", [(1, 1), (3, 5), (7, 13), (9, 64), (11, 1001), (511, 2000)]
+)
+def test_mc_pattern_columns_are_the_byte_matrix_draw(m, trials):
+    host = build_perfect_tree(2, 9)
+    ids = list(range(host.n - m, host.n))
+    for seed in (0, 20261018):
+        # the one-byte-per-bit draw that the packed draw must reproduce
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        want = pack_bit_rows(rng.integers(0, 2, size=(m, trials), dtype=np.uint8))
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        cols, width = probe._pattern_cols(host, ids, trials, rng)
+        assert width == trials
+        assert [cols[u] for u in ids] == want
+        assert not any(cols[: host.n - m])
 
 
 def test_mc_strong_reports_unresolved_patterns():

@@ -8,6 +8,7 @@ of its definition.
 import numpy as np
 import pytest
 
+from majlab.bitsliced import BatchRun
 from majlab.dynamics import OpinionVector, stabilise
 from majlab.errors import (
     BadHostError,
@@ -16,6 +17,7 @@ from majlab.errors import (
     BudgetExceededError,
 )
 from majlab.stability import (
+    _PinnedSubtree,
     is_le_t_stable,
     is_one_close_to_stability,
     is_strongly_t_stable,
@@ -23,7 +25,7 @@ from majlab.stability import (
     le_t_stable_extreme_runs,
     strong_t_stable_extreme_runs,
 )
-from majlab.trees import RootedTree, build_perfect_tree
+from majlab.trees import RootedTree, build_perfect_tree, reroot
 
 # binary host whose depth-1 vertex has height 2: strong verdicts go both ways
 HOST = RootedTree.from_edges(
@@ -293,3 +295,42 @@ def test_binary_host_restriction():
         is_strongly_t_stable(KARY, xi0, 1, 0)
     with pytest.raises(BadHostError):
         is_one_close_to_stability(KARY, xi0, 1)
+
+
+def assert_pinned_runs_match_the_host(tree, v, cols, mask, fill):
+    """The compact run of ``_PinnedSubtree`` against the whole host with
+    every outside vertex set to ``fill``, step by step to the end."""
+    inside = tree.subtree_mask(v)
+    full = BatchRun(tree, [c if inside[u] else fill for u, c in enumerate(cols)], mask)
+    sub = _PinnedSubtree(tree, v)
+    run = sub.run(cols, mask, fill)
+    assert sub.ids[0] == v and sorted(sub.ids) == np.flatnonzero(inside).tolist()
+    assert run.limit == full.limit
+    watched = sub.ids + ([int(tree.parent[v])] if tree.parent[v] >= 0 else [])
+    assert len(watched) == run.n
+    while True:
+        assert run.cols == [full.cols[u] for u in watched], (v, run.t)
+        assert run.undecided == full.undecided
+        if not full.undecided:
+            break
+        full.advance()
+        run.advance()
+    assert run.t == full.t
+
+
+def test_pinned_subtree_runs_match_full_host_runs(exhaustive_suite, random_suite):
+    rng = np.random.default_rng(20261018)
+    width = 24
+    mask = (1 << width) - 1
+    hosts = [*exhaustive_suite, *random_suite, build_perfect_tree(2, 3), build_perfect_tree(4, 2)]
+    # rooted at a pendant vertex, the root's child has a parent of degree 1
+    hosts += [reroot(tree, int(np.flatnonzero(tree.pendant)[0])) for tree in hosts]
+    pendant_parents = 0
+    for tree in hosts:
+        for v in range(tree.n):
+            cols = [int(x) for x in rng.integers(0, 1 << width, size=tree.n)]
+            lane_fill = int(rng.integers(0, 1 << width))
+            for fill in (0, mask, lane_fill):
+                assert_pinned_runs_match_the_host(tree, v, cols, mask, fill)
+            pendant_parents += tree.parent[v] >= 0 and tree.pendant[tree.parent[v]]
+    assert pendant_parents >= len(hosts) // 2
