@@ -22,7 +22,9 @@ trajectories on a host of millions of vertices step together (E. Biham,
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import islice
+from operator import or_, xor
 
 import numpy as np
 
@@ -153,11 +155,7 @@ class BatchRun:
         if len(self.window) > 3:
             self.window.pop(0)
         if self.t >= 2 and self.undecided:
-            old = self.window[0]
-            changed = 0
-            for v in range(self.n):
-                changed |= new[v] ^ old[v]
-            self.undecided &= changed
+            self.undecided &= reduce(or_, map(xor, new, self.window[0]), 0)
 
 
 def batch_max_tau(host, cols0: list[int], mask: int) -> tuple[int, int]:

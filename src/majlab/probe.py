@@ -49,6 +49,7 @@ from .errors import (
 )
 from .stability import (
     EXTENSION_BUDGET,
+    _PinnedSubtree,
     _extension_vector,
     _le_t_ok_bits,
     _strong_ok_bits,
@@ -292,7 +293,7 @@ def _probability(
             run.advance()
         if (run.t ^ t) & 1:
             run.advance()
-        ok = _weak_ok_bits(host, run.cols, mask, v)
+        ok = _weak_ok_bits(_PinnedSubtree(host, v), run.cols, mask)
     elif target == "strong":
         ok, pending = _strong_ok_bits(host, cols, mask, v, t, budget)
         if rng is not None:

@@ -23,13 +23,14 @@ parity-t opinions pin nothing in between, and only then does the
 decision fall back to enumerating all extensions with the bit-sliced
 engine, subject to a budget.
 
-Single-trajectory fast paths run on the int8 engine of ``dynamics``,
-which stays fast on large hosts.  Batches run on ``BatchRun``: the
-private layer below decides each predicate for a batch of patterns, for
-the enumerating deciders here and for the estimates in ``probe``.  Its
-extreme and canonical runs fill the whole outside with one constant per
-trajectory, which then never changes, so they step only the subtree and
-the vertex's pinned parent (``_PinnedSubtree``).
+Each predicate has one implementation: the private layer below decides
+it for a batch of patterns on ``BatchRun``, one bit per pattern, for the
+enumerating deciders here and for the estimates in ``probe``; a scalar
+query is a batch of width one.  Its extreme and canonical runs fill the
+whole outside with one constant per trajectory, which then never
+changes, so they step only the subtree and the vertex's pinned parent
+(``_PinnedSubtree``).  Only weak stability's time-t state steps the
+whole host, on the int8 engine of ``dynamics``.
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitsliced import BatchRun, lowest_bit_index, tt_column
-from .dynamics import (
-    OpinionVector,
-    _check_length,
-    _step_signs,
-    stabilise,
-    step_budget,
-)
+from .dynamics import OpinionVector, _check_length, _step_signs, step_budget
 from .errors import BadHostError, BadTimeError, BadVertexError, BudgetExceededError
 from .trees import RootedTree
 
@@ -91,14 +86,10 @@ def _check_vertex(tree: RootedTree, v: int, *, forbid_leaf: bool) -> None:
 
 
 def _check_binary_host(tree: RootedTree) -> None:
-    for v in range(tree.n):
-        k = len(tree.children(v))
-        want = 3 if v == tree.root else (0, 2)
-        ok = k == want if v == tree.root else k in want
-        if not ok:
-            raise BadHostError(
-                "host must be a binary tree whose root has three children"
-            )
+    kids = np.diff(tree.child_offsets)
+    # 3 & ~2 is the one nonzero entry when every other vertex has 0 or 2
+    if kids[tree.root] != 3 or np.count_nonzero(kids & ~2) != 1:
+        raise BadHostError("host must be a binary tree whose root has three children")
 
 
 def _state_at(tree: RootedTree, xi0: OpinionVector, t: int) -> np.ndarray:
@@ -108,9 +99,9 @@ def _state_at(tree: RootedTree, xi0: OpinionVector, t: int) -> np.ndarray:
     return signs
 
 
-def _canonical_extension(tree: RootedTree, state: np.ndarray, v: int) -> np.ndarray:
-    inside = tree.subtree_mask(v)
-    return np.where(inside, state, state[v]).astype(np.int8)
+def _columns(signs: np.ndarray) -> list[int]:
+    """One width-one column per vertex: 1 for +1, 0 for -1."""
+    return (signs > 0).view(np.uint8).tolist()
 
 
 def is_weakly_t_stable(
@@ -127,16 +118,15 @@ def is_weakly_t_stable(
     if t < 0:
         raise BadTimeError(f"t must be non-negative, got {t}")
     _check_length(tree, xi0)
-    canonical = _canonical_extension(tree, _state_at(tree, xi0, t), v)
-    result = stabilise(tree, OpinionVector.from_signs(canonical))
-    ok = bool(result.last_flip_even[v] <= 0)
+    state = _state_at(tree, xi0, t)
+    sub = _PinnedSubtree(tree, v)
     return StabilityVerdict(
         kind="weak",
         vertex=v,
         t=t,
-        verdict=ok,
+        verdict=_weak_ok_bits(sub, _columns(state), 1) == 1,
         method="canonical",
-        certificate=OpinionVector.from_signs(canonical),
+        certificate=sub.extension(state, state[v]),
         checked=1,
     )
 
@@ -172,6 +162,27 @@ def _extension_vector(
     return OpinionVector.from_signs(signs)
 
 
+def _enumerated_verdict(
+    kind: str, v: int, t: int | None, violations: int, base: np.ndarray,
+    free: np.ndarray, checked: int,
+) -> StabilityVerdict:
+    """Verdict of a universal query over every extension of ``base``, bit
+    i of ``violations`` standing for extension i: it holds when no bit is
+    set, and the lowest set bit is the counterexample."""
+    cert = None
+    if violations:
+        cert = _extension_vector(base, free, lowest_bit_index(violations))
+    return StabilityVerdict(
+        kind=kind,
+        vertex=v,
+        t=t,
+        verdict=not violations,
+        method="brute-force",
+        certificate=cert,
+        checked=checked,
+    )
+
+
 # -- the batched predicate layer: bit j of every column is one trajectory ----
 
 
@@ -188,6 +199,19 @@ def _late_flips(run: BatchRun, v: int, t: int) -> int:
         if run.t >= t + 2 and (run.t & 1) == parity:
             flips |= run.flip_col(v)
     return flips
+
+
+def _changed_by(run: BatchRun, v: int, t: int) -> int:
+    """Trajectories in which ``v`` holds two opinions at times of t's
+    parity up to t.  Stops early once every trajectory is 2-periodic."""
+    if t & 1:
+        run.advance()
+    first, changed = run.cols[v], 0
+    while run.t < t and run.undecided:
+        run.advance()
+        if not (run.t ^ t) & 1:
+            changed |= run.cols[v] ^ first
+    return changed
 
 
 def _enumerated_flips(
@@ -235,16 +259,47 @@ class _PinnedSubtree:
             sub.append(fill)
         return BatchRun.over(self.adj, sub, mask, self.limit)
 
+    def extension(self, signs: np.ndarray, fill: int) -> OpinionVector:
+        """``signs`` on the subtree, ``fill`` outside: the extension that a
+        width-one run with that fill steps."""
+        ext = np.full(signs.size, fill, dtype=np.int8)
+        ext[self.ids] = signs[self.ids]
+        return OpinionVector(ext)
 
-def _weak_ok_bits(tree: RootedTree, cols: list[int], mask: int, v: int) -> int:
-    """Bits whose state ``cols`` leaves ``v`` weakly 0-stable.
+
+def _weak_ok_bits(sub: _PinnedSubtree, cols: list[int], mask: int) -> int:
+    """Bits whose state ``cols`` leaves the subject of ``sub`` weakly
+    0-stable.
 
     Runs the canonical extension of every trajectory at once: inside the
-    subtree the state is kept, outside it is replaced by the opinion of
-    ``v``.
+    subtree the state is kept, outside it is replaced by the subject's
+    opinion.
     """
-    side = _PinnedSubtree(tree, v).run(cols, mask, cols[v])
+    side = sub.run(cols, mask, cols[sub.ids[0]])
     return mask & ~_late_flips(side, 0, 0)
+
+
+def _extremes(
+    sub: _PinnedSubtree, cols: list[int], mask: int, t: int
+) -> tuple[int, int, int]:
+    """(late flips under the all-minus extension, the same under the
+    all-plus one, pending bits) for strong t-stability of each pattern.
+
+    A flip in either extreme is a counterexample.  When both extremes
+    hold the subject t-stable and settle it at the same parity-t opinion,
+    every other extension is sandwiched between two equal constants from
+    time t on and the pattern is stable.  Opposite settled opinions pin
+    nothing: those patterns are pending.
+    """
+    flips, settled = [], []
+    for fill in (0, mask):
+        run = sub.run(cols, mask, fill)
+        flips.append(_late_flips(run, 0, t))
+        if (run.t ^ t) & 1:
+            run.advance()
+        settled.append(run.cols[0])
+    low, high = flips
+    return low, high, mask & ~(low | high) & (settled[0] ^ settled[1])
 
 
 def _strong_ok_bits(
@@ -253,22 +308,13 @@ def _strong_ok_bits(
     """(stable bits, pending bits) for strong t-stability of each pattern.
 
     Only the subtree entries of ``cols`` are read.  The extreme extensions
-    decide almost every pattern (see ``_extreme_strong``).  Patterns whose
-    extremes settle ``v`` at opposite opinions are re-decided by
-    enumerating their extensions, as ``is_strongly_t_stable`` does, or
-    left pending when 2^(outside) exceeds the budget.
+    decide almost every pattern (see ``_extremes``).  Pending patterns are
+    re-decided by enumerating their extensions, as ``is_strongly_t_stable``
+    does, or left pending when 2^(outside) exceeds the budget.
     """
     sub = _PinnedSubtree(tree, v)
-    bad = 0
-    settled = []
-    for fill in (0, mask):
-        run = sub.run(cols, mask, fill)
-        bad |= _late_flips(run, 0, t)
-        if (run.t ^ t) & 1:
-            run.advance()
-        settled.append(run.cols[0])
-    pending = mask & ~bad & (settled[0] ^ settled[1])
-    ok = mask & ~bad & ~pending
+    low, high, pending = _extremes(sub, cols, mask, t)
+    ok = mask & ~(low | high) & ~pending
     ids = sub.ids
     if not pending or 1 << (tree.n - len(ids)) > budget:
         return ok, pending
@@ -298,40 +344,8 @@ def _le_t_ok_bits(
     sub = _PinnedSubtree(tree, v)
     verdict = mask
     for fill in (0, mask):
-        run = sub.run(cols, mask, fill)
-        start = run.cols[0]
-        diff = 0
-        while run.t < t and run.undecided:
-            run.advance()
-            if (run.t & 1) == 0:
-                diff |= run.cols[0] ^ start
-        verdict &= mask & ~diff
+        verdict &= ~_changed_by(sub.run(cols, mask, fill), 0, t)
     return verdict
-
-
-def _extreme_strong(
-    tree: RootedTree, base: np.ndarray, v: int, t: int
-) -> tuple[bool | None, OpinionVector | None]:
-    """Verdict from the two extreme extensions, or None when inconclusive.
-
-    A flip in either extreme is a counterexample.  When both extremes hold
-    ``v`` t-stable and settle it at the same parity-t opinion, every other
-    extension is sandwiched between two equal constants from time t on and
-    the verdict is true.  Opposite settled opinions pin nothing.
-    """
-    inside = tree.subtree_mask(v)
-    parity = t & 1
-    settled = []
-    for fill in (-1, 1):
-        xi = OpinionVector.from_signs(np.where(inside, base, fill).astype(np.int8))
-        res = stabilise(tree, xi)
-        if not res.is_vertex_t_stable(v, t):
-            return False, xi
-        tail = res.stable_odd if parity else res.stable_even
-        settled.append(tail.sign(v))
-    if settled[0] == settled[1]:
-        return True, None
-    return None, None
 
 
 def is_strongly_t_stable(
@@ -344,7 +358,7 @@ def is_strongly_t_stable(
     """Decide strong t-stability of ``v``: every extension keeps it t-stable.
 
     The two extreme extensions decide almost every instance (see
-    ``_extreme_strong``); only when they settle ``v`` at opposite parity-t
+    ``_extremes``); only when they settle ``v`` at opposite parity-t
     opinions are all extensions enumerated.  The budget applies to the
     enumeration alone, so conclusive fast-path verdicts work on hosts far
     beyond enumerable size.
@@ -355,28 +369,21 @@ def is_strongly_t_stable(
         raise BadTimeError(f"t must be non-negative, got {t}")
     _check_length(tree, xi0)
     base = xi0.to_signs()
-    fast, extreme_cert = _extreme_strong(tree, base, v, t)
-    if fast is not None:
+    sub = _PinnedSubtree(tree, v)
+    low, high, pending = _extremes(sub, _columns(base), 1, t)
+    if not pending:
+        bad = low | high
         return StabilityVerdict(
             kind="strong",
             vertex=v,
             t=t,
-            verdict=fast,
+            verdict=not bad,
             method="extremes",
-            certificate=extreme_cert,
+            certificate=sub.extension(base, -1 if low else 1) if bad else None,
             checked=2,
         )
     flips, free, width = _enumerated_flips(tree, base, v, t, budget)
-    bad = lowest_bit_index(flips) if flips else -1
-    return StabilityVerdict(
-        kind="strong",
-        vertex=v,
-        t=t,
-        verdict=flips == 0,
-        method="brute-force",
-        certificate=None if bad < 0 else _extension_vector(base, free, bad),
-        checked=2 + width,
-    )
+    return _enumerated_verdict("strong", v, t, flips, base, free, 2 + width)
 
 
 def is_le_t_stable(
@@ -394,27 +401,8 @@ def is_le_t_stable(
     _check_length(tree, xi0)
     base = xi0.to_signs()
     free, width, mask, cols = _extension_batch(tree, base, v, budget)
-    run = BatchRun(tree, cols, mask)
-    parity = t & 1
-    captured = [run.cols[v]] if parity == 0 else []
-    while run.t < t and run.undecided:
-        run.advance()
-        if (run.t & 1) == parity:
-            captured.append(run.cols[v])
-    reference = captured[-1]
-    violations = 0
-    for col in captured[:-1]:
-        violations |= col ^ reference
-    bad = lowest_bit_index(violations) if violations else -1
-    return StabilityVerdict(
-        kind="le_t",
-        vertex=v,
-        t=t,
-        verdict=violations == 0,
-        method="brute-force",
-        certificate=None if bad < 0 else _extension_vector(base, free, bad),
-        checked=width,
-    )
+    changed = _changed_by(BatchRun(tree, cols, mask), v, t)
+    return _enumerated_verdict("le_t", v, t, changed, base, free, width)
 
 
 def is_one_close_to_stability(
@@ -435,6 +423,7 @@ def is_one_close_to_stability(
     _check_length(tree, xi0)
     base = xi0.to_signs()
     free, width, mask, cols = _extension_batch(tree, base, v, budget)
+    sub = _PinnedSubtree(tree, v)
     run = BatchRun(tree, cols, mask)
     flipped = 0
     violations = 0
@@ -445,17 +434,8 @@ def is_one_close_to_stability(
         newly = run.flip_col(v) & ~flipped & mask
         flipped |= newly
         if newly:
-            violations |= newly & ~_weak_ok_bits(tree, run.cols, mask, v)
-    bad = lowest_bit_index(violations) if violations else -1
-    return StabilityVerdict(
-        kind="one_close",
-        vertex=v,
-        t=None,
-        verdict=violations == 0,
-        method="brute-force",
-        certificate=None if bad < 0 else _extension_vector(base, free, bad),
-        checked=width,
-    )
+            violations |= newly & ~_weak_ok_bits(sub, run.cols, mask)
+    return _enumerated_verdict("one_close", v, None, violations, base, free, width)
 
 
 def strong_t_stable_extreme_runs(
@@ -474,8 +454,9 @@ def strong_t_stable_extreme_runs(
     if t < 0:
         raise BadTimeError(f"t must be non-negative, got {t}")
     _check_length(tree, xi0)
-    verdict, _ = _extreme_strong(tree, xi0.to_signs(), v, t)
-    return verdict
+    sub = _PinnedSubtree(tree, v)
+    low, high, pending = _extremes(sub, _columns(xi0.to_signs()), 1, t)
+    return None if pending else not (low | high)
 
 
 def le_t_stable_extreme_runs(
@@ -490,16 +471,4 @@ def le_t_stable_extreme_runs(
     if t < 2 or t & 1:
         raise BadTimeError(f"extreme-run (<=t)-stability needs even t >= 2, got {t}")
     _check_length(tree, xi0)
-    base = xi0.to_signs()
-    inside = tree.subtree_mask(v)
-    for fill in (-1, 1):
-        signs = np.where(inside, base, fill).astype(np.int8)
-        start = signs[v]
-        for _ in range(t // 2):
-            nxt = _step_signs(tree, _step_signs(tree, signs))
-            if nxt[v] != start:
-                return False
-            if np.array_equal(nxt, signs):
-                break
-            signs = nxt
-    return True
+    return _le_t_ok_bits(tree, _columns(xi0.to_signs()), 1, v, t) == 1

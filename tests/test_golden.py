@@ -3,7 +3,7 @@
 The statistical tests allow a Monte Carlo estimate 4 sigma of slack, so
 an implementation that drew or decided differently could still pass
 them.  These pins fix the exact counts instead, and fix every verdict,
-method, extension count and certificate of the strong, (<= t) and
+method, extension count and certificate of the weak, strong, (<= t) and
 1-close deciders on each subtree pattern of a small host.
 """
 
@@ -18,6 +18,7 @@ from majlab.stability import (
     is_le_t_stable,
     is_one_close_to_stability,
     is_strongly_t_stable,
+    is_weakly_t_stable,
 )
 from majlab.trees import RootedTree
 
@@ -135,6 +136,10 @@ def _pattern_vector(ids, bits):
         (
             is_strongly_t_stable, (1, 4), (0, 1, 2, 3), 160, 152,
             "803fd1a52a50b17444fc61d5b84b7ee4581fd169499128c8ff6ac698538d7994",
+        ),
+        (
+            is_weakly_t_stable, range(1, 8), (0, 1, 2, 3, 4), 250, 250,
+            "ad693305bc8bca44f440f2d9e533b4a03b3947a3ec5263c5b4b9893326220b2d",
         ),
         (
             is_le_t_stable, range(1, 8), (2, 3, 4), 150, 112,

@@ -17,3 +17,17 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in majlab: {found}"
+
+
+def test_stability_runs_no_single_trajectory_engine():
+    # every predicate has one implementation, the batched layer; int8 only
+    # steps weak stability's time-t state
+    path = Path(majlab.__file__).parent / "stability.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    } | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not used & {"stabilise", "Trajectory"}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from majlab.bitsliced import BatchRun
-from majlab.dynamics import OpinionVector, stabilise
+from majlab.dynamics import OpinionVector, _step_signs, stabilise
 from majlab.errors import (
     BadHostError,
     BadTimeError,
@@ -288,13 +288,19 @@ def test_vertex_and_time_preconditions():
 
 
 def test_binary_host_restriction():
-    xi0 = OpinionVector.filled(KARY.n, 1)
-    with pytest.raises(BadHostError):
-        is_weakly_t_stable(KARY, xi0, 1, 0)
-    with pytest.raises(BadHostError):
-        is_strongly_t_stable(KARY, xi0, 1, 0)
-    with pytest.raises(BadHostError):
-        is_one_close_to_stability(KARY, xi0, 1)
+    # a root of five children; a root of one child; a root of three
+    # children above a vertex of four
+    wide_below = RootedTree.from_edges(
+        [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6), (1, 7)]
+    )
+    for tree in (KARY, reroot(HOST, 7), wide_below):
+        xi0 = OpinionVector.filled(tree.n, 1)
+        with pytest.raises(BadHostError, match="root has three children"):
+            is_weakly_t_stable(tree, xi0, 1, 0)
+        with pytest.raises(BadHostError):
+            is_strongly_t_stable(tree, xi0, 1, 0)
+        with pytest.raises(BadHostError):
+            is_one_close_to_stability(tree, xi0, 1)
 
 
 def assert_pinned_runs_match_the_host(tree, v, cols, mask, fill):
@@ -334,3 +340,95 @@ def test_pinned_subtree_runs_match_full_host_runs(exhaustive_suite, random_suite
                 assert_pinned_runs_match_the_host(tree, v, cols, mask, fill)
             pendant_parents += tree.parent[v] >= 0 and tree.pendant[tree.parent[v]]
     assert pendant_parents >= len(hosts) // 2
+
+
+# -- the int8 single-trajectory predicates that the batched layer replaced ---
+
+
+def int8_weak(tree, xi0, v, t):
+    """(verdict, certificate) of the canonical run on the whole host: the
+    time-t state on the subtree, v's time-t opinion everywhere else."""
+    signs = xi0.to_signs()
+    for _ in range(t):
+        signs = _step_signs(tree, signs)
+    canonical = OpinionVector.from_signs(np.where(tree.subtree_mask(v), signs, signs[v]))
+    return bool(stabilise(tree, canonical).last_flip_even[v] <= 0), canonical
+
+
+def int8_strong_extremes(tree, xi0, v, t):
+    """(verdict or None, counterexample or None) of the two extreme
+    extensions run on the whole host, the all-minus one first."""
+    inside = tree.subtree_mask(v)
+    settled = []
+    for fill in (-1, 1):
+        xi = OpinionVector.from_signs(np.where(inside, xi0.to_signs(), fill))
+        res = stabilise(tree, xi)
+        if not res.is_vertex_t_stable(v, t):
+            return False, xi
+        settled.append((res.stable_odd if t & 1 else res.stable_even).sign(v))
+    return (True if settled[0] == settled[1] else None), None
+
+
+def int8_le_t_extremes(tree, xi0, v, t):
+    """(<= t)-stability at even t from the extremes, two int8 steps at a time."""
+    inside = tree.subtree_mask(v)
+    for fill in (-1, 1):
+        signs = np.where(inside, xi0.to_signs(), fill).astype(np.int8)
+        start = signs[v]
+        for _ in range(t // 2):
+            nxt = _step_signs(tree, _step_signs(tree, signs))
+            if nxt[v] != start:
+                return False
+            if np.array_equal(nxt, signs):
+                break
+            signs = nxt
+    return True
+
+
+def cert_text(cert):
+    return "-" if cert is None else cert.to_string()
+
+
+def test_weak_and_strong_match_the_int8_runs():
+    rng = np.random.default_rng(20261019)
+    hosts = []
+    for tree in (HOST, PERFECT2, build_perfect_tree(2, 3)):
+        hosts += [reroot(tree, int(r)) for r in np.flatnonzero(tree.degree == 3)]
+    assert len(hosts) == 3 + 4 + 10
+    outcomes = set()
+    for tree in hosts:
+        for xi0 in (OpinionVector.random(tree.n, rng) for _ in range(3)):
+            for v in range(tree.n):
+                if v == tree.root:
+                    continue
+                for t in range(5):
+                    got = is_weakly_t_stable(tree, xi0, v, t)
+                    ok, cert = int8_weak(tree, xi0, v, t)
+                    assert (got.verdict, cert_text(got.certificate)) == (ok, cert.to_string())
+                    if tree.is_leaf(v):
+                        continue
+                    fast, cert = int8_strong_extremes(tree, xi0, v, t)
+                    assert strong_t_stable_extreme_runs(tree, xi0, v, t) is fast
+                    got = is_strongly_t_stable(tree, xi0, v, t)
+                    if fast is None:
+                        assert got.method == "brute-force"
+                    else:
+                        assert (got.verdict, got.method) == (fast, "extremes")
+                        assert cert_text(got.certificate) == cert_text(cert)
+                    outcomes.add(fast)
+    assert outcomes == {True, False, None}
+
+
+def test_le_t_extremes_match_the_int8_runs(exhaustive_suite, random_suite):
+    rng = np.random.default_rng(20261020)
+    verdicts = set()
+    for tree in [*exhaustive_suite, *random_suite, build_perfect_tree(4, 2)]:
+        xi0 = OpinionVector.random(tree.n, rng)
+        for v in range(tree.n):
+            if v == tree.root:
+                continue
+            for t in (2, 4):
+                got = le_t_stable_extreme_runs(tree, xi0, v, t)
+                assert got is int8_le_t_extremes(tree, xi0, v, t)
+                verdicts.add(got)
+    assert verdicts == {True, False}
