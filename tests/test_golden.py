@@ -138,16 +138,16 @@ def _pattern_vector(ids, bits):
             "803fd1a52a50b17444fc61d5b84b7ee4581fd169499128c8ff6ac698538d7994",
         ),
         (
-            is_weakly_t_stable, range(1, 8), (0, 1, 2, 3, 4), 250, 250,
-            "ad693305bc8bca44f440f2d9e533b4a03b3947a3ec5263c5b4b9893326220b2d",
-        ),
-        (
             is_le_t_stable, range(1, 8), (2, 3, 4), 150, 112,
             "e285bc43a6a85f15f96b1718cda03bc89030a8a5014da9f48e8c8bc0177a85fc",
         ),
         (
             is_one_close_to_stability, (1, 4), (None,), 40, 40,
             "52d3aefa8824c25e9e3e9b897a0925bbc584ef1378881cf335681d14e16b43a1",
+        ),
+        (
+            is_weakly_t_stable, range(1, 8), (0, 1, 2, 3, 4), 250, 250,
+            "ad693305bc8bca44f440f2d9e533b4a03b3947a3ec5263c5b4b9893326220b2d",
         ),
     ],
 )
