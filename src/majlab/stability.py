@@ -42,7 +42,7 @@ import numpy as np
 from .bitsliced import BatchRun, lowest_bit_index, tt_column
 from .dynamics import OpinionVector, _check_length, _step_signs, step_budget
 from .errors import BadHostError, BadTimeError, BadVertexError, BudgetExceededError
-from .trees import RootedTree
+from .trees import RootedTree, _subtree_bfs
 
 __all__ = [
     "StabilityVerdict",
@@ -132,22 +132,24 @@ def is_weakly_t_stable(
 
 
 def _extension_batch(
-    tree: RootedTree, base: np.ndarray, v: int, budget: int
-) -> tuple[np.ndarray, int, int, list[int]]:
-    inside = tree.subtree_mask(v)
-    free = np.flatnonzero(~inside)
-    m = int(free.size)
+    tree: RootedTree, base: np.ndarray, ids: list[int], budget: int
+) -> tuple[list[int], int, int, list[int]]:
+    """Every extension of ``base`` outside the subtree ``ids``, one per
+    bit: (free vertices, width, mask, columns)."""
+    m = tree.n - len(ids)
     if 1 << m > budget:
         raise BudgetExceededError(
             f"2^{m} extensions exceed the enumeration budget {budget}"
         )
+    inside = set(ids)
+    free = [u for u in range(tree.n) if u not in inside]
     width = 1 << m
     mask = (1 << width) - 1
     cols = [0] * tree.n
-    for u in np.flatnonzero(inside):
-        cols[int(u)] = mask if base[u] > 0 else 0
+    for u in ids:
+        cols[u] = mask if base[u] > 0 else 0
     for i, u in enumerate(free):
-        cols[int(u)] = tt_column(i, m)
+        cols[u] = tt_column(i, m)
     return free, width, mask, cols
 
 
@@ -164,7 +166,7 @@ def _extension_vector(
 
 def _enumerated_verdict(
     kind: str, v: int, t: int | None, violations: int, base: np.ndarray,
-    free: np.ndarray, checked: int,
+    free: list[int], checked: int,
 ) -> StabilityVerdict:
     """Verdict of a universal query over every extension of ``base``, bit
     i of ``violations`` standing for extension i: it holds when no bit is
@@ -215,12 +217,13 @@ def _changed_by(run: BatchRun, v: int, t: int) -> int:
 
 
 def _enumerated_flips(
-    tree: RootedTree, base: np.ndarray, v: int, t: int, budget: int
-) -> tuple[int, np.ndarray, int]:
-    """Late flips of ``v`` over every extension of ``base``: (flip bits,
-    free vertices, number of extensions)."""
-    free, width, mask, cols = _extension_batch(tree, base, v, budget)
-    return _late_flips(BatchRun(tree, cols, mask), v, t), free, width
+    tree: RootedTree, base: np.ndarray, ids: list[int], t: int, budget: int
+) -> tuple[int, list[int], int]:
+    """Late flips of the subject ``ids[0]`` over every extension of
+    ``base`` outside its subtree ``ids``: (flip bits, free vertices,
+    number of extensions)."""
+    free, width, mask, cols = _extension_batch(tree, base, ids, budget)
+    return _late_flips(BatchRun(tree, cols, mask), ids[0], t), free, width
 
 
 class _PinnedSubtree:
@@ -234,16 +237,11 @@ class _PinnedSubtree:
     plus a pinned p, whose neighbour list is p itself.  A p of degree 1
     has v as its only neighbour and copies it; a root subject has no p.
     Runs keep the whole host's abort bound.  Built once per predicate
-    call from the child CSR; v is vertex 0 of the runs.
+    call from the BFS order of the subtree; v is vertex 0 of the runs.
     """
 
     def __init__(self, tree: RootedTree, v: int):
-        ids, adj = [v], [[]]
-        for i, u in enumerate(ids):  # BFS from v; the list grows while read
-            for c in tree.children(u).tolist():
-                adj[i].append(len(ids))
-                adj.append([i])
-                ids.append(c)
+        ids, adj = _subtree_bfs(tree, v)
         p = int(tree.parent[v])
         self.pinned = p >= 0
         if self.pinned:
@@ -308,9 +306,11 @@ def _strong_ok_bits(
     """(stable bits, pending bits) for strong t-stability of each pattern.
 
     Only the subtree entries of ``cols`` are read.  The extreme extensions
-    decide almost every pattern (see ``_extremes``).  Pending patterns are
-    re-decided by enumerating their extensions, as ``is_strongly_t_stable``
-    does, or left pending when 2^(outside) exceeds the budget.
+    decide almost every pattern (see ``_extremes``).  Pending bits are
+    split by their subtree pattern, one subtree column at a time, and
+    each pattern is re-decided once by enumerating its extensions, as
+    ``is_strongly_t_stable`` does; they stay pending when 2^(outside)
+    exceeds the budget.
     """
     sub = _PinnedSubtree(tree, v)
     low, high, pending = _extremes(sub, cols, mask, t)
@@ -319,16 +319,19 @@ def _strong_ok_bits(
     if not pending or 1 << (tree.n - len(ids)) > budget:
         return ok, pending
     ones = np.ones(tree.n, dtype=np.int8)
-    verdicts: dict[int, bool] = {}
-    while pending:
-        bit = lowest_bit_index(pending)
-        pending &= pending - 1
-        key = sum(((cols[u] >> bit) & 1) << j for j, u in enumerate(ids))
-        if key not in verdicts:
+    # depth first, so only one group per subtree column is held at a time
+    stack = [(pending, 0, 0)]  # (bits, their pattern on ids[:j], j)
+    while stack:
+        bits, key, j = stack.pop()
+        if j == len(ids):
             base = _extension_vector(ones, ids, key).to_signs()
-            verdicts[key] = not _enumerated_flips(tree, base, v, t, budget)[0]
-        if verdicts[key]:
-            ok |= 1 << bit
+            if not _enumerated_flips(tree, base, ids, t, budget)[0]:
+                ok |= bits
+            continue
+        on = bits & cols[ids[j]]
+        for part, k in ((bits ^ on, key), (on, key | 1 << j)):
+            if part:
+                stack.append((part, k, j + 1))
     return ok, 0
 
 
@@ -382,7 +385,7 @@ def is_strongly_t_stable(
             certificate=sub.extension(base, -1 if low else 1) if bad else None,
             checked=2,
         )
-    flips, free, width = _enumerated_flips(tree, base, v, t, budget)
+    flips, free, width = _enumerated_flips(tree, base, sub.ids, t, budget)
     return _enumerated_verdict("strong", v, t, flips, base, free, 2 + width)
 
 
@@ -400,7 +403,8 @@ def is_le_t_stable(
         raise BadTimeError(f"(<=t)-stability needs t >= 2, got {t}")
     _check_length(tree, xi0)
     base = xi0.to_signs()
-    free, width, mask, cols = _extension_batch(tree, base, v, budget)
+    ids = _subtree_bfs(tree, v)[0]
+    free, width, mask, cols = _extension_batch(tree, base, ids, budget)
     changed = _changed_by(BatchRun(tree, cols, mask), v, t)
     return _enumerated_verdict("le_t", v, t, changed, base, free, width)
 
@@ -422,8 +426,8 @@ def is_one_close_to_stability(
     _check_binary_host(tree)
     _check_length(tree, xi0)
     base = xi0.to_signs()
-    free, width, mask, cols = _extension_batch(tree, base, v, budget)
     sub = _PinnedSubtree(tree, v)
+    free, width, mask, cols = _extension_batch(tree, base, sub.ids, budget)
     run = BatchRun(tree, cols, mask)
     flipped = 0
     violations = 0

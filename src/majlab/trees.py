@@ -212,11 +212,7 @@ class RootedTree:
     def subtree_mask(self, v: int) -> np.ndarray:
         """Boolean membership mask of the subtree rooted at v."""
         mask = np.zeros(self.n, dtype=bool)
-        stack = [int(v)]
-        while stack:
-            u = stack.pop()
-            mask[u] = True
-            stack.extend(int(c) for c in self.children(u))
+        mask[_subtree_bfs(self, v)[0]] = True
         return mask
 
     def edges(self) -> list[tuple[int, int]]:
@@ -258,6 +254,18 @@ def _bfs_tree(n, adj_flat, adj_offsets, root):
                 parent[u] = v
                 order.append(u)
     return tuple(np.array(xs, dtype=np.int32) for xs in (parent, order, depth))
+
+
+def _subtree_bfs(tree: RootedTree, v: int) -> tuple[list[int], list[list[int]]]:
+    """The subtree of ``v`` in BFS order from v, and each entry's
+    neighbours inside it as positions in that order, parent first."""
+    ids, adj = [int(v)], [[]]
+    for i, u in enumerate(ids):  # the list grows while it is read
+        for c in tree.children(u).tolist():
+            adj[i].append(len(ids))
+            adj.append([i])
+            ids.append(c)
+    return ids, adj
 
 
 def _height_and_diameter(n, parent, order):

@@ -209,6 +209,15 @@ def test_check_claims_cli(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR:")
 
 
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_check_claims_needs_an_instance(instances, capsys):
+    assert main(["check-claims", "--instances", instances]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("ERROR:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_domain_error_exits(tmp_path, tree_file, capsys):
     assert main(["simulate", "--tree", str(tmp_path / "missing.txt")]) == 1
     assert capsys.readouterr().err.startswith("IO_ERROR:")

@@ -4,14 +4,19 @@ The statistical tests allow a Monte Carlo estimate 4 sigma of slack, so
 an implementation that drew or decided differently could still pass
 them.  These pins fix the exact counts instead, and fix every verdict,
 method, extension count and certificate of the weak, strong, (<= t) and
-1-close deciders on each subtree pattern of a small host.
+1-close deciders on each subtree pattern of a small host.  They also fix
+every field of the property-suite reports, on the real engine and on two
+broken ones that some suites must catch.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+import majlab.claims
+from majlab.claims import run_claim_suites
 from majlab.dynamics import OpinionVector
 from majlab.probe import estimate_probability, le_t_positive_check, mc_tau
 from majlab.stability import (
@@ -32,6 +37,8 @@ HOST = RootedTree.from_edges(
     "target,height,t,trials,seed,count,unresolved",
     [
         ("strong", 3, 2, 2000, 3, 1237, 763),
+        # 75,301 lanes in 48 subtree patterns are left pending by the extremes
+        ("strong", 2, 2, 200_000, 1, 124_699, 0),
         # n = 12,286: the outside of the subject is far over budget
         ("strong", 11, 2, 64, 1, 42, 20),
         ("weak", 3, 0, 2000, 3, 1882, None),
@@ -191,3 +198,91 @@ def test_random_opinion_strings(n, seed, digest):
     # of the last byte are dropped
     text = OpinionVector.random(n, np.random.default_rng(seed)).to_string()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def report_digest(reports):
+    sha = hashlib.sha256()
+    for r in reports:
+        row = f"{r.name} {r.instances} {r.satisfied} {r.violations} {r.examples}\n"
+        sha.update(row.encode())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "seed,digest",
+    [
+        (1, "f69c7683ba7b67e6506dfc188b947c8730db110398de14438af244c90458a499"),
+        (2, "5f714738e273e7a49bfbc39d622ea415ab22e6d0892086bd4b92c6bb91967332"),
+        (3, "32b6f1e72d4008c85171cfaafd20d8438fc937d48a3f6964e2453b57dc08576b"),
+    ],
+)
+def test_claim_reports(seed, digest):
+    assert report_digest(run_claim_suites(instances=300, seed=seed)) == digest
+
+
+def drop_history_row(stabilise):
+    """Forget the state at time 1; the window keeps its length by
+    repeating its last row."""
+
+    def broken(tree, xi0, keep_history=False):
+        res = stabilise(tree, xi0, keep_history=keep_history)
+        if res.history is not None:
+            del res.history[1]
+            res.history.append(res.history[-1])
+        return res
+
+    return broken
+
+
+def one_step_late(stabilise):
+    """Report tau and every first and last flip one step late."""
+
+    def late(flips):
+        return np.where(flips >= 0, flips + 1, flips)
+
+    def broken(tree, xi0, keep_history=False):
+        res = stabilise(tree, xi0, keep_history=keep_history)
+        return dataclasses.replace(
+            res,
+            tau=res.tau + 1,
+            first_flip=late(res.first_flip),
+            last_flip=late(res.last_flip),
+        )
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "breakage,failing,digest",
+    [
+        (
+            drop_history_row,
+            {
+                "balky_switch_rule": (157, "n=8 v=1 u=0 s=1 xi0=--++++--"),
+                "weak_value_maintenance": (
+                    14, "n=22 v=9 t1=3 t2=7 xi0=--+--+++-+-++-++++----"
+                ),
+                "flip_has_cause": (158, "n=14 v=0 t=1 xi0=++---++++-++-+"),
+                "counterexample_replay": (25, "kind=1 v=7 xi0=+----++-++"),
+            },
+            "216159cff614307c95a9a8c6256bee76af44eece18f1d3c825fa53cc2e78bb09",
+        ),
+        (
+            one_step_late,
+            {
+                "active_deadline": (7, "n=12 v=2 L=1 last_flip=3 xi0=-++---+-----"),
+                "witness_attains_tau": (200, "n=10 tau=1 achieved=2"),
+            },
+            "49d032f7dc73ac2f63f3767c4b8b12c5bf0a593a4a19c743a9d4bac64404de0c",
+        ),
+    ],
+)
+def test_claim_reports_under_a_broken_engine(monkeypatch, breakage, failing, digest):
+    monkeypatch.setattr(
+        majlab.claims, "stabilise", breakage(majlab.claims.stabilise)
+    )
+    reports = run_claim_suites(instances=200, seed=5)
+    caught = {r.name: (r.violations, r.examples[0]) for r in reports if not r.passed}
+    assert caught == failing
+    assert all(len(r.examples) == min(r.violations, 5) for r in reports)
+    assert report_digest(reports) == digest

@@ -31,3 +31,14 @@ def test_stability_runs_no_single_trajectory_engine():
         for alias in node.names
     } | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not used & {"stabilise", "Trajectory"}
+
+
+def test_claims_has_one_instance_loop():
+    # one tally loop runs every sampled suite's check once per instance
+    path = Path(majlab.__file__).parent / "claims.py"
+    loops = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node) == "range(instances)"
+    ]
+    assert len(loops) == 1, f"range(instances) at claims.py lines {loops}"
