@@ -14,10 +14,11 @@ Two engines apply this.  ``BatchRun`` holds one Python integer per vertex,
 so a batch has any width: this is what makes 2^20-scale exhaustive
 enumerations (brute-force tau, extension quantifiers, exact probabilities)
 cheap, a full sweep being a few hundred bignum operations.
-``PackedHost`` holds one uint64 word per vertex in a numpy array and
-updates a whole degree class of vertices per numpy call, so 64
-trajectories on a host of millions of vertices step together (E. Biham,
-"A fast new DES implementation in software", FSE 1997).
+``PackedHost`` holds one uint64 word per vertex of a perfect host in a
+numpy array, laid out by the host's levels: leaves copy their parent's
+word, and every other vertex runs the counter on a slice of whole levels
+at once, so 64 trajectories on a host of millions of vertices step
+together (E. Biham, "A fast new DES implementation in software", FSE 1997).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .dynamics import step_budget
 from .errors import InvariantViolationError
+from .trees import _perfect_level_starts
 
 
 def tt_column(i: int, m: int) -> int:
@@ -104,7 +106,8 @@ def lowest_bit_index(x: int) -> int:
 
 
 class BatchRun:
-    """Lock-step batch with the same stabilisation window as Trajectory.
+    """Lock-step batch with the same three-state stabilisation window as
+    ``stabilise``.
 
     ``undecided`` holds the trajectories that have not yet produced a step
     t with xi_{t+2} = xi_t; it can only shrink.  The run aborts if any
@@ -175,8 +178,8 @@ def batch_max_tau(host, cols0: list[int], mask: int) -> tuple[int, int]:
 
 LANES = 64  # trajectories per uint64 word
 
-# Vertices per slice of a degree >= 3 class: the slice's scratch rows stay
-# in cache however large the host is.
+# Vertices per slice of an internal level: the slice's scratch rows stay in
+# cache however large the host is.
 _SLICE = 1 << 14
 
 # Words per slice of the lane transposition (64 x 1024 words = 512 KiB).
@@ -221,28 +224,15 @@ def _transpose_lanes(lanes: np.ndarray, out: np.ndarray) -> None:
         blocks[w0 : w0 + width] = block.T
 
 
-def _majority3(state, nb, out, scratch) -> None:
-    """maj(a, b, c) = (a AND b) OR (c AND (a OR b)), computed in place as
-    c XOR ((a XOR c) AND (b XOR c)) and written to ``out``."""
-    a, b = scratch[0, : out.size], scratch[1, : out.size]
-    np.take(state, nb[0], out=a, mode="clip")
-    np.take(state, nb[1], out=b, mode="clip")
-    np.take(state, nb[2], out=out, mode="clip")
-    a ^= out
-    b ^= out
-    a &= b
-    out ^= a
-
-
-def _majority_count(state, nb, out, scratch) -> None:
-    """``bit_majority`` on arrays: a ripple-carry counter of the neighbour
-    words, compared against (d + 1) / 2 from the top bit down."""
-    d, m = nb.shape
-    free = [row[:m] for row in scratch]
+def _majority(inputs, out, scratch) -> None:
+    """``bit_majority`` on word arrays: a ripple-carry counter of the odd
+    number of ``inputs``, each broadcastable to ``out``, compared against
+    (d + 1) / 2 from the top bit down and written to ``out``."""
+    free = [row[: out.size].reshape(out.shape) for row in scratch]
     counter: list[np.ndarray] = []
-    for i in range(d):
+    for i, word in enumerate(inputs):
         carry = free.pop()
-        np.take(state, nb[i], out=carry, mode="clip")
+        np.copyto(carry, word)
         for level in counter:
             spare = free.pop()
             np.bitwise_and(level, carry, out=spare)
@@ -253,7 +243,7 @@ def _majority_count(state, nb, out, scratch) -> None:
             counter.append(carry)
         else:  # the count fits the counter, so the last carry is zero
             free.append(carry)
-    threshold = (d + 1) // 2
+    threshold = (len(inputs) + 1) // 2
     above = equal = None
     for i in reversed(range(len(counter))):
         bit = counter[i]
@@ -263,52 +253,50 @@ def _majority_count(state, nb, out, scratch) -> None:
         if equal is not None:
             np.bitwise_and(equal, bit, out=bit)
         above = bit if above is None else np.bitwise_or(above, bit, out=above)
-    # d >= 5 counts to d.bit_length() bits, at least one of them above the
+    # d >= 3 counts to d.bit_length() bits, at least one of them above the
     # top bit of the threshold or zero in it, so ``above`` is set
     np.bitwise_or(above, equal, out=out)
 
 
 class PackedHost:
-    """A host laid out for the uint64 word engine: 64 trajectories a word.
+    """The perfect host of branching factor k and height h, laid out for the
+    uint64 word engine: 64 trajectories a word.
 
     A state is one uint64 word per vertex, bit j carrying lane j's opinion
-    (1 <=> +1), kept in engine order: vertices sorted by degree, so that
-    each degree class is one contiguous slice, and ``order[p]`` is the host
-    vertex at engine position p.  Each class stores the engine positions
-    of its neighbours as a (degree, size) int32 array.
+    (1 <=> +1), in the ids of ``build_perfect_tree(k, h)``: level by level,
+    each vertex's children contiguous.  Level d, reshaped to (parents, row),
+    reads level d - 1 as a broadcast column, and level d + 1, reshaped to
+    (parents, row, children), as its children.  No tree is built.
     """
 
-    def __init__(self, host):
-        self.n = host.n
-        self.limit = step_budget(host) + 2
-        degree = host.degree
-        self.order = np.argsort(degree, kind="stable").astype(np.int32)
-        position = np.empty(host.n, dtype=np.int32)
-        position[self.order] = np.arange(host.n, dtype=np.int32)
-        bounds = np.searchsorted(degree[self.order], np.unique(degree), side="right")
-        self.classes: list[tuple[int, int, np.ndarray]] = []
-        lo = 0
-        for hi in bounds.tolist():
-            members = self.order[lo:hi]
-            d = int(degree[members[0]])
-            slots = host.adj_offsets[members] + np.arange(d)[:, None]
-            self.classes.append((lo, hi, position[host.adj_flat[slots]]))
-            lo = hi
-        # a degree-d counter holds d.bit_length() rows, a carry and a spare
-        rows = max(nb.shape[0].bit_length() + 2 for _, _, nb in self.classes)
-        widest = max(nb.shape[1] for _, _, nb in self.classes)
-        self._scratch = np.empty((rows, min(widest, _SLICE)), dtype=np.uint64)
+    def __init__(self, k: int, h: int):
+        self._starts = _perfect_level_starts(k, h)
+        self.n = self._starts[-1]
+        self.budget = (self.n - 2) // 2  # step_budget: |E| = n - 1
+        self.limit = self.budget + 2
+        # a slice is whole rows of one parent's children, at least one row
+        self._rows = max(1, _SLICE // k)
+        width = max(self._rows * k, k + 1)
+        # a counter of k + 1 inputs: (k + 1).bit_length() rows, a carry, a spare
+        self._scratch = np.empty(((k + 1).bit_length() + 2, width), dtype=np.uint64)
 
     def step(self, state: np.ndarray, out: np.ndarray) -> None:
         """One synchronous majority update of every lane, into ``out``."""
-        for lo, hi, nb in self.classes:
-            if nb.shape[0] == 1:
-                np.take(state, nb[0], out=out[lo:hi], mode="clip")
-                continue
-            majority = _majority3 if nb.shape[0] == 3 else _majority_count
-            for a in range(0, hi - lo, _SLICE):
-                part = nb[:, a : a + _SLICE]
-                majority(state, part, out[lo + a : lo + a + part.shape[1]], self._scratch)
+        s = self._starts
+        h = len(s) - 2
+        for d in range(h):  # the root, then each internal level
+            parents = s[d] - s[d - 1] if d else 1
+            rows = out[s[d] : s[d + 1]].reshape(parents, -1)
+            kids = state[s[d + 1] : s[d + 2]].reshape(*rows.shape, -1)
+            inputs = [kids[..., i] for i in range(kids.shape[2])]
+            if d:  # and the parent, as a broadcast column
+                inputs.append(state[s[d - 1] : s[d]].reshape(parents, 1))
+            for a in range(0, parents, self._rows):
+                part = slice(a, a + self._rows)
+                _majority([x[part] for x in inputs], rows[part], self._scratch)
+        # leaves copy their parent
+        parents = s[h] - s[h - 1]
+        out[s[h] :].reshape(parents, -1)[:] = state[s[h - 1] : s[h]].reshape(parents, 1)
 
     def taus(self, rows) -> list[int]:
         """Stabilisation time of each row's opinions, 64 rows to a word.
@@ -331,8 +319,7 @@ class PackedHost:
                 lanes[width - 1, : (self.n + 7) // 8] = row
             if not width:
                 return taus
-            _transpose_lanes(lanes, ring[1])
-            np.take(ring[1], self.order, out=ring[0, : self.n], mode="clip")
+            _transpose_lanes(lanes, ring[0])
             taus += self._run(ring[:, : self.n], width)
 
     def _run(self, ring: np.ndarray, width: int) -> list[int]:

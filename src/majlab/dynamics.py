@@ -8,6 +8,8 @@ eventually 2-periodic, and the stabilisation time
 
 is bounded by |E| - |V| / 2, so ``stabilise`` always terminates within
 floor(|E| - |V|/2) + 2 steps and treats anything beyond as a hard bug.
+It is one loop over the three most recent states, recording each vertex's
+flip times by parity as it goes.
 
 Opinions are carried by :class:`OpinionVector`, an immutable wrapper of a
 read-only int8 sign array (+1 or -1 per vertex), the same arrays the
@@ -137,71 +139,6 @@ def step(host, xi: OpinionVector) -> OpinionVector:
     return OpinionVector.from_signs(_step_signs(host, xi.to_signs()))
 
 
-class Trajectory:
-    """Stateful run of the dynamics with flip bookkeeping.
-
-    Keeps the three most recent states (enough to detect the first t with
-    xi_{t+2} = xi_t) and per-vertex first/last flip times split by parity;
-    a "flip at s" means xi_s(v) != xi_{s-2}(v) for s >= 2.  Full history is
-    opt-in since it costs O(tau * n).
-    """
-
-    def __init__(self, host, xi0: OpinionVector, keep_history: bool = False):
-        _check_length(host, xi0)
-        self.host = host
-        self.t = 0
-        self.window: list[np.ndarray] = [xi0.to_signs()]
-        self.first_flip = np.full(host.n, -1, dtype=np.int64)
-        self.last_flip = np.full(host.n, -1, dtype=np.int64)
-        self.last_flip_by_parity = [
-            np.full(host.n, -1, dtype=np.int64) for _ in range(2)
-        ]
-        self.tau: int | None = None
-        self.history: list[np.ndarray] | None = None
-        if keep_history:
-            self.history = [self.window[0]]
-
-    def state(self, s: int | None = None) -> np.ndarray:
-        if s is None:
-            return self.window[-1]
-        if self.history is not None:
-            return self.history[s]
-        offset = s - (self.t - len(self.window) + 1)
-        if not (0 <= offset < len(self.window)):
-            raise IndexError(f"state {s} outside retained window")
-        return self.window[offset]
-
-    def advance(self) -> None:
-        new = _step_signs(self.host, self.window[-1])
-        self.t += 1
-        self.window.append(new)
-        if len(self.window) > 3:
-            self.window.pop(0)
-        if self.history is not None:
-            self.history.append(new)
-        if self.t >= 2:
-            changed = new != self.window[0]
-            if changed.any():
-                idx = np.flatnonzero(changed)
-                self.last_flip[idx] = self.t
-                self.last_flip_by_parity[self.t & 1][idx] = self.t
-                fresh = idx[self.first_flip[idx] < 0]
-                self.first_flip[fresh] = self.t
-            elif self.tau is None:
-                self.tau = self.t - 2
-
-    def run_until_stable(self) -> int:
-        limit = step_budget(self.host) + 2
-        while self.tau is None:
-            if self.t >= limit:
-                raise InvariantViolationError(
-                    f"no period-2 window within {limit} steps; "
-                    "the dynamics engine is broken"
-                )
-            self.advance()
-        return self.tau
-
-
 @dataclass
 class StabilisationResult:
     """Outcome of running the dynamics to its 2-periodic tail.
@@ -229,24 +166,55 @@ class StabilisationResult:
 
 
 def stabilise(host, xi0: OpinionVector, keep_history: bool = False) -> StabilisationResult:
-    """Run until xi_{t+2} = xi_t and report tau plus flip bookkeeping."""
-    traj = Trajectory(host, xi0, keep_history=keep_history)
-    tau = traj.run_until_stable()
-    if int(traj.last_flip.max(initial=-1)) > tau + 1:
+    """Run until xi_{t+2} = xi_t and report tau plus flip bookkeeping.
+
+    Only the three most recent states are kept, enough to detect the first
+    such t; a "flip at s" means xi_s(v) != xi_{s-2}(v) for s >= 2.  Full
+    history is opt-in since it costs O(tau * n).
+    """
+    _check_length(host, xi0)
+    limit = step_budget(host) + 2
+    window = [xi0.to_signs()]
+    history = [window[0]] if keep_history else None
+    first_flip = np.full(host.n, -1, dtype=np.int64)
+    last_flip_by_parity = [np.full(host.n, -1, dtype=np.int64) for _ in range(2)]
+    t = 0
+    while True:
+        if t >= limit:
+            raise InvariantViolationError(
+                f"no period-2 window within {limit} steps; "
+                "the dynamics engine is broken"
+            )
+        new = _step_signs(host, window[-1])
+        t += 1
+        window = [*window[-2:], new]
+        if history is not None:
+            history.append(new)
+        if t < 2:
+            continue
+        idx = np.flatnonzero(new != window[0])
+        if not idx.size:
+            break
+        last_flip_by_parity[t & 1][idx] = t
+        fresh = idx[first_flip[idx] < 0]
+        first_flip[fresh] = t
+    tau = t - 2
+    last_flip = np.maximum(*last_flip_by_parity)
+    if int(last_flip.max(initial=-1)) > tau + 1:
         raise InvariantViolationError("flip recorded after stabilisation")
     # Window now holds (xi_tau, xi_{tau+1}, xi_{tau+2}); split by parity.
-    even_state = traj.window[0] if tau % 2 == 0 else traj.window[1]
-    odd_state = traj.window[1] if tau % 2 == 0 else traj.window[0]
+    even_state = window[0] if tau % 2 == 0 else window[1]
+    odd_state = window[1] if tau % 2 == 0 else window[0]
     return StabilisationResult(
         tau=tau,
-        steps_executed=traj.t,
+        steps_executed=t,
         stable_even=OpinionVector.from_signs(even_state),
         stable_odd=OpinionVector.from_signs(odd_state),
-        first_flip=traj.first_flip,
-        last_flip=traj.last_flip,
-        last_flip_even=traj.last_flip_by_parity[0],
-        last_flip_odd=traj.last_flip_by_parity[1],
-        history=traj.history,
+        first_flip=first_flip,
+        last_flip=last_flip,
+        last_flip_even=last_flip_by_parity[0],
+        last_flip_odd=last_flip_by_parity[1],
+        history=history,
     )
 
 

@@ -38,7 +38,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .bitsliced import LANES, BatchRun, PackedHost, pack_bit_rows, tt_column
-from .dynamics import _opinion_bytes, step_budget
+from .dynamics import _opinion_bytes
 from .errors import (
     BadHostError,
     BadTimeError,
@@ -449,8 +449,7 @@ def mc_tau(
         raise MajlabError(f"trials must be positive, got {trials}")
     if workers < 1:
         raise MajlabError(f"workers must be positive, got {workers}")
-    tree = build_perfect_tree(k, h)
-    packed = PackedHost(tree)
+    packed = PackedHost(k, h)
     batches = [(seed, a, min(a + LANES, trials)) for a in range(0, trials, LANES)]
     processes = min(workers, len(batches))
     if processes == 1:
@@ -467,9 +466,9 @@ def mc_tau(
     return McSummary(
         k=k,
         h=h,
-        n=tree.n,
-        diameter=tree.diameter,
-        budget=step_budget(tree),
+        n=packed.n,
+        diameter=2 * h,
+        budget=packed.budget,
         trials=trials,
         seed=seed,
         workers=workers,

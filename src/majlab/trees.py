@@ -294,6 +294,21 @@ def _child_csr(n, parent, root):
     return child_flat, offsets
 
 
+def _perfect_level_starts(k: int, h: int) -> list[int]:
+    """First id of each level of the perfect host of branching factor k and
+    height h, then its vertex count n.  Level 0 is the root, level 1 its
+    k + 1 children, and level d > 1 the k children of each vertex of level
+    d - 1, taken in their parents' order."""
+    if k < 2 or k % 2 != 0:
+        raise DegreeParityError(f"branching factor must be even and >= 2, got {k}")
+    if h < 1:
+        raise TooSmallError(f"height must be >= 1, got {h}")
+    starts = [0, 1]
+    for d in range(1, h + 1):
+        starts.append(starts[-1] + (k + 1) * k ** (d - 1))
+    return starts
+
+
 def build_perfect_tree(k: int, h: int) -> RootedTree:
     """Perfect tree of branching factor k and height h.
 
@@ -301,13 +316,8 @@ def build_perfect_tree(k: int, h: int) -> RootedTree:
     every internal degree is k + 1 (odd exactly when k is even) and all
     leaves sit at depth h.  Vertex count: 1 + (k + 1) (k^h - 1) / (k - 1).
     """
-    if k < 2 or k % 2 != 0:
-        raise DegreeParityError(f"branching factor must be even and >= 2, got {k}")
-    if h < 1:
-        raise TooSmallError(f"height must be >= 1, got {h}")
-    level_sizes = [1] + [(k + 1) * k ** (d - 1) for d in range(1, h + 1)]
-    starts = np.concatenate([[0], np.cumsum(level_sizes)]).astype(np.int64)
-    n = int(starts[-1])
+    starts = _perfect_level_starts(k, h)
+    n = starts[-1]
     parent = np.full(n, -1, dtype=np.int32)
     depth = np.zeros(n, dtype=np.int32)
     parent[1 : starts[2]] = 0

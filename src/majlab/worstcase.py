@@ -32,7 +32,14 @@ from .errors import (
     InvariantViolationError,
     TooSmallError,
 )
-from .trees import RootedTree, VertexClass, _bfs_tree, _child_csr, classify_all
+from .trees import (
+    RootedTree,
+    VertexClass,
+    _bfs_tree,
+    _child_csr,
+    classify_all,
+    pendant_neighbour_counts,
+)
 
 __all__ = [
     "CandidatePath",
@@ -69,14 +76,9 @@ class WorstCaseReport:
     per_vertex_bound: dict[int, int]
 
 
-def _pendant_adjacency(tree: RootedTree) -> np.ndarray:
-    pend = tree.degree == 1
-    return np.add.reduceat(pend[tree.adj_flat], tree.adj_offsets[:-1]) > 0
-
-
 def _terminal_scores(tree: RootedTree, codes: np.ndarray) -> np.ndarray:
     """Score of the single-vertex path ending at v, or -inf if v cannot end one."""
-    touches = _pendant_adjacency(tree)
+    touches = pendant_neighbour_counts(tree) > 0
     scores = np.where(touches, 2, 1).astype(np.int64)
     scores[codes == VertexClass.PASSIVE] = _NEG
     return scores
@@ -205,7 +207,7 @@ def worst_case_tau(tree: RootedTree) -> WorstCaseReport:
     if tau < 1:
         raise InvariantViolationError(f"worst-case score {tau} is below 1")
     vertices = _reconstruct_path(tree, active, base, down, up, full, tau)
-    touches = bool(_pendant_adjacency(tree)[vertices[-1]])
+    touches = bool(pendant_neighbour_counts(tree)[vertices[-1]])
     if tau != len(vertices) + (1 if touches else 0):
         raise InvariantViolationError(
             f"path of {len(vertices)} vertices does not score {tau}"

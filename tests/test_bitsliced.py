@@ -21,7 +21,7 @@ from majlab.bitsliced import (
 from majlab.dynamics import OpinionVector, _step_signs, stabilise, step, step_budget
 from majlab.errors import InvariantViolationError
 from majlab.treegen import random_even_size, random_odd_tree
-from majlab.trees import RootedTree, build_perfect_tree
+from majlab.trees import build_perfect_tree
 
 
 def unpack_column(cols, j, n):
@@ -147,24 +147,8 @@ def test_batch_max_tau_matches_per_trajectory_maximum():
         assert argmax == first  # ties resolve to the lowest column index
 
 
-def random_hub_tree(rng):
-    """Random odd tree on a path of three hubs of degrees 7, 9 and 11: leaves
-    fill the hubs up, then pairs of new leaves hang on non-hub vertices."""
-    edges = [(0, 1), (1, 2)]
-    size = 3
-    for hub, leaves in ((0, 6), (1, 7), (2, 10)):
-        edges += [(hub, size + i) for i in range(leaves)]
-        size += leaves
-    for _ in range(int(rng.integers(0, 12))):
-        v = int(rng.integers(3, size))
-        edges += [(v, size), (v, size + 1)]
-        size += 2
-    return RootedTree.from_edges(edges)
-
-
-def hub_suite():
-    rng = np.random.default_rng(20261018)
-    return [random_hub_tree(rng) for _ in range(40)]
+# Perfect hosts with internal degrees 3, 5, 7, 9 and 11.
+WORD_HOSTS = [(2, 1), (2, 5), (4, 1), (4, 3), (6, 1), (6, 3), (8, 2), (10, 2)]
 
 
 def row_to_signs(row, n):
@@ -174,44 +158,37 @@ def row_to_signs(row, n):
 
 @pytest.fixture(params=["default", "narrow"])
 def slices(request, monkeypatch):
-    """Hosts here are smaller than one slice; narrow slices make the word
-    engine cut every degree class and every lane transposition into parts."""
+    """Hosts here are smaller than one slice; narrow slices, shorter than a
+    row of k + 1 children for k >= 6, make the word engine cut every level
+    and every lane transposition into parts."""
     if request.param == "narrow":
         monkeypatch.setattr(bitsliced, "_SLICE", 5)
         monkeypatch.setattr(bitsliced, "_TRANSPOSE_SLICE", 1)
 
 
-def test_hub_suite_exercises_the_counter():
-    degrees = set()
-    for tree in hub_suite():
-        degrees.update(tree.degree.tolist())
-    assert {7, 9, 11} <= degrees
-
-
-def test_packed_step_matches_scalar_step(random_suite, slices):
+def test_packed_step_matches_scalar_step(slices):
     rng = np.random.default_rng(5)
-    for tree in random_suite[:50] + hub_suite():
-        packed = PackedHost(tree)
+    for k, h in WORD_HOSTS:
+        tree = build_perfect_tree(k, h)
         words = rng.integers(0, 2**64, size=tree.n, dtype=np.uint64)
-        out = np.empty_like(words)
-        packed.step(words[packed.order], out)
-        stepped = np.empty_like(out)
-        stepped[packed.order] = out
+        stepped = np.empty_like(words)
+        PackedHost(k, h).step(words, stepped)
         for j in range(LANES):
             lane = ((words >> np.uint64(j)) & np.uint64(1)).astype(np.int8) * 2 - 1
             got = ((stepped >> np.uint64(j)) & np.uint64(1)).astype(np.int8) * 2 - 1
-            assert (got == _step_signs(tree, lane)).all()
+            assert (got == _step_signs(tree, lane)).all(), (k, h, j)
 
 
-def test_packed_taus_match_stabilise(exhaustive_suite, random_suite, slices):
+def test_packed_taus_match_stabilise(slices):
     # rows carry random bits past n in their last byte: they must be ignored
     rng = np.random.default_rng(6)
-    for tree in exhaustive_suite + random_suite + hub_suite():
+    for k, h in WORD_HOSTS:
+        tree = build_perfect_tree(k, h)
         rows = rng.integers(0, 256, size=(LANES + 1, (tree.n + 7) // 8), dtype=np.uint8)
         want = [stabilise(tree, row_to_signs(row, tree.n)).tau for row in rows]
-        packed = PackedHost(tree)
+        packed = PackedHost(k, h)
         for width in (1, LANES - 1, LANES, LANES + 1):
-            assert packed.taus(rows[:width]) == want[:width], (tree, width)
+            assert packed.taus(rows[:width]) == want[:width], (k, h, width)
 
 
 def test_packed_taus_on_a_perfect_host(slices):
@@ -219,8 +196,8 @@ def test_packed_taus_on_a_perfect_host(slices):
     rng = np.random.default_rng(7)
     vectors = [OpinionVector.random(tree.n, rng) for _ in range(LANES + 1)]
     rows = [np.packbits(xi.to_signs() > 0, bitorder="little") for xi in vectors]
-    assert PackedHost(tree).taus(rows) == [stabilise(tree, xi).tau for xi in vectors]
-    assert PackedHost(tree).taus([]) == []
+    assert PackedHost(4, 4).taus(rows) == [stabilise(tree, xi).tau for xi in vectors]
+    assert PackedHost(4, 4).taus([]) == []
 
 
 def test_packed_run_aborts_at_the_step_budget(monkeypatch):
@@ -235,5 +212,5 @@ def test_packed_run_aborts_at_the_step_budget(monkeypatch):
     monkeypatch.setattr(PackedHost, "step", never_periodic)
     rows = np.zeros((3, (tree.n + 7) // 8), dtype=np.uint8)
     with pytest.raises(InvariantViolationError, match="3 lanes"):
-        PackedHost(tree).taus(rows)
+        PackedHost(2, 3).taus(rows)
     assert len(calls) == step_budget(tree) + 2

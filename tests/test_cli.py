@@ -232,6 +232,12 @@ def test_domain_error_exits(tmp_path, tree_file, capsys):
     assert capsys.readouterr().err.startswith("DEGREE_PARITY:")
 
 
+@pytest.mark.parametrize("k,h,code", [("3", "2", "DEGREE_PARITY"), ("2", "0", "TOO_SMALL")])
+def test_mc_tau_cli_rejects_a_bad_host(k, h, code, capsys):
+    assert main(["mc-tau", "--k", k, "--h", h]) == 1
+    assert capsys.readouterr().err.startswith(f"{code}:")
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

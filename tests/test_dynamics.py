@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from majlab.dynamics import (
     OpinionVector,
-    Trajectory,
     is_stable_partition,
     is_t_stable,
     stabilise,
@@ -168,22 +167,15 @@ def test_flip_bookkeeping_matches_history():
                 assert is_t_stable(tree, xi0, v, t) == direct
 
 
-def test_trajectory_window_and_state_access():
+def test_stabilise_history_is_opt_in_and_starts_at_xi0():
     rng = np.random.default_rng(8)
     tree = random_odd_tree(12, rng)
     xi0 = OpinionVector.random(tree.n, rng)
-    traj = Trajectory(tree, xi0)
-    tau = traj.run_until_stable()
-    assert tau == stabilise(tree, xi0).tau
-    assert traj.state(traj.t) is traj.window[-1]
-    slid = Trajectory(tree, xi0)
-    for _ in range(3):
-        slid.advance()
-    with pytest.raises(IndexError):
-        slid.state(0)  # window keeps only the last three states
-    kept = Trajectory(tree, xi0, keep_history=True)
-    kept.run_until_stable()
-    assert (kept.state(0) == xi0.to_signs()).all()
+    plain = stabilise(tree, xi0)
+    kept = stabilise(tree, xi0, keep_history=True)
+    assert plain.history is None
+    assert plain.tau == kept.tau
+    assert (kept.history[0] == xi0.to_signs()).all()
 
 
 def test_stable_partition_checks():

@@ -22,7 +22,7 @@ from majlab.probe import (
     trial_seed,
 )
 from majlab.bitsliced import pack_bit_rows
-from majlab.trees import build_perfect_tree
+from majlab.trees import RootedTree, build_perfect_tree
 
 
 def exact_fraction(est):
@@ -225,6 +225,22 @@ def test_mc_tau_trials_are_the_scalar_runs_of_their_seeds():
         rng = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(i,)))
         want.append(stabilise(host, OpinionVector.random(host.n, rng)).tau)
     assert summary.taus == want
+
+
+def test_mc_tau_builds_no_tree(monkeypatch):
+    for k in (2, 4, 6):
+        for h in range(1, 7):
+            summary, host = mc_tau(k, h, trials=1, seed=0), build_perfect_tree(k, h)
+            assert summary.n == host.n and summary.diameter == host.diameter
+            assert summary.budget == step_budget(host)
+    want = mc_tau(4, 6, 130, 20261018).taus
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mc_tau built a tree")
+
+    monkeypatch.setattr(probe, "build_perfect_tree", refuse)
+    monkeypatch.setattr(RootedTree, "_finish", refuse)
+    assert mc_tau(4, 6, 130, 20261018).taus == want
 
 
 @pytest.mark.parametrize(
