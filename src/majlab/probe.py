@@ -133,15 +133,6 @@ class McSummary:
         }
 
 
-def _host_and_subject(k: int, height: int) -> tuple[RootedTree, int]:
-    if k < 2 or k % 2:
-        raise MajlabError(f"arity must be even and at least 2, got {k}")
-    if height < 0:
-        raise BadVertexError(f"subject height must be non-negative, got {height}")
-    host = build_perfect_tree(k, height + 1)
-    return host, 1
-
-
 def _sampler(method: str, trials: int, seed: int) -> np.random.Generator | None:
     """None for ``exact``; for ``mc`` the generator every draw comes from."""
     if method == "exact":
@@ -258,7 +249,9 @@ def _probability(
     t = _validate_t(target, t)
     if target != "le_t" and k != 2:
         raise BadHostError(f"target {target!r} is defined on binary hosts, got k={k}")
-    host, v = _host_and_subject(k, height)
+    if height < 0:
+        raise BadVertexError(f"subject height must be non-negative, got {height}")
+    host, v = build_perfect_tree(k, height + 1), 1
     if target == "one_close" and host.is_leaf(v):
         raise BadVertexError("1-close stability needs a non-leaf subject")
     inside = np.flatnonzero(host.subtree_mask(v)).tolist()

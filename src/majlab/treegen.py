@@ -21,14 +21,11 @@ def random_odd_tree(n: int, rng: np.random.Generator) -> RootedTree:
     """Random tree with n vertices, all degrees odd; n must be even, >= 2."""
     if n < 2 or n % 2 != 0:
         raise TooSmallError(f"odd-degree trees need even n >= 2, got {n}")
-    edges = [(0, 1)]
-    size = 2
-    while size < n:
-        v = int(rng.integers(size))
-        edges.append((v, size))
-        edges.append((v, size + 1))
-        size += 2
-    return RootedTree.from_edges(edges, root=0, n=n)
+    ends = np.zeros((n - 1, 2), dtype=np.int64)  # row c - 1: (parent, c)
+    ends[:, 1] = np.arange(1, n)
+    for size in range(2, n, 2):
+        ends[size - 1 : size + 1, 0] = rng.integers(size)
+    return RootedTree.from_edges(ends, root=0, n=n)
 
 
 def random_even_size(low: int, high: int, rng: np.random.Generator) -> int:

@@ -1,9 +1,10 @@
-"""Rooted trees and graph views for synchronous majority dynamics.
+"""Rooted trees for synchronous majority dynamics.
 
-Hosts are finite undirected graphs in which every vertex has odd degree, so
-a majority among neighbours is always strict.  Generated trees use dense
-0-based vertex ids assigned in BFS order from the root, which keeps each
-vertex's children contiguous; loaded trees keep the ids given in the file.
+Hosts are finite trees in which every vertex has odd degree, so a majority
+among neighbours is always strict.  Every edge list reaches RootedTree as
+one (m, 2) integer array, checked by array operations.  Generated trees use
+dense 0-based vertex ids assigned in BFS order from the root, which keeps
+each vertex's children contiguous; loaded trees keep the ids given in the file.
 
 Vertex classification counts degree-1 neighbours ("pendant" vertices)
 against the threshold (deg - 1) / 2 and is independent of the root choice.
@@ -61,60 +62,21 @@ def _build_csr(n: int, src: np.ndarray, dst: np.ndarray):
     return flat, offsets, degree
 
 
-def _check_odd_degrees(degree: np.ndarray) -> None:
-    even = np.flatnonzero(degree % 2 == 0)
-    if even.size:
-        v = int(even[0])
-        raise DegreeParityError(
-            f"vertex {v} has even degree {int(degree[v])}; all degrees must be odd"
-        )
-
-
-class GraphView:
-    """Undirected odd-degree graph in CSR form.
-
-    Rejects self-loops, parallel edges, and even degrees.  Connectivity is
-    not required; the dynamics engine is well defined per component.
-    """
-
-    __slots__ = ("n", "adj_flat", "adj_offsets", "degree")
-
-    def __init__(self, n: int, adj_flat, adj_offsets, degree):
-        self.n = n
-        self.adj_flat = adj_flat
-        self.adj_offsets = adj_offsets
-        self.degree = degree
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "GraphView":
-        src, dst = _validated_edge_arrays(n, edges)
-        flat, offsets, degree = _build_csr(n, src, dst)
-        _check_odd_degrees(degree)
-        return cls(n, flat, offsets, degree)
-
-    def neighbours(self, v: int) -> np.ndarray:
-        return self.adj_flat[self.adj_offsets[v] : self.adj_offsets[v + 1]]
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.adj_flat.size // 2)
-
-    def __repr__(self) -> str:
-        return f"GraphView(n={self.n}, m={self.edge_count})"
-
-
-def _validated_edge_arrays(n: int, edges):
-    pairs = [(int(u), int(v)) for u, v in edges]
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
+def _validated_edge_arrays(n: int, ends: np.ndarray):
+    """Both directions of every edge.  Raises at the first edge, in input
+    order, that is out of range or a self-loop, then at any parallel pair."""
+    src, dst = ends.T
+    outside = (ends < 0) | (ends >= n)
+    bad = outside[:, 0] | outside[:, 1] | (src == dst)
+    if bad.any():
+        i = int(bad.argmax())
+        u, v = int(src[i]), int(dst[i])
+        if outside[i].any():
             raise TreeFormatError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise TreeFormatError(f"self-loop at vertex {u}")
-    normalized = {(min(u, v), max(u, v)) for u, v in pairs}
-    if len(normalized) != len(pairs):
+        raise TreeFormatError(f"self-loop at vertex {u}")
+    keys = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
+    if (keys[1:] == keys[:-1]).any():
         raise TreeFormatError("parallel edge in input")
-    src = np.fromiter((u for u, _ in pairs), dtype=np.int64, count=len(pairs))
-    dst = np.fromiter((v for _, v in pairs), dtype=np.int64, count=len(pairs))
     return np.concatenate([src, dst]), np.concatenate([dst, src])
 
 
@@ -159,17 +121,29 @@ class RootedTree:
 
     @classmethod
     def from_edges(cls, edges, root: int = 0, n: int | None = None) -> "RootedTree":
-        edges = list(edges)
+        """The tree on ``edges``: any iterable of (u, v) pairs, or an (m, 2) int array."""
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            ends = np.asarray(edges, dtype=np.int64)
+        except OverflowError:  # an id beyond int64 is out of range: reported below
+            ends = np.array(edges, dtype=object)
+        if ends.size and ends.shape[1:] != (2,):
+            raise TreeFormatError("edges must be (u, v) pairs")
+        ends = ends.reshape(-1, 2)
         if n is None:
-            n = max((max(u, v) for u, v in edges), default=-1) + 1
-            n = max(n, root + 1)
-        if len(edges) != n - 1:
-            raise NotATreeError(f"expected {n - 1} edges for n={n}, got {len(edges)}")
+            n = max(int(ends.max()) + 1 if ends.size else 0, root + 1)
+        if len(ends) != n - 1:
+            raise NotATreeError(f"expected {n - 1} edges for n={n}, got {len(ends)}")
         if not (0 <= root < n):
             raise BadVertexError(f"root {root} out of range for n={n}")
-        src, dst = _validated_edge_arrays(n, edges)
+        src, dst = _validated_edge_arrays(n, ends)
         adj_flat, adj_offsets, degree = _build_csr(n, src, dst)
-        _check_odd_degrees(degree)
+        even = np.flatnonzero(degree % 2 == 0)
+        if even.size:
+            raise DegreeParityError(
+                f"vertex {even[0]} has even degree {degree[even[0]]}; all degrees must be odd"
+            )
         parent, order, depth = _bfs_tree(n, adj_flat, adj_offsets, root)
         if order.size != n:
             raise NotATreeError("input is disconnected")
@@ -217,19 +191,17 @@ class RootedTree:
 
     def edges(self) -> list[tuple[int, int]]:
         """Parent edges (parent, child) with children in BFS order."""
-        out = []
-        for v in self.order[1:]:
-            out.append((int(self.parent[v]), int(v)))
-        return out
+        kids = self.order[1:]
+        return list(zip(self.parent[kids].tolist(), kids.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootedTree):
             return NotImplemented
-        if self.n != other.n or self.root != other.root:
-            return False
-        mine = {(min(u, v), max(u, v)) for u, v in self.edges()}
-        theirs = {(min(u, v), max(u, v)) for u, v in other.edges()}
-        return mine == theirs
+        # the CSR adjacency, neighbours sorted, is one per edge set
+        return (self.n, self.root) == (other.n, other.root) and all(
+            np.array_equal(getattr(self, a), getattr(other, a))
+            for a in ("adj_offsets", "adj_flat")
+        )
 
     __hash__ = None
 
@@ -389,34 +361,42 @@ def tree_to_text(tree: RootedTree, header_comments: list[str] | None = None) -> 
     return "\n".join(lines) + "\n"
 
 
+def _is_content(line: str) -> bool:
+    return line.strip()[:1] not in ("", "#")
+
+
 def tree_from_text(text: str) -> RootedTree:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((lineno, stripped))
+    lines = list(filter(_is_content, text.splitlines()))
     if not lines:
         raise TreeFormatError("empty tree file")
-    lineno, header = lines[0]
-    m = _HEADER_RE.match(header)
+    m = _HEADER_RE.match(lines[0].strip())
     if not m:
-        raise TreeFormatError(f"line {lineno}: expected 'tree n=<N> root=<R>'")
+        raise _line_error(text, 0, "expected 'tree n=<N> root=<R>'")
     n, root = int(m.group(1)), int(m.group(2))
     if len(lines) - 1 != n - 1:
-        raise NotATreeError(
-            f"expected {n - 1} edge lines for n={n}, got {len(lines) - 1}"
-        )
-    edges = []
-    for lineno, line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise TreeFormatError(f"line {lineno}: expected '<u> <v>'")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise TreeFormatError(f"line {lineno}: non-integer vertex id") from None
-    return RootedTree.from_edges(edges, root=root, n=n)
+        raise NotATreeError(f"expected {n - 1} edge lines for n={n}, got {len(lines) - 1}")
+    del lines[0]
+    try:
+        if set(map(len, map(str.split, lines))) - {2}:
+            raise ValueError("an edge line without two fields")
+        ends = np.array(" ".join(lines).split(), dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        # the first line that is not two integers, else ids beyond int64 for from_edges
+        ends = [line.split() for line in lines]
+        for k, row in enumerate(ends, start=1):
+            if len(row) != 2:
+                raise _line_error(text, k, "expected '<u> <v>'")
+            try:
+                row[:] = map(int, row)
+            except ValueError:
+                raise _line_error(text, k, "non-integer vertex id") from None
+    return RootedTree.from_edges(ends, root=root, n=n)
+
+
+def _line_error(text: str, k: int, problem: str) -> TreeFormatError:
+    """The error at the k-th content line, from 0: only errors need its number."""
+    lineno = [i for i, line in enumerate(text.splitlines(), 1) if _is_content(line)][k]
+    return TreeFormatError(f"line {lineno}: {problem}")
 
 
 def save_tree(tree: RootedTree, path, header_comments: list[str] | None = None) -> None:

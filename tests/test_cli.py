@@ -238,6 +238,33 @@ def test_mc_tau_cli_rejects_a_bad_host(k, h, code, capsys):
     assert capsys.readouterr().err.startswith(f"{code}:")
 
 
+def test_prob_cli_rejects_an_odd_arity(capsys):
+    # the same check, and code, as gen and mc-tau
+    assert main(["prob", "--target", "le_t", "--k", "3", "--height", "2",
+                 "--t", "2"]) == 1
+    assert capsys.readouterr().err.startswith("DEGREE_PARITY:")
+
+
+@pytest.mark.parametrize(
+    "text,code",
+    [
+        ("tree n=4 root=0\n0 1\n2 0\n1 0\n", "TREE_FORMAT"),
+        ("tree n=4 root=0\n0 1\n1 2\n2 3\n", "DEGREE_PARITY"),
+        ("tree n=4 root=0\n0 1\n# a comment\n0 2 3\n0 3\n", "TREE_FORMAT"),
+        ("tree n=4 root=0\n0 99999999999999999999\n0 1\n0 2\n", "TREE_FORMAT"),
+    ],
+    ids=["parallel-reversed", "even-degree", "three-fields", "id-beyond-int64"],
+)
+def test_simulate_rejects_a_malformed_tree(tmp_path, text, code, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--tree", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.split(":")[0] == code
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -25,6 +25,7 @@ from majlab.stability import (
     is_strongly_t_stable,
     is_weakly_t_stable,
 )
+from majlab.treegen import random_odd_tree
 from majlab.trees import RootedTree
 
 # the host of test_stability: its depth-1 vertex has height 2
@@ -198,6 +199,25 @@ def test_random_opinion_strings(n, seed, digest):
     # of the last byte are dropped
     text = OpinionVector.random(n, np.random.default_rng(seed)).to_string()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "n,digest",
+    [
+        (6, "f2bda78c3a7dab0e5751aefda19c66251b6eb49b35cb8ce592ad1e917258c4a2"),
+        (20, "ba7997b642bc17d1a265298c568d639e04e1650ca29b43f0b7afe143e278a3a1"),
+        (200, "5961f78319600bf50582d7d26c7dce626231ac9d2dbf5f5808886e8113021054"),
+    ],
+)
+def test_random_odd_trees(n, digest):
+    # the claim-report digests rest on these trees: one rng.integers(size)
+    # draw per attached pair of leaves, in order
+    sha = hashlib.sha256()
+    for seed in range(4):
+        tree = random_odd_tree(n, np.random.default_rng(seed))
+        sha.update(tree.parent.tobytes())
+        sha.update(tree.order.tobytes())
+    assert sha.hexdigest() == digest
 
 
 def report_digest(reports):

@@ -42,3 +42,24 @@ def test_claims_has_one_instance_loop():
         if isinstance(node, ast.Call) and ast.unparse(node) == "range(instances)"
     ]
     assert len(loops) == 1, f"range(instances) at claims.py lines {loops}"
+
+
+def test_edges_reach_trees_through_from_edges_only():
+    # one graph type, and one edge array checked in one place
+    callers, classes = [], []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}".lstrip(".")
+            if isinstance(child, ast.ClassDef):
+                classes.append(child.name)
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "_validated_edge_arrays":
+                callers.append(scope)
+            visit(child, inner)
+
+    for path in sorted(Path(majlab.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    assert "GraphView" not in classes
+    assert callers == ["RootedTree.from_edges"]

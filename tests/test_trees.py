@@ -14,7 +14,6 @@ from majlab.errors import (
 )
 from majlab.treegen import random_even_size, random_odd_tree
 from majlab.trees import (
-    GraphView,
     RootedTree,
     VertexClass,
     build_perfect_tree,
@@ -29,7 +28,6 @@ from majlab.trees import (
 )
 
 STAR = [(0, 1), (0, 2), (0, 3)]
-K4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def edge_set(pairs):
@@ -86,6 +84,117 @@ def test_from_edges_rejects_disconnected():
     edges = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5), (6, 7)]
     with pytest.raises(NotATreeError):
         RootedTree.from_edges(edges, n=8)
+
+
+CYCLE_AND_EDGE = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4), (2, 5), (6, 7)]
+
+# n, root, edges, and the error both from_edges and the text form raise:
+# the first offending edge in input order, out of range before self-loop
+# on one edge, parallel edges after both, then parity and connectivity
+MALFORMED_EDGES = {
+    "negative-id": (4, 0, [(0, 1), (0, 2), (-1, 3)],
+                    TreeFormatError, "edge (-1, 3) out of range for n=4"),
+    "id-at-n": (4, 0, [(0, 1), (0, 2), (0, 4)],
+                TreeFormatError, "edge (0, 4) out of range for n=4"),
+    "self-loop": (4, 0, [(0, 1), (0, 2), (3, 3)],
+                  TreeFormatError, "self-loop at vertex 3"),
+    "parallel": (4, 0, [(0, 1), (0, 2), (0, 1)],
+                 TreeFormatError, "parallel edge in input"),
+    "parallel-reversed": (4, 0, [(0, 1), (2, 0), (1, 0)],
+                          TreeFormatError, "parallel edge in input"),
+    "parallel-then-range": (4, 0, [(0, 1), (1, 0), (0, 7)],
+                            TreeFormatError, "edge (0, 7) out of range for n=4"),
+    "range-then-loop": (4, 0, [(0, 1), (0, 7), (2, 2)],
+                        TreeFormatError, "edge (0, 7) out of range for n=4"),
+    "loop-then-range": (4, 0, [(0, 1), (2, 2), (0, 7)],
+                        TreeFormatError, "self-loop at vertex 2"),
+    "even-degree": (4, 0, [(0, 1), (1, 2), (2, 3)], DegreeParityError,
+                    "vertex 1 has even degree 2; all degrees must be odd"),
+    "edge-count": (4, 0, [(0, 1), (0, 2)],
+                   NotATreeError, "expected 3 edges for n=4, got 2"),
+    "disconnected": (8, 0, CYCLE_AND_EDGE, NotATreeError, "input is disconnected"),
+    "bad-root": (4, 11, STAR, BadVertexError, "root 11 out of range for n=4"),
+}
+
+MALFORMED_TEXT = {
+    "non-integer-id": ("tree n=4 root=0\n0 1\n0 x\n0 3\n",
+                       "line 3: non-integer vertex id"),
+    "three-fields": ("tree n=4 root=0\n0 1\n0 2 3\n0 3\n",
+                     "line 3: expected '<u> <v>'"),
+    "missing-header": ("# c\n0 1\n0 2\n0 3\n",
+                       "line 2: expected 'tree n=<N> root=<R>'"),
+    "empty-text": ("# only a comment\n\n", "empty tree file"),
+}
+
+
+def text_of(n, root, edges):
+    return f"tree n={n} root={root}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+@pytest.mark.parametrize("case", MALFORMED_EDGES)
+def test_malformed_edges_keep_their_errors(case):
+    n, root, edges, error, message = MALFORMED_EDGES[case]
+    with pytest.raises(error) as exc:
+        RootedTree.from_edges(edges, root=root, n=n)
+    assert exc.value.message == message
+    with pytest.raises(error) as exc:
+        tree_from_text(text_of(n, root, edges))
+    # the text form counts edge lines
+    assert exc.value.message == message.replace("edges", "edge lines")
+
+
+@pytest.mark.parametrize("case", MALFORMED_TEXT)
+def test_malformed_text_keeps_its_errors(case):
+    text, message = MALFORMED_TEXT[case]
+    with pytest.raises(TreeFormatError) as exc:
+        tree_from_text(text)
+    assert exc.value.message == message
+
+
+def test_ids_beyond_int64_are_out_of_range():
+    with pytest.raises(TreeFormatError) as exc:
+        RootedTree.from_edges([(0, 2**70), (0, 1), (0, 2)], n=4)
+    assert exc.value.message == f"edge (0, {2**70}) out of range for n=4"
+    with pytest.raises(TreeFormatError) as exc:
+        tree_from_text("tree n=4 root=0\n0 1\n-99999999999999999999 0\n0 2\n")
+    assert exc.value.message == "edge (-99999999999999999999, 0) out of range for n=4"
+
+
+def test_edge_input_forms_build_identical_trees(random_suite):
+    for tree in random_suite[:50]:
+        pairs = [(v, u) if v % 2 else (u, v) for u, v in tree.edges()]
+        pairs.reverse()
+        us, vs = zip(*pairs)
+        built = [
+            RootedTree.from_edges(edges, root=tree.root, n=tree.n)
+            for edges in (
+                pairs,
+                zip(us, vs),
+                np.array(pairs, dtype=np.int32),
+                np.array(pairs, dtype=np.int64),
+            )
+        ]
+        for other in built[1:]:
+            for name in RootedTree.__slots__:
+                want, got = getattr(built[0], name), getattr(other, name)
+                if isinstance(want, np.ndarray):
+                    assert (want.dtype, want.tobytes()) == (got.dtype, got.tobytes())
+                else:
+                    assert want == got
+    for bad in ([(0, 1, 2), (0, 2, 3)], [0, 1, 2], np.zeros((3, 3), dtype=np.int64)):
+        with pytest.raises(TreeFormatError, match=r"^edges must be \(u, v\) pairs$"):
+            RootedTree.from_edges(bad, n=4)
+
+
+def test_equality_is_root_and_edge_set(random_suite):
+    trees = random_suite[:30]
+    for a in trees:
+        flipped = [(v, u) for u, v in reversed(a.edges())]
+        assert RootedTree.from_edges(flipped, root=a.root, n=a.n) == a
+        assert reroot(a, a.n - 1) != a
+        for b in trees:
+            same = (a.n, a.root) == (b.n, b.root) and edge_set(a.edges()) == edge_set(b.edges())
+            assert (a == b) == same
 
 
 @pytest.mark.parametrize("k,h", [(2, 1), (2, 2), (2, 3), (4, 2), (6, 1)])
@@ -246,12 +355,3 @@ def test_text_format_errors():
         tree_from_text("tree n=4 root=0\n0 1 2\n0 2\n0 3\n")
     with pytest.raises(NotATreeError):
         tree_from_text("tree n=4 root=0\n0 1\n0 2\n")
-
-
-def test_graph_view_accepts_odd_non_trees():
-    g = GraphView.from_edges(4, K4)
-    assert g.n == 4
-    assert g.edge_count == 6
-    assert g.neighbours(0).tolist() == [1, 2, 3]
-    with pytest.raises(DegreeParityError):
-        GraphView.from_edges(3, [(0, 1), (1, 2)])
