@@ -9,10 +9,11 @@ path of length n scores n + 1 steps when its endpoint touches a pendant
 vertex and n otherwise, and the worst case over all initial opinions is
 exactly the maximum score.
 
-``worst_case_tau`` evaluates that maximum with two linear-time sweeps
-over directed edges (down scores from leaves, up scores from the root)
-and reconstructs the lexicographically smallest maximising path.  The
-same sweep, scoring 1 per active vertex, gives ``active_path_bounds``.
+``worst_case_tau`` evaluates that maximum with two linear-time passes
+over directed edges (down scores from the leaves, then up scores from the
+root, which also finish each vertex's best path) and reconstructs the
+lexicographically smallest maximising path.  The same sweep, scoring 1
+per active vertex, gives ``active_path_bounds``.
 ``worst_case_witness`` builds an initial opinion vector that attains the
 score of a given candidate path, and ``brute_force_tau`` provides the
 independent exhaustive check used to validate both.
@@ -91,54 +92,38 @@ def _path_scores(
     active except possibly the last.
 
     ``base[v]`` scores the one-vertex path at v (``_NEG`` where no path
-    may end), and each further vertex adds 1.  Returns, per vertex,
-    ``down``: the best path from v into its own subtree; ``up`` (indexed
-    by child c): the best path from parent(c) that avoids c's subtree;
-    ``full``: the best path from v in any direction.
+    may end), and each further vertex adds 1; active vertices need
+    ``base >= 1``, so ``1 + _NEG`` never wins.  Two passes give, per
+    vertex, leaves up ``down``: the best path from v into its own subtree;
+    root down ``up`` (indexed by child c, ``_NEG`` at the root): the best
+    path from parent(c) that avoids c's subtree; and with it ``full``: the
+    best path from v in any direction.
     """
-    down = [int(x) for x in base]
-    for v in reversed(tree.order.tolist()):
-        if not active[v]:
-            continue
-        best = _NEG
-        for c in tree.children(v):
-            if down[c] > best:
-                best = down[c]
-        if best > _NEG and 1 + best > down[v]:
-            down[v] = 1 + best
+    offsets, flat = tree.child_offsets.tolist(), tree.child_flat.tolist()
+    kids = [flat[a:b] for a, b in zip(offsets, offsets[1:])]
+    active, order, base = active.tolist(), tree.order.tolist(), base.tolist()
+    down = base[:]
+    for v in reversed(order):
+        if active[v] and kids[v]:
+            down[v] = max(base[v], 1 + max(down[c] for c in kids[v]))
     up = [_NEG] * tree.n
-    for u in tree.order.tolist():
-        kids = tree.children(u)
-        if kids.size == 0:
+    full = base[:]
+    for u in order:
+        if not active[u]:
+            for c in kids[u]:
+                up[c] = base[u]
             continue
-        # top two child down-scores let us exclude any one child in O(1)
+        # top two child scores exclude one child in O(1); a top tie gives best2 == best1
         best1 = best2 = _NEG
-        arg1 = -1
-        for c in kids:
+        for c in kids[u]:
             d = down[c]
             if d > best1:
-                best1, best2, arg1 = d, best1, int(c)
+                best1, best2 = d, best1
             elif d > best2:
                 best2 = d
-        above = up[u] if u != tree.root else _NEG
-        for c in kids:
-            score = int(base[u])
-            if active[u]:
-                other = best2 if int(c) == arg1 else best1
-                through = max(above, other)
-                if through > _NEG:
-                    score = max(score, 1 + through)
-            up[int(c)] = score
-    full = [int(x) for x in base]
-    for v in range(tree.n):
-        if not active[v]:
-            continue
-        best = up[v] if v != tree.root else _NEG
-        for c in tree.children(v):
-            if down[c] > best:
-                best = down[c]
-        if best > _NEG and 1 + best > full[v]:
-            full[v] = 1 + best
+        full[u] = max(base[u], 1 + max(up[u], best1))
+        for c in kids[u]:
+            up[c] = max(base[u], 1 + max(up[u], best2 if down[c] == best1 else best1))
     return down, up, full
 
 
@@ -306,8 +291,5 @@ def brute_force_tau(
     mask = (1 << width) - 1
     cols = [mask] + [tt_column(v - 1, m) for v in range(1, tree.n)]
     tau, index = batch_max_tau(tree, cols, mask)
-    signs = np.empty(tree.n, dtype=np.int8)
-    signs[0] = 1
-    for v in range(1, tree.n):
-        signs[v] = 1 if (index >> (v - 1)) & 1 else -1
-    return tau, OpinionVector.from_signs(signs)
+    # vertex 0 is +1; vertex v >= 1 is +1 exactly where bit v - 1 of index is set
+    return tau, OpinionVector.from_signs([1] + [index >> i & 1 for i in range(m)])

@@ -6,7 +6,8 @@ them.  These pins fix the exact counts instead, and fix every verdict,
 method, extension count and certificate of the weak, strong, (<= t) and
 1-close deciders on each subtree pattern of a small host.  They also fix
 every field of the property-suite reports, on the real engine and on two
-broken ones that some suites must catch.
+broken ones that some suites must catch, and every field of the
+worst-case report on perfect and random hosts.
 """
 
 import dataclasses
@@ -26,7 +27,8 @@ from majlab.stability import (
     is_weakly_t_stable,
 )
 from majlab.treegen import random_odd_tree
-from majlab.trees import RootedTree
+from majlab.trees import RootedTree, build_perfect_tree, reroot
+from majlab.worstcase import worst_case_tau
 
 # the host of test_stability: its depth-1 vertex has height 2
 HOST = RootedTree.from_edges(
@@ -218,6 +220,41 @@ def test_random_odd_trees(n, digest):
         sha.update(tree.parent.tobytes())
         sha.update(tree.order.tobytes())
     assert sha.hexdigest() == digest
+
+
+def worst_case_digest(tree):
+    r = worst_case_tau(tree)
+    row = (r.tau, r.argmax.vertices, r.witness.to_string(), sorted(r.per_vertex_bound.items()))
+    return hashlib.sha256(repr(row).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "k,h,digest",
+    [
+        (4, 4, "3166ff9ee6e904dac409e14c362189d2662eea22ebb6168ca358e4fa18ed2666"),
+        (2, 7, "4a21924d21e9684d8b8c2573d01e3c8e887fe127b733a96c898b12c0af196343"),
+    ],
+)
+def test_worst_case_reports_on_perfect_hosts(k, h, digest):
+    assert worst_case_digest(build_perfect_tree(k, h)) == digest
+
+
+@pytest.mark.parametrize(
+    "n,seed,root,digest",
+    [
+        (20, 0, 0, "a1f5c83da712cee1170f096be8ab1beb190be5e0b9c631538d2fc6a5646651f7"),
+        (20, 1, 0, "510a7a965840f5a4b88ec196741e5b0f204128b04c840b0d838575fdd4a6e99d"),
+        (200, 0, 0, "c13f310e75cb5a838084be5eb561a58b9519bd48592d0d56130f95091e120102"),
+        (200, 1, 0, "6b86d53ce239f58fbda39241bcee3b94325ecf9a1a10dc923bc45f3fcfe856ba"),
+        (2000, 0, 0, "d234563d5b102cfce9aa9f1a6713de16598f1aeaa7ca4cab6fb42f0b061c8ac8"),
+        (2000, 1, 0, "37cf78e28f5e5e2051a358f46d37620bc72ebf938676d516c4fa61eafc107d45"),
+        # the report does not depend on the root
+        (2000, 0, 1000, "d234563d5b102cfce9aa9f1a6713de16598f1aeaa7ca4cab6fb42f0b061c8ac8"),
+    ],
+)
+def test_worst_case_reports_on_random_trees(n, seed, root, digest):
+    tree = reroot(random_odd_tree(n, np.random.default_rng(seed)), root)
+    assert worst_case_digest(tree) == digest
 
 
 def report_digest(reports):

@@ -63,3 +63,22 @@ def test_edges_reach_trees_through_from_edges_only():
         visit(ast.parse(path.read_text(encoding="utf-8")), "")
     assert "GraphView" not in classes
     assert callers == ["RootedTree.from_edges"]
+
+
+def test_path_scores_is_two_passes_over_lists():
+    # leaves up, then root down; child lists are built once per call, not
+    # sliced from the tree per vertex
+    path = Path(majlab.__file__).parent / "worstcase.py"
+    (func,) = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_path_scores"
+    ]
+    loops = [stmt.lineno for stmt in func.body if isinstance(stmt, ast.For)]
+    assert len(loops) == 2, f"top-level for statements at worstcase.py lines {loops}"
+    accessors = {
+        node.attr
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr in ("children", "neighbours")
+    }
+    assert not accessors

@@ -14,6 +14,9 @@ from majlab.trees import (
     reroot,
 )
 from majlab.worstcase import (
+    _NEG,
+    _path_scores,
+    _terminal_scores,
     active_path_bounds,
     brute_force_tau,
     worst_case_tau,
@@ -117,6 +120,46 @@ def test_active_path_bounds_match_a_literal_dfs(random_suite):
         assert active_path_bounds(tree) == want
         long_paths += sum(length >= 3 for length in want.values())
     assert long_paths >= 50
+
+
+def candidate_paths(tree):
+    """Every candidate path with its score, by DFS from each vertex:
+    interior vertices active, the end not passive, and one more step when
+    the end touches a pendant vertex."""
+    codes = classify_all(tree)
+    paths = []
+
+    def extend(path):
+        end = path[-1]
+        if codes[end] != VertexClass.PASSIVE:
+            touches = any(tree.degree[x] == 1 for x in tree.neighbours(end))
+            paths.append((tuple(path), len(path) + touches))
+        if codes[end] == VertexClass.ACTIVE:
+            for x in tree.neighbours(end):
+                if int(x) not in path:
+                    extend(path + [int(x)])
+
+    for v in range(tree.n):
+        extend([v])
+    return paths
+
+
+def test_path_scores_match_a_literal_candidate_path_oracle(random_suite, exhaustive_suite):
+    rerooted = [reroot(tree, tree.n - 1) for tree in random_suite[:100]]
+    for tree in exhaustive_suite + random_suite + rerooted:
+        paths = candidate_paths(tree)
+        codes = classify_all(tree)
+        active = codes == VertexClass.ACTIVE
+        full = _path_scores(tree, active, _terminal_scores(tree, codes))[2]
+        best = [_NEG] * tree.n
+        for path, score in paths:
+            best[path[0]] = max(best[path[0]], score)
+        assert full == best
+        # the argmax is the smallest maximising sequence; a prefix sorts
+        # before its extensions
+        tau = max(score for _, score in paths)
+        want = min(path for path, score in paths if score == tau)
+        assert worst_case_tau(tree).argmax.vertices == want
 
 
 def per_subtree_witness(tree, path):
