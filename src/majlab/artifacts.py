@@ -61,6 +61,9 @@ def _emit(obj, indent: int, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
+        if all(type(value) is int for value in obj):  # bool is not int: it emits below
+            out.append(f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{pad}]")
+            return
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(inner)

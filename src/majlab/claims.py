@@ -3,11 +3,17 @@
 Each sampled suite is a check of one random instance (host, initial
 opinions, parameters): it reports whether the instance meets the suite's
 hypotheses, whether the conclusion holds on it exactly, and a short
-reproduction string.  One loop runs a check on every drawn instance and
-tallies the outcomes into a ``ClaimReport``: the satisfied count, so a
-healthy run is visibly non-vacuous, and the strings of the first few
-violations.  Exhaustive or analytic suites ignore the sampling budget and
-feed the same tally from a fixed sequence of outcomes.
+reproduction string, built only for violations.  One loop takes the
+instances a fixed-size chunk at a time: it draws the whole chunk first,
+in the order a per-instance loop would, then runs every trajectory of
+the chunk as one int8 ``stabilise`` call on the disjoint union of the
+hosts, splits the result exactly per instance, and decides the chunk's
+weak-stability verdicts in one batch per (host, vertex).  The checks
+then judge their instances in order and the outcomes are tallied into a
+``ClaimReport``: the satisfied count, so a healthy run is visibly
+non-vacuous, and the strings of the first few violations.  Exhaustive or
+analytic suites ignore the sampling budget and feed the same tally from a
+fixed sequence of outcomes.
 
 ``STRUCTURAL_SUITES`` hold conditional facts about the dynamics itself:
 the switch rule for balky vertices, flip deadlines for active ones, and
@@ -21,11 +27,13 @@ equivalent characterisations of weak stability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from itertools import islice
+from types import SimpleNamespace
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .bitsliced import BatchRun, tt_column
+from .bitsliced import BatchRun, pack_bit_rows, tt_column
 from .dynamics import (
     OpinionVector,
     StabilisationResult,
@@ -39,11 +47,12 @@ from .stability import (
     EXTENSION_BUDGET,
     _extension_batch,
     _extension_vector,
+    _PinnedSubtree,
     _strong_ok_bits,
+    _weak_ok_bits,
     is_le_t_stable,
     is_one_close_to_stability,
     is_strongly_t_stable,
-    is_weakly_t_stable,
 )
 from .treegen import random_even_size, random_odd_tree
 from .trees import RootedTree, VertexClass, build_perfect_tree, classify_all
@@ -101,16 +110,38 @@ def _tally(name: str, outcomes: Iterable[_Outcome]) -> ClaimReport:
     return report
 
 
-def _sampled(**checks: Callable[[np.random.Generator], _Outcome]) -> dict[str, Suite]:
-    """One suite per named check, running it on each of ``instances``
-    draws from the suite's generator."""
+# instances drawn, run as one forest and judged together: enough to amortise
+# the forest's steps, few enough to add under 1 MB to the process's peak RSS
+_CHUNK = 1 << 7
+_FLIPS, _HISTORY, _WEAK = range(3)  # how much of its runs a check reads
 
-    def suite(name, check) -> Suite:
-        return lambda instances, rng: _tally(
-            name, (check(rng) for _ in range(instances))
-        )
 
-    return {name: suite(name, check) for name, check in checks.items()}
+def _sampled(**checks: tuple[Callable, int]) -> dict[str, Suite]:
+    """One suite per named (check, record).
+
+    A check is a generator: it draws one instance, yields (host, initial
+    states), is sent one ``_Run`` per state and returns its outcome; it
+    returns before yielding only when the draw leaves it unsatisfied.
+    Each chunk of ``instances`` is drawn in order, runs as one forest,
+    then is judged in order.
+    """
+
+    def outcomes(check, record, instances, rng) -> Iterable[_Outcome]:
+        for start in range(instances)[::_CHUNK]:
+            gens = [check(rng) for _ in range(min(_CHUNK, instances - start))]
+            asks = [next(gen, None) for gen in gens]  # the chunk's draws, in order
+            pairs = [(host, x) for host, xs in filter(None, asks) for x in xs]
+            runs = iter(_runs(pairs, record))
+            for gen, ask in zip(gens, asks):
+                try:
+                    yield gen.send(list(islice(runs, len(ask[1])))) if ask else _UNSATISFIED
+                except StopIteration as done:
+                    yield done.value
+
+    def suite(name, check, record) -> Suite:
+        return lambda instances, rng: _tally(name, outcomes(check, record, instances, rng))
+
+    return {name: suite(name, *spec) for name, spec in checks.items()}
 
 
 # -- shared sampling helpers ------------------------------------------------
@@ -129,12 +160,40 @@ def _random_host(rng: np.random.Generator, low: int = 6, high: int = 18) -> Root
     return random_odd_tree(random_even_size(low, high, rng), rng)
 
 
-def _run_history(
-    tree: RootedTree, rng: np.random.Generator
-) -> tuple[OpinionVector, StabilisationResult, np.ndarray]:
-    xi0 = OpinionVector.random(tree.n, rng)
-    res = stabilise(tree, xi0, keep_history=True)
-    return xi0, res, np.stack(res.history)
+def _stabilise_each(
+    hosts: list[RootedTree], xi0s: list[OpinionVector], keep_history: bool = False
+) -> list[StabilisationResult]:
+    """``stabilise(host, xi0)`` of every pair, from one run on the union.
+
+    Components of a disjoint union evolve independently, each 2-periodic
+    from its own first repeat on (Goles & Olivos, 1980): its tau is its
+    last flip less one (0 without one), its history the union's first
+    tau + 3 rows, and every other field its slice."""
+    if not hosts:
+        return []
+    sizes = [host.n for host in hosts]
+    starts = np.cumsum(sizes) - sizes
+    degree = np.concatenate([host.degree for host in hosts])
+    flat = np.concatenate([host.adj_flat for host in hosts])
+    forest = SimpleNamespace(
+        n=degree.size,
+        adj_flat=flat + np.repeat(np.repeat(starts, sizes), degree),
+        adj_offsets=np.append(0, np.cumsum(degree)),
+    )
+    xi0 = OpinionVector(np.concatenate([x.to_signs() for x in xi0s]))
+    res = stabilise(forest, xi0, keep_history=keep_history)
+    taus = np.maximum(np.maximum.reduceat(res.last_flip, starts) - 1, 0).tolist()
+    even, odd = res.stable_even.to_signs(), res.stable_odd.to_signs()
+    rows = np.stack(res.history) if keep_history else None
+    return [
+        StabilisationResult(
+            tau, tau + 2, OpinionVector(even[lo:hi]), OpinionVector(odd[lo:hi]),
+            res.first_flip[lo:hi], res.last_flip[lo:hi],
+            res.last_flip_even[lo:hi], res.last_flip_odd[lo:hi],
+            None if rows is None else list(rows[: tau + 3, lo:hi]),
+        )
+        for lo, hi, tau in zip(starts.tolist(), (starts + sizes).tolist(), taus)
+    ]
 
 
 def _state_row(hist: np.ndarray, tau: int, s: int) -> np.ndarray:
@@ -144,13 +203,51 @@ def _state_row(hist: np.ndarray, tau: int, s: int) -> np.ndarray:
     return hist[tau + ((s - tau) & 1)]
 
 
-def _weak(tree: RootedTree, xi0: OpinionVector, v: int, t: int) -> bool:
-    return is_weakly_t_stable(tree, xi0, v, t).verdict
+class _Run(NamedTuple):
+    """A result and, as recorded, its history and weak verdicts
+    (``weak_rows[s, v]``: v is weakly 0-stable in history row s)."""
+
+    res: StabilisationResult
+    hist: np.ndarray | None
+    weak_rows: np.ndarray | None
+
+    def row(self, s: int) -> np.ndarray:
+        return _state_row(self.hist, self.res.tau, s)
+
+    def weak(self, v: int, t: int) -> bool:
+        return bool(_state_row(self.weak_rows, self.res.tau, t)[v])
+
+
+def _runs(asks: list[tuple[RootedTree, OpinionVector]], record: int) -> list[_Run]:
+    """Every (host, xi0) trajectory, as far as ``record`` reads it."""
+    hosts = [host for host, _ in asks]
+    results = _stabilise_each(hosts, [xi0 for _, xi0 in asks], record >= _HISTORY)
+    hists = [np.array(res.history) if record else None for res in results]
+    weak = [None] * len(results)
+    for host in {id(host): host for host in hosts}.values() if record == _WEAK else ():
+        members = [i for i, other in enumerate(hosts) if other is host]
+        table = _weak_table(host, np.concatenate([hists[i] for i in members]))
+        ends = np.cumsum([len(hists[i]) for i in members])[:-1]
+        for i, part in zip(members, np.split(table, ends)):
+            weak[i] = part
+    return [_Run(*run) for run in zip(results, hists, weak)]
+
+
+def _weak_table(host: RootedTree, rows: np.ndarray) -> np.ndarray:
+    """``table[s, v]``: whether v (not the root) is weakly 0-stable in the
+    state ``rows[s]``.  The verdict depends on the state alone, so one
+    canonical-extension batch per vertex decides every row at once."""
+    cols, mask = pack_bit_rows((rows > 0).T), (1 << len(rows)) - 1
+    bits = [_weak_ok_bits(_PinnedSubtree(host, v), cols, mask) if v else 0 for v in range(host.n)]
+    size = (len(rows) + 7) // 8
+    packed = np.frombuffer(b"".join(b.to_bytes(size, "little") for b in bits), np.uint8)
+    lanes = np.unpackbits(packed.reshape(host.n, size), axis=1, count=len(rows), bitorder="little")
+    return lanes.T
 
 
 def _inner(tree: RootedTree) -> list[int]:
     """Non-root, non-leaf vertices."""
-    return [w for w in range(1, tree.n) if not tree.is_leaf(w)]
+    return (np.flatnonzero(tree.height[1:]) + 1).tolist()
 
 
 def _tree_path(tree: RootedTree, a: int, b: int) -> list[int]:
@@ -181,36 +278,36 @@ def _non_monotone(path: list[int], tree: RootedTree) -> bool:
 # -- structural suites: dynamics on odd trees -------------------------------
 
 
-def _balky_switch(rng: np.random.Generator) -> _Outcome:
+def _balky_switch(rng: np.random.Generator):
     """A balky vertex keeps its opinion two steps after any moment at which
     some non-pendant neighbour previews it: xi_s(v) = xi_{s+1}(u) forces
     xi_{s+2}(v) = xi_s(v)."""
     tree = _random_host(rng)
-    xi0, res, hist = _run_history(tree, rng)
-    pend = tree.pendant
+    xi0 = OpinionVector.random(tree.n, rng)
+    (run,) = yield tree, [xi0]
+    hist = run.hist
     top = hist.shape[0] - 3
-    seen = False
-    for v in np.flatnonzero(classify_all(tree) == VertexClass.BALKY).tolist():
-        now = hist[: top + 1, v]
-        later = hist[2 : top + 3, v]
-        for u in tree.neighbours(v).tolist():
-            if pend[u]:
-                continue
-            hyp = now == hist[1 : top + 2, u]
-            viol = np.flatnonzero(hyp & (later != now))
-            if viol.size:
-                s = int(viol[0])
-                return True, False, f"n={tree.n} v={v} u={u} s={s} xi0={xi0.to_string()}"
-            seen = seen or bool(hyp.any())
-    return seen, True, ""
+    # every (balky v, non-pendant u) edge in adjacency order, one column each
+    vs = np.repeat(np.arange(tree.n), tree.degree)
+    keep = (classify_all(tree) == VertexClass.BALKY)[vs] & ~tree.pendant[tree.adj_flat]
+    vs, us = vs[keep], tree.adj_flat[keep]
+    now = hist[: top + 1, vs]
+    hyp = now == hist[1 : top + 2, us]
+    viol = hyp & (hist[2 : top + 3, vs] != now)
+    if viol.any():
+        j = int(viol.any(axis=0).argmax())
+        v, u, s = int(vs[j]), int(us[j]), int(viol[:, j].argmax())
+        return True, False, f"n={tree.n} v={v} u={u} s={s} xi0={xi0.to_string()}"
+    return bool(hyp.any()), True, ""
 
 
-def _active_deadline(rng: np.random.Generator) -> _Outcome:
+def _active_deadline(rng: np.random.Generator):
     """An active vertex never flips after L(v) + 1, where L(v) is the number
     of vertices on the longest path of active vertices starting at v."""
     tree = _random_host(rng)
     xi0 = OpinionVector.random(tree.n, rng)
-    last = stabilise(tree, xi0).last_flip
+    (run,) = yield tree, [xi0]
+    last = run.res.last_flip
     bounds = active_path_bounds(tree)
     for v, limit in bounds.items():
         if int(last[v]) > limit + 1:
@@ -224,85 +321,81 @@ def _active_deadline(rng: np.random.Generator) -> _Outcome:
 # -- structural suites: weak stability on binary hosts ----------------------
 
 
-def _weak_value(rng: np.random.Generator) -> _Outcome:
+def _weak_value(rng: np.random.Generator):
     """If v is weakly t1-stable and its parent holds xi_{t1}(v) at every odd
     time strictly between t1 and t2 (same parity), then xi_{t2}(v) = xi_{t1}(v)."""
     tree = _binary_host(int(rng.integers(2, 4)))
-    xi0, res, hist = _run_history(tree, rng)
+    xi0 = OpinionVector.random(tree.n, rng)
     v = int(rng.integers(1, tree.n))
     u = int(tree.parent[v])
     t1 = int(rng.integers(0, 4))
     t2 = t1 + 2 * int(rng.integers(1, 4))
-    val = int(_state_row(hist, res.tau, t1)[v])
-    pinned = all(
-        int(_state_row(hist, res.tau, j)[u]) == val
-        for j in range(t1 + 1, t2, 2)
-    )
-    sat = pinned and _weak(tree, xi0, v, t1)
-    ok = not sat or int(_state_row(hist, res.tau, t2)[v]) == val
-    return sat, ok, f"n={tree.n} v={v} t1={t1} t2={t2} xi0={xi0.to_string()}"
+    (run,) = yield tree, [xi0]
+    val = int(run.row(t1)[v])
+    pinned = all(int(run.row(j)[u]) == val for j in range(t1 + 1, t2, 2))
+    sat = pinned and run.weak(v, t1)
+    ok = not sat or int(run.row(t2)[v]) == val
+    return sat, ok, "" if ok else f"n={tree.n} v={v} t1={t1} t2={t2} xi0={xi0.to_string()}"
 
 
-def _weak_stability(rng: np.random.Generator) -> _Outcome:
+def _weak_stability(rng: np.random.Generator):
     """If v is weakly t1-stable and keeps one opinion at every time of the
     same parity through t2, then v is weakly t2-stable."""
     tree = _binary_host(int(rng.integers(2, 4)))
-    xi0, res, hist = _run_history(tree, rng)
+    xi0 = OpinionVector.random(tree.n, rng)
     v = int(rng.integers(1, tree.n))
     t1 = int(rng.integers(0, 4))
     t2 = t1 + 2 * int(rng.integers(1, 4))
-    val = int(_state_row(hist, res.tau, t1)[v])
-    constant = all(
-        int(_state_row(hist, res.tau, s)[v]) == val
-        for s in range(t1 + 2, t2 + 1, 2)
-    )
-    sat = constant and _weak(tree, xi0, v, t1)
-    ok = not sat or _weak(tree, xi0, v, t2)
-    return sat, ok, f"n={tree.n} v={v} t1={t1} t2={t2} xi0={xi0.to_string()}"
+    (run,) = yield tree, [xi0]
+    val = int(run.row(t1)[v])
+    constant = all(int(run.row(s)[v]) == val for s in range(t1 + 2, t2 + 1, 2))
+    sat = constant and run.weak(v, t1)
+    ok = not sat or run.weak(v, t2)
+    return sat, ok, "" if ok else f"n={tree.n} v={v} t1={t1} t2={t2} xi0={xi0.to_string()}"
 
 
-def _weak_from_grandchild(rng: np.random.Generator) -> _Outcome:
+def _weak_from_grandchild(rng: np.random.Generator):
     """A vertex sharing its time-t opinion with a weakly t-stable grandchild
     is itself weakly t-stable."""
     tree = _binary_host(int(rng.integers(3, 5)))
-    xi0, res, hist = _run_history(tree, rng)
-    hosts = [w for w in range(1, tree.n) if tree.height[w] >= 2]
+    xi0 = OpinionVector.random(tree.n, rng)
+    hosts = (np.flatnonzero(tree.height[1:] >= 2) + 1).tolist()
     v = hosts[int(rng.integers(len(hosts)))]
     grandkids = [
         int(g) for c in tree.children(v) for g in tree.children(int(c))
     ]
     u = grandkids[int(rng.integers(len(grandkids)))]
     t = int(rng.integers(0, 5))
-    row = _state_row(hist, res.tau, t)
-    sat = int(row[v]) == int(row[u]) and _weak(tree, xi0, u, t)
-    ok = not sat or _weak(tree, xi0, v, t)
-    return sat, ok, f"n={tree.n} v={v} u={u} t={t} xi0={xi0.to_string()}"
+    (run,) = yield tree, [xi0]
+    row = run.row(t)
+    sat = int(row[v]) == int(row[u]) and run.weak(u, t)
+    ok = not sat or run.weak(v, t)
+    return sat, ok, "" if ok else f"n={tree.n} v={v} u={u} t={t} xi0={xi0.to_string()}"
 
 
-def _weak_from_child(rng: np.random.Generator) -> _Outcome:
+def _weak_from_child(rng: np.random.Generator):
     """A vertex whose time-(t+1) opinion matches the time-t opinion of a
     weakly t-stable child is weakly (t+1)-stable."""
     tree = _binary_host(int(rng.integers(2, 4)))
-    xi0, res, hist = _run_history(tree, rng)
+    xi0 = OpinionVector.random(tree.n, rng)
     inner = _inner(tree)
     v = inner[int(rng.integers(len(inner)))]
     kids = tree.children(v)
     u = int(kids[int(rng.integers(kids.size))])
     t = int(rng.integers(0, 5))
-    rising = int(_state_row(hist, res.tau, t + 1)[v]) == int(
-        _state_row(hist, res.tau, t)[u]
-    )
-    sat = rising and _weak(tree, xi0, u, t)
-    ok = not sat or _weak(tree, xi0, v, t + 1)
-    return sat, ok, f"n={tree.n} v={v} u={u} t={t} xi0={xi0.to_string()}"
+    (run,) = yield tree, [xi0]
+    rising = int(run.row(t + 1)[v]) == int(run.row(t)[u])
+    sat = rising and run.weak(u, t)
+    ok = not sat or run.weak(v, t + 1)
+    return sat, ok, "" if ok else f"n={tree.n} v={v} u={u} t={t} xi0={xi0.to_string()}"
 
 
-def _aligned_path(rng: np.random.Generator) -> _Outcome:
+def _aligned_path(rng: np.random.Generator):
     """On a non-monotone even-length path whose even-position vertices share
     one time-t opinion and whose endpoints are weakly t-stable, every
     even-position vertex is t-stable."""
     tree = _binary_host(int(rng.integers(2, 4)))
-    xi0, res, hist = _run_history(tree, rng)
+    xi0 = OpinionVector.random(tree.n, rng)
     pick = rng.choice(tree.n - 1, size=2, replace=False) + 1
     a, b = int(pick[0]), int(pick[1])
     path = _tree_path(tree, a, b)
@@ -310,13 +403,14 @@ def _aligned_path(rng: np.random.Generator) -> _Outcome:
     if d < 2 or d % 2 or not _non_monotone(path, tree):
         return _UNSATISFIED
     t = int(rng.integers(0, 4))
-    row = _state_row(hist, res.tau, t)
+    (run,) = yield tree, [xi0]
+    row = run.row(t)
     evens = path[0::2]
     aligned = all(int(row[w]) == int(row[evens[0]]) for w in evens)
-    if not (aligned and _weak(tree, xi0, a, t) and _weak(tree, xi0, b, t)):
+    if not (aligned and run.weak(a, t) and run.weak(b, t)):
         return _UNSATISFIED
     for w in evens:
-        if not res.is_vertex_t_stable(w, t):
+        if not run.res.is_vertex_t_stable(w, t):
             return True, False, f"n={tree.n} path={path} t={t} w={w} xi0={xi0.to_string()}"
     return True, True, ""
 
@@ -334,13 +428,13 @@ def _one_close_memo(tree: RootedTree, xi0: OpinionVector, v: int) -> bool:
     return hit
 
 
-def _opposed_path(rng: np.random.Generator) -> _Outcome:
+def _opposed_path(rng: np.random.Generator):
     """Opposite-opinion endpoints that are weakly 0-stable and 1-close to
     stability confine the path between them: at every even time from t on,
     each even interior vertex agrees with an even neighbour two steps away,
     and the far endpoint is weakly stable or stable."""
     tree = _binary_host(int(rng.integers(2, 4)))
-    xi0, res, hist = _run_history(tree, rng)
+    xi0 = OpinionVector.random(tree.n, rng)
     inner = _inner(tree)
     pick = rng.choice(len(inner), size=2, replace=False)
     a, b = inner[int(pick[0])], inner[int(pick[1])]
@@ -350,7 +444,9 @@ def _opposed_path(rng: np.random.Generator) -> _Outcome:
         return _UNSATISFIED
     t = 2 * int(rng.integers(0, 2))
     ell = 2 * int(rng.integers(1, d // 2 + 1))
-    row_t = _state_row(hist, res.tau, t)
+    (run,) = yield tree, [xi0]
+    res, hist = run.res, run.hist
+    row_t = run.row(t)
     head = all(int(row_t[path[i]]) == int(row_t[a]) for i in range(2, ell - 1, 2))
     tail = all(int(row_t[path[i]]) == int(row_t[b]) for i in range(ell, d - 1, 2))
     opposed = int(hist[0][a]) != int(hist[0][b]) and all(
@@ -361,21 +457,21 @@ def _opposed_path(rng: np.random.Generator) -> _Outcome:
         head
         and tail
         and opposed
-        and _weak(tree, xi0, a, 0)
-        and _weak(tree, xi0, b, 0)
+        and run.weak(a, 0)
+        and run.weak(b, 0)
         and _one_close_memo(tree, xi0, a)
         and _one_close_memo(tree, xi0, b)
     ):
         return _UNSATISFIED
     # beyond tau + 2 every quantity below repeats with period 2
     for tp in range(t, res.tau + 3, 2):
-        row = _state_row(hist, res.tau, tp)
+        row = run.row(tp)
         boxed = all(
             int(row[path[i]]) == int(row[path[i - 2]])
             or int(row[path[i]]) == int(row[path[i + 2]])
             for i in range(2, d - 1, 2)
         )
-        far = res.is_vertex_t_stable(b, tp) or _weak(tree, xi0, b, tp)
+        far = res.is_vertex_t_stable(b, tp) or run.weak(b, tp)
         if not (boxed and far):
             return True, False, (
                 f"n={tree.n} path={path} t={t} ell={ell} tp={tp} "
@@ -387,25 +483,28 @@ def _opposed_path(rng: np.random.Generator) -> _Outcome:
 # -- engine suites: cross-checks of module implementations ------------------
 
 
-def _tau_within_budget(rng: np.random.Generator) -> _Outcome:
+def _tau_within_budget(rng: np.random.Generator):
     """Every trajectory reaches its 2-periodic tail within floor(|E| - |V|/2)
     steps, and stepping the settled pair swaps its two states."""
     tree = _random_host(rng)
     xi0 = OpinionVector.random(tree.n, rng)
-    res = stabilise(tree, xi0)
+    (run,) = yield tree, [xi0]
+    res = run.res
     ok = (
         res.tau <= step_budget(tree)
         and step(tree, res.stable_even) == res.stable_odd
         and step(tree, res.stable_odd) == res.stable_even
     )
-    return True, ok, f"n={tree.n} tau={res.tau} xi0={xi0.to_string()}"
+    return True, ok, "" if ok else f"n={tree.n} tau={res.tau} xi0={xi0.to_string()}"
 
 
-def _flip_has_cause(rng: np.random.Generator) -> _Outcome:
+def _flip_has_cause(rng: np.random.Generator):
     """Every flip xi_{t+2}(v) != xi_t(v) with t >= 1 is witnessed by a
     neighbour that itself just flipped onto the new opinion."""
     tree = _random_host(rng)
-    xi0, res, hist = _run_history(tree, rng)
+    xi0 = OpinionVector.random(tree.n, rng)
+    (run,) = yield tree, [xi0]
+    hist = run.hist
     seen = False
     for t in range(1, hist.shape[0] - 2):
         for v in np.flatnonzero(hist[t + 2] != hist[t]).tolist():
@@ -419,35 +518,37 @@ def _flip_has_cause(rng: np.random.Generator) -> _Outcome:
     return seen, True, ""
 
 
-def _negation_symmetry(rng: np.random.Generator) -> _Outcome:
+def _negation_symmetry(rng: np.random.Generator):
     """Negating the initial opinions negates the whole trajectory and keeps
     the stabilisation time."""
     tree = _random_host(rng)
     xi0 = OpinionVector.random(tree.n, rng)
-    res = stabilise(tree, xi0)
-    neg = stabilise(tree, xi0.negated())
+    run, neg = yield tree, [xi0, xi0.negated()]
+    res, neg = run.res, neg.res
     ok = (
         neg.tau == res.tau
         and neg.stable_even == res.stable_even.negated()
         and neg.stable_odd == res.stable_odd.negated()
     )
-    return True, ok, f"n={tree.n} xi0={xi0.to_string()}"
+    return True, ok, "" if ok else f"n={tree.n} xi0={xi0.to_string()}"
 
 
-def _formula_matches_enumeration(rng: np.random.Generator) -> _Outcome:
+def _formula_matches_enumeration(rng: np.random.Generator):
     """The closed-form worst case equals full enumeration over initial
     vectors on small random trees."""
     tree = _random_host(rng, low=6, high=14)
+    yield tree, []  # nothing to run: the chunk's trees are drawn first
     formula = worst_case_tau(tree).tau
     brute, _ = brute_force_tau(tree)
     return True, formula == brute, f"n={tree.n} formula={formula} brute={brute}"
 
 
-def _witness_attains_tau(rng: np.random.Generator) -> _Outcome:
+def _witness_attains_tau(rng: np.random.Generator):
     """The synthesized witness vector achieves the reported worst case."""
     tree = _random_host(rng)
     report = worst_case_tau(tree)
-    achieved = stabilise(tree, report.witness).tau
+    (run,) = yield tree, [report.witness]
+    achieved = run.res.tau
     return (
         True,
         achieved == report.tau,
@@ -528,7 +629,7 @@ def _suite_weak_definitions(instances: int, rng: np.random.Generator) -> ClaimRe
     return weak_definition_sweep(max_height=2)
 
 
-def _counterexample_replay(rng: np.random.Generator) -> _Outcome:
+def _counterexample_replay(rng: np.random.Generator):
     """Every negative strong / (<=t) / 1-close verdict returns a certificate
     extension that, replayed through the plain simulator, exhibits the
     claimed failure."""
@@ -549,20 +650,19 @@ def _counterexample_replay(rng: np.random.Generator) -> _Outcome:
         verdict = is_one_close_to_stability(tree, xi0, v)
     if verdict.verdict:
         return _UNSATISFIED
-    cert = verdict.certificate
-    sim = stabilise(tree, cert, keep_history=True)
-    hist = np.stack(sim.history)
+    (run,) = yield tree, [verdict.certificate]
+    hist = run.hist
     if kind == 0:
-        ok = not sim.is_vertex_t_stable(v, t)
+        ok = not run.res.is_vertex_t_stable(v, t)
     elif kind == 1:
-        values = {int(_state_row(hist, sim.tau, s)[v]) for s in range(t % 2, t + 1, 2)}
+        values = {int(run.row(s)[v]) for s in range(t % 2, t + 1, 2)}
         ok = len(values) > 1
     else:  # the first even-time flip must land v weakly stable
         start = int(hist[0][v])
         flips = (s for s in range(2, hist.shape[0], 2) if int(hist[s][v]) != start)
         first = next(flips, None)
-        ok = first is not None and not _weak(tree, cert, v, first)
-    return True, ok, f"kind={kind} v={v} xi0={xi0.to_string()}"
+        ok = first is not None and not run.weak(v, first)
+    return True, ok, "" if ok else f"kind={kind} v={v} xi0={xi0.to_string()}"
 
 
 def _suite_fixed_point_bracket(
@@ -611,26 +711,26 @@ def _suite_strong_value_symmetry(
 # -- registry ----------------------------------------------------------------
 
 STRUCTURAL_SUITES: dict[str, Suite] = _sampled(
-    balky_switch_rule=_balky_switch,
-    active_deadline=_active_deadline,
-    weak_value_maintenance=_weak_value,
-    weak_stability_maintenance=_weak_stability,
-    weak_from_grandchild=_weak_from_grandchild,
-    weak_from_child=_weak_from_child,
-    aligned_path_stabilisation=_aligned_path,
-    opposed_path_stabilisation=_opposed_path,
+    balky_switch_rule=(_balky_switch, _HISTORY),
+    active_deadline=(_active_deadline, _FLIPS),
+    weak_value_maintenance=(_weak_value, _WEAK),
+    weak_stability_maintenance=(_weak_stability, _WEAK),
+    weak_from_grandchild=(_weak_from_grandchild, _WEAK),
+    weak_from_child=(_weak_from_child, _WEAK),
+    aligned_path_stabilisation=(_aligned_path, _WEAK),
+    opposed_path_stabilisation=(_opposed_path, _WEAK),
 )
 
 ENGINE_SUITES: dict[str, Suite] = {
     **_sampled(
-        tau_within_budget=_tau_within_budget,
-        flip_has_cause=_flip_has_cause,
-        negation_symmetry=_negation_symmetry,
-        formula_matches_enumeration=_formula_matches_enumeration,
-        witness_attains_tau=_witness_attains_tau,
+        tau_within_budget=(_tau_within_budget, _FLIPS),
+        flip_has_cause=(_flip_has_cause, _HISTORY),
+        negation_symmetry=(_negation_symmetry, _FLIPS),
+        formula_matches_enumeration=(_formula_matches_enumeration, _FLIPS),
+        witness_attains_tau=(_witness_attains_tau, _FLIPS),
     ),
     "weak_definitions_agree": _suite_weak_definitions,
-    **_sampled(counterexample_replay=_counterexample_replay),
+    **_sampled(counterexample_replay=(_counterexample_replay, _WEAK)),
     "fixed_point_bracket": _suite_fixed_point_bracket,
     "strong_value_symmetry": _suite_strong_value_symmetry,
 }

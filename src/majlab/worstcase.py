@@ -173,7 +173,11 @@ def active_path_bounds(tree: RootedTree) -> dict[int, int]:
     vertices starting at v.  Non-active vertices are not listed (they
     settle within two steps regardless).
     """
-    active = classify_all(tree) == VertexClass.ACTIVE
+    return _active_bounds(tree, classify_all(tree) == VertexClass.ACTIVE)
+
+
+def _active_bounds(tree: RootedTree, active: np.ndarray) -> dict[int, int]:
+    """``active_path_bounds`` given the tree's active mask."""
     full = _path_scores(tree, active, active.astype(np.int64))[2]
     return {v: full[v] for v in range(tree.n) if active[v]}
 
@@ -199,7 +203,7 @@ def worst_case_tau(tree: RootedTree) -> WorstCaseReport:
         )
     argmax = CandidatePath(tuple(vertices), tau, touches)
     witness = worst_case_witness(tree, list(argmax.vertices))
-    return WorstCaseReport(tau, argmax, witness, active_path_bounds(tree))
+    return WorstCaseReport(tau, argmax, witness, _active_bounds(tree, active))
 
 
 def _validate_candidate_path(tree: RootedTree, path: list[int]) -> None:

@@ -30,6 +30,23 @@ def test_format_float_is_shortest_round_trip():
             format_float(bad)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [True, False, True],
+        [1, True, 0, False],
+        [-3, 0, 7, -(10**20)],
+        [[1, -2], [], [[3]], [4, 5.5]],
+        {"flips": list(range(-1, 50)), "empty": [], "one": [9]},
+        [1, 2.5, -3, 0.25],
+        (6, -6),
+    ],
+)
+def test_dumps_json_lists_match_the_standard_writer(obj):
+    # one join writes an all-int list; the bytes stay the item-by-item ones
+    assert dumps_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+
 def test_dumps_json_golden():
     assert dumps_json({"a": [1, 2], "b": {}, "c": []}) == (
         '{\n  "a": [\n    1,\n    2\n  ],\n  "b": {},\n  "c": []\n}\n'

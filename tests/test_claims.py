@@ -1,14 +1,19 @@
-"""Property suites: registry, determinism, and small-scale passes."""
+"""Property suites: registry, determinism, small-scale passes, and the
+forest run that every sampled suite steps its instances through."""
 
+import numpy as np
 import pytest
 
 from majlab.claims import (
     ALL_SUITES,
     STRUCTURAL_SUITES,
+    _stabilise_each,
     run_claim_suites,
     weak_definition_sweep,
 )
+from majlab.dynamics import OpinionVector, stabilise
 from majlab.errors import MajlabError
+from majlab.trees import build_perfect_tree
 
 
 def test_registry_shape():
@@ -51,3 +56,57 @@ def test_weak_definition_sweep_small():
     assert report.passed
     assert report.violations == 0
     assert report.satisfied == report.instances > 0
+
+
+def assert_same_result(got, want, keep_history):
+    assert type(got.tau) is type(want.tau) is int
+    assert (got.tau, got.steps_executed) == (want.tau, want.steps_executed)
+    for name in ("stable_even", "stable_odd"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a == b
+        assert a.to_signs().dtype == b.to_signs().dtype == np.int8
+    for name in ("first_flip", "last_flip", "last_flip_even", "last_flip_odd"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+    if not keep_history:
+        assert got.history is want.history is None
+        return
+    assert len(got.history) == len(want.history)
+    for a, b in zip(got.history, want.history):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def hosts_of(name, exhaustive_suite, random_suite):
+    perfect = [build_perfect_tree(2, h) for h in range(1, 5)]
+    return {
+        "exhaustive": exhaustive_suite,
+        "random": random_suite,
+        "perfect": perfect,
+        # sizes interleaved, so components of every size sit side by side
+        "mixed": [
+            tree
+            for trio in zip(random_suite, exhaustive_suite, perfect * 50)
+            for tree in trio
+        ],
+        "single": random_suite[:1],
+        "none": [],
+    }[name]
+
+
+@pytest.mark.parametrize("keep_history", [False, True])
+@pytest.mark.parametrize(
+    "name", ["exhaustive", "random", "perfect", "mixed", "single", "none"]
+)
+def test_forest_run_splits_into_per_host_results(
+    name, keep_history, exhaustive_suite, random_suite
+):
+    hosts = hosts_of(name, exhaustive_suite, random_suite)
+    rng = np.random.default_rng(11)
+    xi0s = [OpinionVector.random(host.n, rng) for host in hosts]
+    results = _stabilise_each(hosts, xi0s, keep_history=keep_history)
+    assert len(results) == len(hosts)
+    for host, xi0, got in zip(hosts, xi0s, results):
+        want = stabilise(host, xi0, keep_history=keep_history)
+        assert_same_result(got, want, keep_history)

@@ -277,6 +277,29 @@ def test_claim_reports(seed, digest):
     assert report_digest(run_claim_suites(instances=300, seed=seed)) == digest
 
 
+@pytest.mark.parametrize(
+    "instances,digest",
+    [
+        (1, "a8cd0cde0d73ff8bd723ffa2d5c468f14434bc5f9b68ca72a9dbec84e3a849cf"),
+        (7, "1f1f5bf2a880c7c37dccc575757a7f2da5e171a3aede1771b5b30a161e1af437"),
+        (65, "e0299d4cbe3f8b37259f0ec5b34915ca78fc56bca2bf6d71837571eb4fabf513"),
+    ],
+)
+def test_claim_reports_at_awkward_widths(instances, digest):
+    assert report_digest(run_claim_suites(instances=instances, seed=4)) == digest
+
+
+def test_claim_reports_across_chunk_boundaries(monkeypatch):
+    # 300 instances in chunks of 7: 42 full chunks and a partial one
+    monkeypatch.setattr(majlab.claims, "_CHUNK", 7)
+    for seed, digest in [
+        (1, "f69c7683ba7b67e6506dfc188b947c8730db110398de14438af244c90458a499"),
+        (2, "5f714738e273e7a49bfbc39d622ea415ab22e6d0892086bd4b92c6bb91967332"),
+        (3, "32b6f1e72d4008c85171cfaafd20d8438fc937d48a3f6964e2453b57dc08576b"),
+    ]:
+        assert report_digest(run_claim_suites(instances=300, seed=seed)) == digest
+
+
 def drop_history_row(stabilise):
     """Forget the state at time 1; the window keeps its length by
     repeating its last row."""
@@ -335,9 +358,15 @@ def one_step_late(stabilise):
     ],
 )
 def test_claim_reports_under_a_broken_engine(monkeypatch, breakage, failing, digest):
-    monkeypatch.setattr(
-        majlab.claims, "stabilise", breakage(majlab.claims.stabilise)
-    )
+    # the suites run every trajectory through one seam; break each result
+    each = majlab.claims._stabilise_each
+
+    def broken(hosts, xi0s, keep_history=False):
+        results = iter(each(hosts, xi0s, keep_history))
+        one = breakage(lambda tree, xi0, keep_history=False: next(results))
+        return [one(tree, xi0, keep_history) for tree, xi0 in zip(hosts, xi0s)]
+
+    monkeypatch.setattr(majlab.claims, "_stabilise_each", broken)
     reports = run_claim_suites(instances=200, seed=5)
     caught = {r.name: (r.violations, r.examples[0]) for r in reports if not r.passed}
     assert caught == failing

@@ -82,3 +82,31 @@ def test_path_scores_is_two_passes_over_lists():
         if isinstance(node, ast.Attribute) and node.attr in ("children", "neighbours")
     }
     assert not accessors
+
+
+def test_claims_steps_trajectories_through_one_seam():
+    # every sampled trajectory runs in one forest per chunk, and weak
+    # verdicts come from the recorded history, not a re-run of the host
+    path = Path(majlab.__file__).parent / "claims.py"
+    calls = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            top = isinstance(child, (ast.FunctionDef, ast.ClassDef)) and not scope
+            inner = child.name if top else scope
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                calls.append((child.func.id, inner))
+            visit(child, inner)
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    visit(tree, "")
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "is_weakly_t_stable" not in imported
+    assert not [scope for name, scope in calls if name == "is_weakly_t_stable"]
+    callers = [scope for name, scope in calls if name == "stabilise"]
+    assert callers == ["_stabilise_each"], f"stabilise called from {callers}"
