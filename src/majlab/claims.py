@@ -113,11 +113,10 @@ def _tally(name: str, outcomes: Iterable[_Outcome]) -> ClaimReport:
 # instances drawn, run as one forest and judged together: enough to amortise
 # the forest's steps, few enough to add under 1 MB to the process's peak RSS
 _CHUNK = 1 << 7
-_FLIPS, _HISTORY, _WEAK = range(3)  # how much of its runs a check reads
 
 
-def _sampled(**checks: tuple[Callable, int]) -> dict[str, Suite]:
-    """One suite per named (check, record).
+def _sampled(**checks: Callable) -> dict[str, Suite]:
+    """One suite per named check.
 
     A check is a generator: it draws one instance, yields (host, initial
     states), is sent one ``_Run`` per state and returns its outcome; it
@@ -126,22 +125,22 @@ def _sampled(**checks: tuple[Callable, int]) -> dict[str, Suite]:
     then is judged in order.
     """
 
-    def outcomes(check, record, instances, rng) -> Iterable[_Outcome]:
+    def outcomes(check, instances, rng) -> Iterable[_Outcome]:
         for start in range(instances)[::_CHUNK]:
             gens = [check(rng) for _ in range(min(_CHUNK, instances - start))]
             asks = [next(gen, None) for gen in gens]  # the chunk's draws, in order
             pairs = [(host, x) for host, xs in filter(None, asks) for x in xs]
-            runs = iter(_runs(pairs, record))
+            runs = iter(_runs(pairs))
             for gen, ask in zip(gens, asks):
                 try:
                     yield gen.send(list(islice(runs, len(ask[1])))) if ask else _UNSATISFIED
                 except StopIteration as done:
                     yield done.value
 
-    def suite(name, check, record) -> Suite:
-        return lambda instances, rng: _tally(name, outcomes(check, record, instances, rng))
+    def suite(name, check) -> Suite:
+        return lambda instances, rng: _tally(name, outcomes(check, instances, rng))
 
-    return {name: suite(name, *spec) for name, spec in checks.items()}
+    return {name: suite(name, check) for name, check in checks.items()}
 
 
 # -- shared sampling helpers ------------------------------------------------
@@ -204,11 +203,11 @@ def _state_row(hist: np.ndarray, tau: int, s: int) -> np.ndarray:
 
 
 class _Run(NamedTuple):
-    """A result and, as recorded, its history and weak verdicts
+    """A result, its history and, on binary hosts, its weak verdicts
     (``weak_rows[s, v]``: v is weakly 0-stable in history row s)."""
 
     res: StabilisationResult
-    hist: np.ndarray | None
+    hist: np.ndarray
     weak_rows: np.ndarray | None
 
     def row(self, s: int) -> np.ndarray:
@@ -218,13 +217,15 @@ class _Run(NamedTuple):
         return bool(_state_row(self.weak_rows, self.res.tau, t)[v])
 
 
-def _runs(asks: list[tuple[RootedTree, OpinionVector]], record: int) -> list[_Run]:
-    """Every (host, xi0) trajectory, as far as ``record`` reads it."""
+def _runs(asks: list[tuple[RootedTree, OpinionVector]]) -> list[_Run]:
+    """Every (host, xi0) trajectory with its history, and weak verdicts on
+    the binary hosts, the only ones where weak stability is defined."""
     hosts = [host for host, _ in asks]
-    results = _stabilise_each(hosts, [xi0 for _, xi0 in asks], record >= _HISTORY)
-    hists = [np.array(res.history) if record else None for res in results]
+    results = _stabilise_each(hosts, [xi0 for _, xi0 in asks], keep_history=True)
+    hists = [np.array(res.history) for res in results]
     weak = [None] * len(results)
-    for host in {id(host): host for host in hosts}.values() if record == _WEAK else ():
+    binary = {id(host) for host in _BINARY_HOSTS.values()}
+    for host in {id(host): host for host in hosts if id(host) in binary}.values():
         members = [i for i, other in enumerate(hosts) if other is host]
         table = _weak_table(host, np.concatenate([hists[i] for i in members]))
         ends = np.cumsum([len(hists[i]) for i in members])[:-1]
@@ -711,26 +712,26 @@ def _suite_strong_value_symmetry(
 # -- registry ----------------------------------------------------------------
 
 STRUCTURAL_SUITES: dict[str, Suite] = _sampled(
-    balky_switch_rule=(_balky_switch, _HISTORY),
-    active_deadline=(_active_deadline, _FLIPS),
-    weak_value_maintenance=(_weak_value, _WEAK),
-    weak_stability_maintenance=(_weak_stability, _WEAK),
-    weak_from_grandchild=(_weak_from_grandchild, _WEAK),
-    weak_from_child=(_weak_from_child, _WEAK),
-    aligned_path_stabilisation=(_aligned_path, _WEAK),
-    opposed_path_stabilisation=(_opposed_path, _WEAK),
+    balky_switch_rule=_balky_switch,
+    active_deadline=_active_deadline,
+    weak_value_maintenance=_weak_value,
+    weak_stability_maintenance=_weak_stability,
+    weak_from_grandchild=_weak_from_grandchild,
+    weak_from_child=_weak_from_child,
+    aligned_path_stabilisation=_aligned_path,
+    opposed_path_stabilisation=_opposed_path,
 )
 
 ENGINE_SUITES: dict[str, Suite] = {
     **_sampled(
-        tau_within_budget=(_tau_within_budget, _FLIPS),
-        flip_has_cause=(_flip_has_cause, _HISTORY),
-        negation_symmetry=(_negation_symmetry, _FLIPS),
-        formula_matches_enumeration=(_formula_matches_enumeration, _FLIPS),
-        witness_attains_tau=(_witness_attains_tau, _FLIPS),
+        tau_within_budget=_tau_within_budget,
+        flip_has_cause=_flip_has_cause,
+        negation_symmetry=_negation_symmetry,
+        formula_matches_enumeration=_formula_matches_enumeration,
+        witness_attains_tau=_witness_attains_tau,
     ),
     "weak_definitions_agree": _suite_weak_definitions,
-    **_sampled(counterexample_replay=(_counterexample_replay, _WEAK)),
+    **_sampled(counterexample_replay=_counterexample_replay),
     "fixed_point_bracket": _suite_fixed_point_bracket,
     "strong_value_symmetry": _suite_strong_value_symmetry,
 }

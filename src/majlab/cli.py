@@ -18,6 +18,7 @@ any output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ from .artifacts import (
 from .claims import ALL_SUITES, run_claim_suites
 from .dynamics import OpinionVector, stabilise
 from .errors import BadTimeError, MajlabError
-from .probe import TARGETS, estimate_probability, fixed_point_q, le_t_positive_check, mc_tau
+from .probe import TARGETS, _probability, fixed_point_q, mc_tau
 from .stability import (
     EXTENSION_BUDGET,
     is_le_t_stable,
@@ -46,8 +47,6 @@ from .stability import (
 )
 from .trees import build_perfect_tree, load_tree, tree_to_text
 from .worstcase import BRUTE_FORCE_BUDGET, brute_force_tau, worst_case_tau
-
-STABILITY_KINDS = ("weak", "strong", "le_t", "one_close")
 
 
 def _resolved_seed(args) -> int:
@@ -69,6 +68,13 @@ def _config(args, fields: tuple[str, ...]) -> dict:
         if value is not None:
             cfg[name] = value
     return cfg
+
+
+def _fields(obj, **replaced) -> dict:
+    """A result type's fields in declaration order, some values replaced."""
+    return {
+        f.name: replaced.get(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)
+    }
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -167,62 +173,25 @@ def cmd_stability(args) -> int:
         verdict = is_one_close_to_stability(tree, xi0, args.vertex, budget=args.budget)
     cfg = _config(args, ("tree", "init", "kind", "vertex", "t", "budget"))
     cfg["seed"] = seed
-    result = {
-        "kind": verdict.kind,
-        "vertex": verdict.vertex,
-        "t": verdict.t,
-        "verdict": verdict.verdict,
-        "method": verdict.method,
-        "certificate": None if verdict.certificate is None else verdict.certificate.to_string(),
-        "checked": verdict.checked,
-        "init": xi0.to_string(),
-    }
+    cert = None if verdict.certificate is None else verdict.certificate.to_string()
+    result = {**_fields(verdict, certificate=cert), "init": xi0.to_string()}
     _write_text(args.output, dumps_json(envelope("stability", cfg, seed, result)))
     return 0
 
 
 def cmd_prob(args) -> int:
     seed = _resolved_seed(args)
-    if args.xi is not None:
-        if args.target != "le_t":
-            raise MajlabError("--xi applies only to --target le_t")
-        est = le_t_positive_check(
-            args.k,
-            args.t,
-            1 if args.xi == "+" else -1,
-            height=args.height,
-            method=args.method,
-            trials=args.trials,
-            seed=seed,
-            budget=args.budget,
-        )
-    else:
-        est = estimate_probability(
-            args.target,
-            args.height,
-            args.t,
-            k=args.k,
-            method=args.method,
-            trials=args.trials,
-            seed=seed,
-            budget=args.budget,
-        )
+    if args.xi is not None and args.target != "le_t":
+        raise MajlabError("--xi applies only to --target le_t")
+    xi = None if args.xi is None else 1 if args.xi == "+" else -1
+    est = _probability(
+        args.target, args.height, args.t, args.k, args.method, args.trials, seed,
+        args.budget, xi,
+    )
     cfg = _config(args, ("target", "height", "t", "k", "method", "trials", "budget", "xi"))
     cfg["seed"] = seed
-    result = {
-        "target": est.target,
-        "k": est.k,
-        "height": est.height,
-        "t": est.t,
-        "method": est.method,
-        "value": est.value,
-        "count": est.count,
-        "denominator": est.denominator,
-        "trials": est.trials,
-        "ci_halfwidth": est.ci_halfwidth,
-        "xi": est.xi,
-        "unresolved": est.unresolved,
-    }
+    result = _fields(est)
+    del result["seed"]  # the envelope carries it
     _write_text(args.output, dumps_json(envelope("prob", cfg, seed, result)))
     return 0
 
@@ -230,13 +199,8 @@ def cmd_prob(args) -> int:
 def cmd_mc_tau(args) -> int:
     seed = _resolved_seed(args)
     summary = mc_tau(args.k, args.h, trials=args.trials, seed=seed, workers=args.workers)
-    cfg = {
-        "command": args.command,
-        "k": args.k,
-        "h": args.h,
-        "trials": args.trials,
-        "seed": seed,
-    }
+    cfg = _config(args, ("k", "h", "trials"))
+    cfg["seed"] = seed
     if args.csv:
         comments = [
             f"{TOOL_NAME} {__version__}",
@@ -266,15 +230,7 @@ def cmd_mc_tau(args) -> int:
 def cmd_fixed_point(args) -> int:
     res = fixed_point_q(lower=args.lower, upper=args.upper, tolerance=args.tol)
     cfg = _config(args, ("lower", "upper", "tol"))
-    result = {
-        "q": res.q,
-        "residual": res.residual,
-        "lower": res.lower,
-        "upper": res.upper,
-        "iterations": res.iterations,
-        "tolerance": res.tolerance,
-    }
-    _write_text(args.output, dumps_json(envelope("fixed-point", cfg, None, result)))
+    _write_text(args.output, dumps_json(envelope("fixed-point", cfg, None, _fields(res))))
     return 0
 
 
@@ -356,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--init", help="opinion file; omitted = uniform random")
     add_seed(p)
-    p.add_argument("--kind", choices=STABILITY_KINDS, required=True)
+    p.add_argument("--kind", choices=TARGETS, required=True)
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--t", type=int)
     p.add_argument("--budget", type=int, default=EXTENSION_BUDGET)

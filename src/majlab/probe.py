@@ -73,7 +73,8 @@ TARGETS = ("weak", "strong", "le_t", "one_close")
 
 @dataclass(frozen=True)
 class ProbEstimate:
-    """A probability value; exact ones are dyadic, MC ones carry a 3-sigma CI."""
+    """A probability value; exact ones are dyadic, MC ones carry a 3-sigma CI.
+    The fields, bar ``seed``, are the ``prob`` artifact's ``result`` keys."""
 
     target: str
     k: int
@@ -92,6 +93,8 @@ class ProbEstimate:
 
 @dataclass(frozen=True)
 class FixedPointResult:
+    """Bisection outcome; the fields are the ``fixed-point`` ``result`` keys."""
+
     q: float
     residual: float
     lower: float

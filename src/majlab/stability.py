@@ -64,7 +64,8 @@ class StabilityVerdict:
 
     ``certificate`` is an extension vector: a witness when an existential
     query succeeds, a counterexample when a universal one fails, and
-    ``None`` otherwise.  ``checked`` counts the extensions examined.
+    ``None`` otherwise.  ``checked`` counts the extensions examined.  The
+    fields are the ``stability`` artifact's ``result`` keys, then ``init``.
     """
 
     kind: str

@@ -36,8 +36,6 @@ from .errors import (
 from .trees import (
     RootedTree,
     VertexClass,
-    _bfs_tree,
-    _child_csr,
     classify_all,
     pendant_neighbour_counts,
 )
@@ -234,16 +232,18 @@ def worst_case_witness(tree: RootedTree, path: list[int]) -> OpinionVector:
     so the lone positive parent edge decides, one step too late.
     """
     _validate_candidate_path(tree, path)
-    # rooted at the path's end; no reroot, which also recomputes heights
-    end = path[-1]
-    parent, order, _ = _bfs_tree(tree.n, tree.adj_flat, tree.adj_offsets, end)
-    child_flat, child_offsets = _child_csr(tree.n, parent, end)
+    # rooted at the path's end: only the end-to-root chain changes parents
+    parent = tree.parent.tolist()
+    chain = [path[-1]]
+    while parent[chain[-1]] >= 0:
+        chain.append(parent[chain[-1]])
+    for below, v in zip([-1, *chain], chain):
+        parent[v] = below
 
     def children(v: int) -> list[int]:
-        return child_flat[child_offsets[v] : child_offsets[v + 1]].tolist()
+        return [u for u in tree.neighbours(v).tolist() if u != parent[v]]
 
     pendant = tree.pendant.tolist()
-    parent = parent.tolist()
     # 0 marks a vertex that takes the opinion its parent hands down
     signs = [0] * tree.n
     for v in path:
@@ -269,7 +269,7 @@ def worst_case_witness(tree: RootedTree, path: list[int]) -> OpinionVector:
             raise InvariantViolationError(
                 f"path vertex {v} got {negatives} negative subtrees, needs {need}"
             )
-    for v in order.tolist():
+    for v in chain + tree.order.tolist():  # every parent before its children
         if not signs[v]:
             p = parent[v]
             signs[v] = -1 if parent[p] == first else signs[p]

@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, payloads, reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -276,3 +277,99 @@ def test_usage_errors_exit_two(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert f"majlab {majlab.__version__}" in capsys.readouterr().out
+
+
+# -- golden artifact pins -----------------------------------------------------
+# sha256 of each artifact's text without its ``generated_at`` line: a change
+# to any key, its order or its value shows here, not only between re-runs.
+
+GOLDEN_HOST = ["--tree", "host.txt"]  # gen --k 2 --h 3, written in the cwd
+GOLDEN = {
+    "prob-weak-exact": (
+        ["prob", "--target", "weak", "--height", "2", "--t", "0", "--method", "exact"],
+        "7d628df7c11f684e915e7911ab4e8a3fa46e13920fc3047fdd64f9e9d28266b9",
+    ),
+    "prob-strong-mc": (
+        ["prob", "--target", "strong", "--height", "3", "--t", "2", "--method", "mc",
+         "--trials", "500", "--seed", "3"],
+        "79b769fa3197347530a7027901de987120557b0d90326b1a25a51189907ba6c8",
+    ),
+    "prob-le_t-plus": (
+        ["prob", "--target", "le_t", "--height", "2", "--t", "2", "--xi", "+"],
+        "8933729a8b14bb1f8b82c9d9a03c01729c90e7ff64b69fc8e6efb2e36e419034",
+    ),
+    "prob-le_t-k4-minus-mc": (
+        ["prob", "--target", "le_t", "--k", "4", "--height", "3", "--t", "4",
+         "--method", "mc", "--xi", "-"],
+        "6f6c288b20e8b965383714739545fdb5ba1ed7c5ce4bc0c56b7b11587ce17008",
+    ),
+    "prob-one_close": (
+        ["prob", "--target", "one_close", "--height", "1"],
+        "762f5ce56fa4ef12705d369f3cf781bfff65761fdb8e02330e56bf8ddb56e740",
+    ),
+    "stability-weak": (
+        ["stability", *GOLDEN_HOST, "--kind", "weak", "--vertex", "1", "--t", "2",
+         "--seed", "4"],
+        "1fcc52445434db93ce50f1133bd3f8dd1795fc70171c89329b6085d16fb368e4",
+    ),
+    "stability-strong": (
+        ["stability", *GOLDEN_HOST, "--kind", "strong", "--vertex", "1", "--t", "1",
+         "--seed", "4"],
+        "e37b60b4bc1510591b50d4bf0049833465184725eb80f6703badc183a70e044c",
+    ),
+    "stability-le_t": (
+        ["stability", *GOLDEN_HOST, "--kind", "le_t", "--vertex", "2", "--t", "2",
+         "--seed", "5"],
+        "b36a2ce0447708f739c9058908d0e923753a9351f0fc31d31c1f46433c1b719c",
+    ),
+    "stability-one_close": (
+        ["stability", *GOLDEN_HOST, "--kind", "one_close", "--vertex", "1", "--seed", "4"],
+        "92d6e3791c14cc3bbb42825df432bd82380c0d0a01086585adcc0fed4001b3b0",
+    ),
+    "fixed-point": (
+        ["fixed-point"],
+        "b4fb22a845073fb430881006c4deeb010626868a44551f3e59bda3145454e6bb",
+    ),
+    "mc-tau-workers-1": (
+        ["mc-tau", "--k", "2", "--h", "5", "--trials", "70", "--seed", "2",
+         "--workers", "1"],
+        "9433763bd396dd442d1ffcb338f09074e4e598c31aed3a91c776c6193d8c66e4",
+    ),
+    "mc-tau-workers-3": (
+        ["mc-tau", "--k", "2", "--h", "5", "--trials", "70", "--seed", "2",
+         "--workers", "3"],
+        "9433763bd396dd442d1ffcb338f09074e4e598c31aed3a91c776c6193d8c66e4",
+    ),
+}
+
+
+def _pinned_digest(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    save_tree(build_perfect_tree(2, 3), tmp_path / "host.txt")
+    assert main([*argv, "-o", "out.json"]) == 0
+    lines = (tmp_path / "out.json").read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if not line.lstrip().startswith('"generated_at"')]
+    assert len(kept) == len(lines) - 1
+    return hashlib.sha256("".join(kept).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifact_matches_its_golden_digest(name, tmp_path, monkeypatch):
+    argv, digest = GOLDEN[name]
+    assert _pinned_digest(argv, tmp_path, monkeypatch) == digest
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["prob", "--target", "weak", "--height", "2", "--t", "0", "--xi", "+"],
+         "ERROR: --xi applies only to --target le_t\n"),
+        (["prob", "--target", "le_t", "--height", "2", "--t", "3"],
+         "BAD_TIME: (<=t) estimates support even t >= 2 only, got 3\n"),
+    ],
+    ids=["xi-without-le_t", "le_t-odd-t"],
+)
+def test_prob_error_paths_are_pinned(argv, line, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", line)

@@ -110,3 +110,34 @@ def test_claims_steps_trajectories_through_one_seam():
     assert not [scope for name, scope in calls if name == "is_weakly_t_stable"]
     callers = [scope for name, scope in calls if name == "stabilise"]
     assert callers == ["_stabilise_each"], f"stabilise called from {callers}"
+
+
+def _imported_names(module: str) -> set[str]:
+    path = Path(majlab.__file__).parent / module
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_cli_writes_result_types_without_restating_them():
+    # prob, stability and fixed-point write their result type's fields, so
+    # no key that only a result type defines is spelled out in the CLI
+    path = Path(majlab.__file__).parent / "cli.py"
+    strings = {
+        node.value
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    fields = {"ci_halfwidth", "denominator", "unresolved", "residual",
+              "iterations", "tolerance", "checked", "certificate"}
+    assert not strings & fields
+    # and prob reaches the probe through one call path
+    assert not _imported_names("cli.py") & {"estimate_probability", "le_t_positive_check"}
+
+
+def test_witness_reuses_the_tree_rooting():
+    # the witness walks the tree's own parent chain, not a second BFS
+    assert not _imported_names("worstcase.py") & {"_bfs_tree", "_child_csr"}

@@ -10,6 +10,8 @@ from majlab.trees import (
     RootedTree,
     VertexClass,
     build_perfect_tree,
+    _bfs_tree,
+    _child_csr,
     classify_all,
     reroot,
 )
@@ -216,6 +218,59 @@ def test_witness_matches_the_per_subtree_recipe(random_suite, exhaustive_suite, 
     tree, path, want = cases[-1]
     assert sorted(path) == list(range(1, 50))
     assert stabilise(tree, want).tau == worst_case_tau(tree).tau == 50
+
+
+def bfs_rooted_witness(tree, path):
+    """The witness recipe on a second rooting at the path's end, from its
+    own BFS and child CSR: the oracle for the walk up the tree's parents."""
+    first, end = path[0], path[-1]
+    parent, order, _ = _bfs_tree(tree.n, tree.adj_flat, tree.adj_offsets, end)
+    child_flat, child_offsets = _child_csr(tree.n, parent, end)
+
+    def children(v):
+        return child_flat[child_offsets[v] : child_offsets[v + 1]].tolist()
+
+    parent = parent.tolist()
+    signs = [0] * tree.n
+    for v in path:
+        signs[v] = 1
+    for c in children(first):
+        signs[c] = 1
+    for v in path[1:]:
+        negatives = 0
+        for c in children(v):
+            if signs[c]:
+                continue
+            if tree.pendant[c]:
+                signs[c] = 1
+                continue
+            signs[c] = -1 if negatives < (tree.degree[v] - 1) // 2 else 1
+            negatives += signs[c] == -1
+    for v in order.tolist():
+        if not signs[v]:
+            p = parent[v]
+            signs[v] = -1 if parent[p] == first else signs[p]
+    return OpinionVector.from_signs(signs)
+
+
+def test_witness_matches_a_bfs_rooted_oracle(random_suite):
+    rng = np.random.default_rng(20261018)
+    trees = [build_perfect_tree(2, h) for h in range(2, 8)] + [build_perfect_tree(4, 4)]
+    for _ in range(300):
+        tree = random_odd_tree(random_even_size(6, 120, rng), rng)
+        trees.append(reroot(tree, int(rng.integers(tree.n))))
+    long_chains = 0
+    for tree in trees:
+        path = list(worst_case_tau(tree).argmax.vertices)
+        assert worst_case_witness(tree, path) == bfs_rooted_witness(tree, path)
+        long_chains += int(tree.depth[path[-1]]) >= 5
+    assert long_chains >= 50
+    # every candidate path of the small rerooted hosts, not only the argmax
+    for tree in random_suite[:40]:
+        tree = reroot(tree, tree.n - 1)
+        for path, _ in candidate_paths(tree):
+            path = list(path)
+            assert worst_case_witness(tree, path) == bfs_rooted_witness(tree, path)
 
 
 def test_rejects_tiny_hosts():
