@@ -21,7 +21,14 @@ from majlab.probe import (
     mc_tau,
     trial_seed,
 )
-from majlab.bitsliced import pack_bit_rows
+from majlab.bitsliced import BatchRun, pack_bit_rows, tt_column
+from majlab.stability import (
+    EXTENSION_BUDGET,
+    _PinnedSubtree,
+    _changed_by,
+    _strong_ok_bits,
+    _weak_ok_bits,
+)
 from majlab.trees import RootedTree, build_perfect_tree
 
 
@@ -95,6 +102,73 @@ def test_mc_pattern_columns_are_the_byte_matrix_draw(m, trials):
         assert width == trials
         assert [cols[u] for u in ids] == want
         assert not any(cols[: host.n - m])
+
+
+def host_wide_count(target, height, t, k, trials, seed):
+    """(count, denominator) of a probe without light cones: every variable
+    drawn as the byte matrix (``trials=None`` enumerates them all), weak's
+    time-t state stepped on the whole host, (<= t) on the whole subtree."""
+    host, v = build_perfect_tree(k, height + 1), 1
+    inside = np.flatnonzero(host.subtree_mask(v)).tolist()
+    ids = range(host.n) if target == "weak" and t > 0 else inside
+    m = len(ids)
+    if trials is None:
+        draws, width = [tt_column(i, m) for i in range(m)], 1 << m
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        draws = pack_bit_rows(rng.integers(0, 2, size=(m, trials), dtype=np.uint8))
+        width = trials
+    cols = [0] * host.n
+    for u, col in zip(ids, draws):
+        cols[u] = col
+    mask = (1 << width) - 1
+    sub = _PinnedSubtree(host, v)
+    if target == "weak":
+        run = BatchRun(host, cols, mask)
+        while run.t < t and run.undecided:
+            run.advance()
+        if (run.t ^ t) & 1:
+            run.advance()
+        ok = _weak_ok_bits(sub, run.cols, mask)
+    elif target == "strong":
+        ok = _strong_ok_bits(host, cols, mask, v, t, EXTENSION_BUDGET)[0]
+    else:
+        ok = mask
+        for fill in (0, mask):
+            ok &= ~_changed_by(sub.run(cols, mask, fill), 0, t)
+    return ok.bit_count(), width
+
+
+@pytest.mark.parametrize(
+    "target,k,ts",
+    [
+        ("weak", 2, lambda h: range(h + 3)),
+        ("strong", 2, lambda h: range(4)),
+        ("le_t", 2, lambda h: range(2, h + 3, 2)),
+        ("le_t", 4, lambda h: range(2, h + 3, 2)),
+    ],
+    ids=["weak", "strong", "le_t-k2", "le_t-k4"],
+)
+def test_cone_runs_count_as_the_host_wide_runs(target, k, ts):
+    # t reaches past the height, where the cone is the whole host (weak) or
+    # the whole subtree (le_t); exact wherever the host-wide enumeration fits
+    budget = 1 << 22
+    for height in range(5 if k == 2 else 3):
+        n = build_perfect_tree(k, height + 1).n
+        inside = (n - 1) // (k + 1)
+        for t in ts(height):
+            for trials, seed in ((1, 0), (13, 1), (1001, 3)):
+                want = host_wide_count(target, height, t, k, trials, seed)
+                est = estimate_probability(
+                    target, height, t, k=k, method="mc", trials=trials, seed=seed
+                )
+                assert (est.count, est.trials) == want, (height, t, trials)
+            variables = n if target == "weak" and t else inside
+            if 1 << variables > budget or target == "strong" and 1 << n - inside > budget:
+                continue
+            est = estimate_probability(target, height, t, k=k, method="exact", budget=budget)
+            want = host_wide_count(target, height, t, k, None, None)
+            assert (est.count, est.denominator) == want, (height, t)
 
 
 def test_mc_strong_reports_unresolved_patterns():
