@@ -30,6 +30,20 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` at any size.  Exact probabilities count over 2^m
+    patterns, and at m past about 14,000 the denominator exceeds the
+    interpreter's default limit of 4,300 digits for ``str``."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    digits = n.bit_length() * 3 // 10  # at most the digits of n
+    if digits < 4000:
+        return str(n)
+    half = digits // 2
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 def _emit(obj, indent: int, out: list[str]) -> None:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -42,7 +56,7 @@ def _emit(obj, indent: int, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, int):
-        out.append(str(obj))
+        out.append(_decimal(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):

@@ -6,14 +6,25 @@ subtree is a perfect k-ary tree of exactly that height.  Opinions on
 the subtree are the random input; the universal predicates (strong,
 (<= t), 1-close) do not depend on anything else, while weak stability
 at t >= 1 additionally depends on the rest of the host and is averaged
-over it.
+over it: m opinion variables in all.
 
-Exact values enumerate the relevant opinions with the bit-sliced batch
-engine and return dyadic fractions; Monte Carlo estimates pack sampled
-opinions into the same batches.  Every sampled bit comes from one
-generator seeded with ``SeedSequence(seed)``, vertex row by vertex row,
-and is read as the top bit of one byte of its uint64 stream, eight rows
-at a time, so no vertices x trials byte matrix is held.
+Each verdict reads only a light cone of the variables: weak stability
+at t >= 1 the subtree and the vertices within t - 1 of the root (its
+time-t state is all it reads, and nothing farther reaches the subtree
+by time t), (<= t)-stability the subtree's top t + 1 levels, the others
+the whole subtree.  Only the cone is drawn, packed, stepped and
+enumerated, its boundary pinned (see ``stability._PinnedSubtree``), so
+every verdict is exact.  Exact values enumerate the cone's opinions
+with the bit-sliced batch engine and count each verdict for all
+2^(m - cone) assignments of the other variables, returning dyadic
+fractions over 2^m; ``auto`` is exact when 2^cone fits the budget.
+Monte Carlo estimates pack sampled opinions into the same batches.
+Every sampled bit comes from one generator seeded with
+``SeedSequence(seed)``, variable row by variable row, and is read as the
+top bit of one byte of its uint64 stream, eight rows at a time, so no
+variables x trials byte matrix is held; blocks of rows outside the cone
+advance the stream without drawing it, and the draw stops after the
+cone's last row, so every estimate is that of the whole draw.
 
 Universal predicates are evaluated through the two extreme extensions
 (see ``stability``), which decide (<= t)-stability outright and strong
@@ -31,13 +42,12 @@ the uint64 word engine.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
+from itertools import groupby
 
 import numpy as np
 
-from .bitsliced import LANES, BatchRun, PackedHost, pack_bit_rows, tt_column
+from .bitsliced import LANES, PackedHost, pack_bit_rows, tt_column
 from .dynamics import _opinion_bytes
 from .errors import (
     BadHostError,
@@ -148,37 +158,35 @@ def _sampler(method: str, trials: int, seed: int) -> np.random.Generator | None:
 
 
 def _pattern_cols(
-    host: RootedTree,
-    ids: range | list[int],
-    trials: int,
-    rng: np.random.Generator | None,
+    m: int, rows: range | list[int], trials: int, rng: np.random.Generator | None
 ) -> tuple[list[int], int]:
-    """One column per host vertex, and the batch width.  The vertices in
-    ``ids`` carry the opinion variables (every assignment once without
-    ``rng``, ``trials`` uniform draws with it); the others hold 0.
+    """The columns of the opinion variables at positions ``rows`` (rising)
+    among m, and the batch width: every assignment of those variables once
+    without ``rng``, ``trials`` uniform draws of all m with it.
 
     The draws are those of ``rng.integers(0, 2, size=(m, trials),
     dtype=np.uint8)``, row by row, without its m x trials byte matrix:
     each of its bits is the top bit of one byte of the generator's uint64
     stream, bytes read little-endian, so eight rows at a time come from
-    ``trials`` stream words.
+    ``trials`` stream words.  A block of eight rows that holds none of
+    ``rows`` skips its words unread, a block that holds some is drawn
+    whole and only those rows are packed, and the draw stops after the
+    last block of ``rows``.
     """
-    m = len(ids)
     if rng is None:
-        draws, width = [tt_column(i, m) for i in range(m)], 1 << m
-    else:
-        draws = []
-        for first in range(0, m, 8):
-            rows = min(8, m - first)
-            size = -(-rows * trials // 8)
-            words = rng.integers(0, 2**64, size=size, dtype=np.uint64)
-            stream = words.astype("<u8", copy=False).view(np.uint8)
-            draws += pack_bit_rows((stream[: rows * trials] >> 7).reshape(rows, trials))
-        width = trials
-    cols = [0] * host.n
-    for u, col in zip(ids, draws):
-        cols[u] = col
-    return cols, width
+        return [tt_column(i, len(rows)) for i in range(len(rows))], 1 << len(rows)
+    draws, drawn = [], 0  # blocks of the stream passed so far
+    for block, group in groupby(rows, lambda r: r >> 3):
+        # every skipped block has eight rows: it ends before the last one
+        rng.bit_generator.advance((block - drawn) * trials)
+        first = 8 * block
+        size = min(8, m - first)
+        words = rng.integers(0, 2**64, size=-(-size * trials // 8), dtype=np.uint64)
+        stream = words.astype("<u8", copy=False).view(np.uint8)
+        bits = (stream[: size * trials] >> 7).reshape(size, trials)
+        draws += pack_bit_rows([bits[r - first] for r in group])
+        drawn = block + 1
+    return draws, trials
 
 
 def _estimate(
@@ -257,49 +265,75 @@ def _probability(
     host, v = build_perfect_tree(k, height + 1), 1
     if target == "one_close" and host.is_leaf(v):
         raise BadVertexError("1-close stability needs a non-leaf subject")
-    inside = np.flatnonzero(host.subtree_mask(v)).tolist()
-    outside = host.n - len(inside)
+    # the root's k + 1 subtrees are alike, and the subject's is one of them
+    m = (host.n - 1) // (k + 1)
+    outside = host.n - m
     if target == "one_close" and 1 << outside > budget:
         raise BudgetExceededError(
             f"1-closeness enumerates all 2^{outside} outside extensions of each "
             f"pattern, over budget {budget}; Monte Carlo needs the same budget "
             "as exact evaluation"
         )
-    # weak stability after time 0 depends on the whole host
-    ids = range(host.n) if target == "weak" and t > 0 else inside
-    feasible = 1 << len(ids) <= budget
+    # the light cone: the m variables' vertices that the verdict reads, and
+    # their rows among the variables
+    if target == "weak" and t > 0:
+        # the time-t state of the subtree reads the host within t of it
+        sub = _PinnedSubtree(host, v, reach=t - 1)
+        m, cone = host.n, sorted(sub.ids + sub.outside)
+        rows = cone
+    else:
+        sub = _PinnedSubtree(host, v, depth=t if target == "le_t" else None)
+        cone, rows = sub.ids, range(len(sub.ids))
+    feasible = 1 << len(cone) <= budget
     if target == "strong":
         feasible = feasible and 1 << outside <= budget
     if method == "auto":
         method = "exact" if feasible else "mc"
     if method == "exact" and not feasible:
         raise BudgetExceededError(
-            f"exact evaluation needs 2^{len(ids)} patterns, over budget {budget}"
+            f"exact evaluation needs 2^{len(cone)} patterns, over budget {budget}"
         )
     meta = {"target": target, "k": k, "height": height, "t": t}
     rng = _sampler(method, trials, seed)
     if target == "one_close":
-        count, width = _one_close_count(host, v, inside, trials, rng, budget)
+        count, width = _one_close_count(host, v, sub.ids, trials, rng, budget)
         return _estimate(count, width, method, seed, **meta)
-    cols, width = _pattern_cols(host, ids, trials, rng)
+    draws, width = _pattern_cols(m, rows, trials, rng)
+    cols = [0] * host.n
+    for u, col in zip(cone, draws):
+        cols[u] = col
+    del draws  # weak at t >= 1 replaces the subtree's columns: free them then
     mask = (1 << width) - 1
     if target == "weak":
-        run = BatchRun(host, cols, mask)
-        while run.t < t and run.undecided:
-            run.advance()
-        if (run.t ^ t) & 1:
-            run.advance()
-        ok = _weak_ok_bits(_PinnedSubtree(host, v), run.cols, mask)
+        if t:
+            _step_subtree(sub, cols, mask, t)
+        ok = _weak_ok_bits(sub, cols, mask)
     elif target == "strong":
         ok, pending = _strong_ok_bits(host, cols, mask, v, t, budget)
         if rng is not None:
             meta["unresolved"] = pending.bit_count()
     else:
-        ok = _le_t_ok_bits(host, cols, mask, v, t)
+        ok = _le_t_ok_bits(sub, cols, mask, t)
         if xi is not None:
             ok &= cols[v] if xi > 0 else mask ^ cols[v]
             meta["xi"] = xi
-    return _estimate(ok.bit_count(), width, method, seed, **meta)
+    count = ok.bit_count()
+    if rng is None:
+        # each verdict stands for every assignment of the variables outside the cone
+        count, width = count << m - len(cone), 1 << m
+    return _estimate(count, width, method, seed, **meta)
+
+
+def _step_subtree(sub: _PinnedSubtree, cols: list[int], mask: int, t: int) -> None:
+    """Set the subtree entries of ``cols`` to their time-t state, stepped
+    on the light cone ``sub`` of reach t - 1."""
+    run = sub.run(cols, mask)
+    while run.t < t and run.undecided:
+        run.advance()
+    if (run.t ^ t) & 1:
+        run.advance()
+    for u, col in zip(sub.ids, run.cols):
+        cols[u] = col
 
 
 def _one_close_count(
@@ -451,6 +485,10 @@ def mc_tau(
     if processes == 1:
         taus = _batch_taus(packed, seed, 0, trials)
     else:
+        # imported here: the pool modules cost every CLI process's start-up
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         # forked workers inherit the packed host instead of rebuilding it
         with ProcessPoolExecutor(
             max_workers=processes,

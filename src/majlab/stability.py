@@ -29,8 +29,11 @@ enumerating deciders here and for the estimates in ``probe``; a scalar
 query is a batch of width one.  Its extreme and canonical runs fill the
 whole outside with one constant per trajectory, which then never
 changes, so they step only the subtree and the vertex's pinned parent
-(``_PinnedSubtree``).  Only weak stability's time-t state steps the
-whole host, on the int8 engine of ``dynamics``.
+(``_PinnedSubtree``); the (<= t) runs step only the subtree's top t
+levels, the rest pinned, since nothing deeper reaches the vertex by
+time t.  Only ``is_weakly_t_stable`` steps its time-t state on the
+whole host, on the int8 engine of ``dynamics``; the probes of ``probe``
+step it on the light cone.
 """
 
 from __future__ import annotations
@@ -228,35 +231,59 @@ def _enumerated_flips(
 
 
 class _PinnedSubtree:
-    """The subtree of ``v`` plus v's parent p, for runs whose outside
-    starts at one constant per trajectory (the extreme and canonical
-    extensions).
+    """The subtree of ``v`` (``ids``, in BFS order; v is vertex 0 of the
+    runs) plus the vertices outside it within ``reach`` of v's parent p
+    (``outside``, p first; none for a root subject).  Every vertex with
+    neighbours beyond these is pinned: its neighbour list is itself, so
+    it holds its start where the host would move it, and the difference
+    travels one edge a step.
 
-    Every outside vertex other than p has only outside neighbours, and a
-    p of degree d >= 3 has d - 1 >= (d + 1) / 2 of them, so the whole
-    outside keeps its fill at every time: the run is exactly the subtree
-    plus a pinned p, whose neighbour list is p itself.  A p of degree 1
-    has v as its only neighbour and copies it; a root subject has no p.
-    Runs keep the whole host's abort bound.  Built once per predicate
-    call from the BFS order of the subtree; v is vertex 0 of the runs.
+    A run whose outside starts at one constant per trajectory (the
+    extreme and canonical extensions) is exact at every time: every
+    outside vertex other than p has only outside neighbours, and a p of
+    degree d >= 3 has d - 1 >= (d + 1) / 2 of them, so the whole outside
+    keeps its fill.  A p of degree 1 has v as its only neighbour and
+    copies it.  ``depth`` cuts the subtree that far below v (see
+    ``_subtree_bfs``), and such a run stays exact at v up to time
+    ``depth``: the light cone of (<= t)-stability at t = depth.
+
+    A run from the host's own start everywhere is exact on the subtree up
+    to time ``reach`` + 1: the light cone of the time-t state that weak
+    t-stability reads, at t = reach + 1.  Runs keep the whole host's
+    abort bound.
     """
 
-    def __init__(self, tree: RootedTree, v: int):
-        ids, adj = _subtree_bfs(tree, v)
+    def __init__(
+        self, tree: RootedTree, v: int, depth: int | None = None, reach: int = 0
+    ):
+        ids, adj = _subtree_bfs(tree, v, depth)
         p = int(tree.parent[v])
-        self.pinned = p >= 0
-        if self.pinned:
+        # (vertex, the neighbour it is reached from, that one's position,
+        # distance from p), in BFS order from p away from v
+        ball = [(p, v, 0, 0)] if p >= 0 else []
+        if ball:
             adj[0].append(len(ids))
-            adj.append([len(ids)] if tree.degree[p] > 1 else [0])
-        self.ids, self.adj = ids, adj
+        for j, (w, prev, back, d) in enumerate(ball):  # grows while read
+            here = len(ids) + j
+            beyond = [u for u in tree.neighbours(w).tolist() if u != prev]
+            if d == reach:
+                adj.append([here] if beyond else [back])
+                continue
+            first = len(ids) + len(ball)
+            adj.append([back, *range(first, first + len(beyond))])
+            ball += [(u, w, here, d + 1) for u in beyond]
+        self.ids, self.outside, self.adj = ids, [w for w, *_ in ball], adj
         self.limit = step_budget(tree) + 2
 
-    def run(self, cols: list[int], mask: int, fill: int) -> BatchRun:
-        """``cols`` (one per host vertex) on the subtree, ``fill`` outside."""
-        sub = [cols[u] for u in self.ids]
-        if self.pinned:
-            sub.append(fill)
-        return BatchRun.over(self.adj, sub, mask, self.limit)
+    def run(self, cols: list[int], mask: int, fill: int | None = None) -> BatchRun:
+        """``cols`` (one per host vertex) on the subtree, and outside it
+        ``fill``, or their own entries when no fill is given."""
+        start = [cols[u] for u in self.ids]
+        if fill is None:
+            start += [cols[u] for u in self.outside]
+        else:
+            start += [fill] * len(self.outside)
+        return BatchRun.over(self.adj, start, mask, self.limit)
 
     def extension(self, signs: np.ndarray, fill: int) -> OpinionVector:
         """``signs`` on the subtree, ``fill`` outside: the extension that a
@@ -336,16 +363,14 @@ def _strong_ok_bits(
     return ok, 0
 
 
-def _le_t_ok_bits(
-    tree: RootedTree, cols: list[int], mask: int, v: int, t: int
-) -> int:
-    """Bits whose pattern is (<= t)-stable at ``v``, for even t.
+def _le_t_ok_bits(sub: _PinnedSubtree, cols: list[int], mask: int, t: int) -> int:
+    """Bits whose pattern is (<= t)-stable at the subject of ``sub``, for
+    even t; ``sub`` may be cut at depth t, its light cone.
 
-    Only the subtree entries of ``cols`` are read.  The time-0 opinion of
-    ``v`` is shared by all extensions, so constancy under both extreme
-    extensions pins every other one.
+    Only the ``sub.ids`` entries of ``cols`` are read.  The time-0 opinion
+    of the subject is shared by all extensions, so constancy under both
+    extreme extensions pins every other one.
     """
-    sub = _PinnedSubtree(tree, v)
     verdict = mask
     for fill in (0, mask):
         verdict &= ~_changed_by(sub.run(cols, mask, fill), 0, t)
@@ -476,4 +501,5 @@ def le_t_stable_extreme_runs(
     if t < 2 or t & 1:
         raise BadTimeError(f"extreme-run (<=t)-stability needs even t >= 2, got {t}")
     _check_length(tree, xi0)
-    return _le_t_ok_bits(tree, _columns(xi0.to_signs()), 1, v, t) == 1
+    sub = _PinnedSubtree(tree, v, depth=t)
+    return _le_t_ok_bits(sub, _columns(xi0.to_signs()), 1, t) == 1

@@ -228,12 +228,28 @@ def _bfs_tree(n, adj_flat, adj_offsets, root):
     return tuple(np.array(xs, dtype=np.int32) for xs in (parent, order, depth))
 
 
-def _subtree_bfs(tree: RootedTree, v: int) -> tuple[list[int], list[list[int]]]:
+def _subtree_bfs(
+    tree: RootedTree, v: int, depth: int | None = None
+) -> tuple[list[int], list[list[int]]]:
     """The subtree of ``v`` in BFS order from v, and each entry's
-    neighbours inside it as positions in that order, parent first."""
+    neighbours inside it as positions in that order, parent first.
+
+    With ``depth`` (at least 1) the walk keeps the vertices at most that
+    far below v, and each kept vertex that has children left out lists
+    itself as its one neighbour: the cut pins it.
+    """
+    flat, offsets = tree.child_flat.tolist(), tree.child_offsets.tolist()
     ids, adj = [int(v)], [[]]
+    end, level = 1, 0  # the entries before end are at most level below v
     for i, u in enumerate(ids):  # the list grows while it is read
-        for c in tree.children(u).tolist():
+        if i == end:
+            end, level = len(ids), level + 1
+        kids = flat[offsets[u] : offsets[u + 1]]
+        if level == depth:
+            if kids:
+                adj[i] = [i]
+            continue
+        for c in kids:
             adj[i].append(len(ids))
             adj.append([i])
             ids.append(c)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ def test_format_float_is_shortest_round_trip():
 def test_dumps_json_lists_match_the_standard_writer(obj):
     # one join writes an all-int list; the bytes stay the item-by-item ones
     assert dumps_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_dumps_json_writes_ints_past_the_digit_limit():
+    # exact probabilities on tall subjects have denominators of 2^m, m > 14,000
+    values = [2**20000, 1 - 2**16383, 10**4299, 3**40000 + 1]
+    texts = [dumps_json({"d": n}) for n in values]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert texts == [f'{{\n  "d": {n}\n}}\n' for n in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_dumps_json_golden():

@@ -1,6 +1,11 @@
 """Probability estimation: frozen exact values, MC consistency, fixed point."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,20 +93,28 @@ def test_mc_agrees_with_exact_within_four_sigma():
 
 
 @pytest.mark.parametrize(
-    "m,trials", [(1, 1), (3, 5), (7, 13), (9, 64), (11, 1001), (511, 2000)]
+    "m,trials",
+    [(1, 1), (3, 5), (7, 13), (9, 64), (11, 1001), (200, 999), (511, 2000)],
 )
 def test_mc_pattern_columns_are_the_byte_matrix_draw(m, trials):
-    host = build_perfect_tree(2, 9)
-    ids = list(range(host.n - m, host.n))
+    # every row; whole eight-row blocks kept and skipped; rows scattered
+    # over partial blocks; a prefix, after which the draw stops; the last row
+    row_sets = (
+        range(m),
+        [r for r in range(m) if r // 8 % 3 == 1],
+        [r for r in range(m) if r % 19 in (0, 5, 6)],
+        range((m + 1) // 2),
+        [m - 1],
+    )
     for seed in (0, 20261018):
         # the one-byte-per-bit draw that the packed draw must reproduce
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         want = pack_bit_rows(rng.integers(0, 2, size=(m, trials), dtype=np.uint8))
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        cols, width = probe._pattern_cols(host, ids, trials, rng)
-        assert width == trials
-        assert [cols[u] for u in ids] == want
-        assert not any(cols[: host.n - m])
+        for rows in row_sets:
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            draws, width = probe._pattern_cols(m, rows, trials, rng)
+            assert width == trials
+            assert draws == [want[r] for r in rows], list(rows)
 
 
 def host_wide_count(target, height, t, k, trials, seed):
@@ -171,6 +184,34 @@ def test_cone_runs_count_as_the_host_wide_runs(target, k, ts):
             assert (est.count, est.denominator) == want, (height, t)
 
 
+@pytest.mark.parametrize(
+    "target,t,rows,vertices", [("weak", 3, 518, {518}), ("le_t", 4, 31, {32})]
+)
+def test_probes_pack_and_step_only_the_light_cone(monkeypatch, target, t, rows, vertices):
+    # weak at t = 3: the 511-vertex subtree, the root, its two other
+    # children and their four; le_t at t = 4: the subtree's top five
+    # levels, plus the pinned root
+    packed, runs = [], []
+    over = BatchRun.over.__func__
+
+    def pack(bits):
+        packed.extend(bits)
+        return pack_bit_rows(bits)
+
+    def refuse(*args):
+        raise AssertionError("a host-wide run")
+
+    monkeypatch.setattr(probe, "pack_bit_rows", pack)
+    monkeypatch.setattr(BatchRun, "__init__", refuse)
+    monkeypatch.setattr(
+        BatchRun, "over", classmethod(lambda cls, adj, *a: runs.append(len(adj)) or over(cls, adj, *a))
+    )
+    est = estimate_probability(target, 8, t, method="mc", trials=1000, seed=11)
+    assert est.trials == 1000
+    assert len(packed) == rows
+    assert set(runs) == vertices
+
+
 def test_mc_strong_reports_unresolved_patterns():
     # at height 2 every sampled pattern is decided (enumeration fits the budget)
     decided = estimate_probability("strong", 2, 2, method="mc", trials=1000, seed=3)
@@ -211,6 +252,14 @@ def test_auto_method_selection():
         estimate_probability("strong", 4, 0, trials=200, seed=1).method == "mc"
     )
     assert estimate_probability("weak", 4, 0, trials=200, seed=1).method == "mc"
+    # auto decides on the light cone: 2^8 patterns for weak at t = 1, and
+    # 2^7 for le_t at t = 2 at every height
+    weak = estimate_probability("weak", 2, 1)
+    assert (weak.method, weak.denominator) == ("exact", 1 << 22)
+    tall = estimate_probability("le_t", 13, 2)
+    assert (tall.method, tall.denominator) == ("exact", 1 << 16383)
+    assert tall.count == estimate_probability("le_t", 2, 2).count << 16383 - 7
+    assert estimate_probability("le_t", 4, 4, trials=200, seed=1).method == "mc"
 
 
 def test_estimate_validation_errors():
@@ -338,11 +387,23 @@ def test_mc_tau_forks_at_most_one_process_per_word(monkeypatch, trials, workers,
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(probe, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(probe, "_POOL_HOST", None)
     summary = mc_tau(2, 3, trials=trials, seed=5, workers=workers)
     assert pools == ([] if processes is None else [processes])
     assert summary.taus == mc_tau(2, 3, trials=trials, seed=5).taus
+
+
+def test_cli_import_leaves_out_the_pool_modules():
+    code = (
+        "import sys, majlab.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(probe.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_mc_tau_validation():

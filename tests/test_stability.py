@@ -342,6 +342,52 @@ def test_pinned_subtree_runs_match_full_host_runs(exhaustive_suite, random_suite
     assert pendant_parents >= len(hosts) // 2
 
 
+def test_light_cones_match_full_host_runs_up_to_their_horizon(exhaustive_suite, random_suite):
+    """With ``reach`` r the cone holds the outside vertices within r of
+    the parent, and a run from the host's own start is exact on the
+    subtree up to time r + 1.  Cut at ``depth`` d, a run with the outside
+    filled is exact at the subject up to time d."""
+    rng = np.random.default_rng(20261019)
+    width = 16
+    mask = (1 << width) - 1
+    for tree in [*exhaustive_suite, *random_suite[:60], build_perfect_tree(2, 4)]:
+        for v in range(tree.n):
+            cols = [int(x) for x in rng.integers(0, 1 << width, size=tree.n)]
+            fill = int(rng.integers(0, 1 << width))
+            p = int(tree.parent[v])
+            inside = set(subtree_ids(tree, v))
+            filled = [c if u in inside else fill for u, c in enumerate(cols)]
+            cases = []  # (full run, cone run, watched positions, horizon)
+            for reach in (0, 1, 2):
+                sub = _PinnedSubtree(tree, v, reach=reach)
+                near = [u for u in range(tree.n) if u not in inside and p >= 0
+                        and len(tree_path(tree, p, u)) <= reach + 1]
+                assert sorted(sub.outside) == near
+                assert sub.outside[:1] == ([p] if p >= 0 else [])
+                cases.append((BatchRun(tree, cols, mask), sub.run(cols, mask), sub.ids, reach + 1))
+            for depth in (1, 2, 3):
+                sub = _PinnedSubtree(tree, v, depth=depth)
+                cases.append((BatchRun(tree, filled, mask), sub.run(cols, mask, fill), [v], depth))
+            for full, run, watched, horizon in cases:
+                for _ in range(horizon):
+                    full.advance()
+                    run.advance()
+                    assert run.cols[: len(watched)] == [full.cols[u] for u in watched], v
+
+
+def tree_path(tree, a, b):
+    """The vertices of the path from a to b."""
+    up = []
+    while a not in up and a >= 0:
+        up.append(a)
+        a = int(tree.parent[a])
+    down = []
+    while b not in up:
+        down.append(b)
+        b = int(tree.parent[b])
+    return up[: up.index(b) + 1] + down[::-1]
+
+
 # -- the int8 single-trajectory predicates that the batched layer replaced ---
 
 

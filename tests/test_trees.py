@@ -23,6 +23,7 @@ from majlab.trees import (
     pendant_neighbour_counts,
     reroot,
     save_tree,
+    _subtree_bfs,
     tree_from_text,
     tree_to_text,
 )
@@ -276,6 +277,28 @@ def test_subtree_mask_partitions():
         assert (mask == expect).all()
         if tree.is_leaf(v):
             assert mask.sum() == 1
+
+
+def test_subtree_walk_is_the_literal_walk_and_its_cut_a_prefix(random_suite):
+    trees = [*random_suite[:60], build_perfect_tree(2, 4), build_perfect_tree(4, 3)]
+    for tree in trees:
+        for v in range(tree.n):
+            # BFS over children(); neighbours as positions, parent first
+            ids, adj, level = [v], [[]], [0]
+            for i, u in enumerate(ids):
+                for c in tree.children(u).tolist():
+                    adj[i].append(len(ids))
+                    adj.append([i])
+                    ids.append(c)
+                    level.append(level[i] + 1)
+            assert _subtree_bfs(tree, v) == (ids, adj)
+            for depth in (1, 2, 3):
+                kept = sum(d <= depth for d in level)
+                pinned = [
+                    [i] if level[i] == depth and not tree.is_leaf(ids[i]) else adj[i]
+                    for i in range(kept)
+                ]
+                assert _subtree_bfs(tree, v, depth) == (ids[:kept], pinned)
 
 
 def bfs_distances(tree, src):
