@@ -160,7 +160,7 @@ def _sampler(method: str, trials: int, seed: int) -> np.random.Generator | None:
 def _pattern_cols(
     m: int, rows: range | list[int], trials: int, rng: np.random.Generator | None
 ) -> tuple[list[int], int]:
-    """The columns of the opinion variables at positions ``rows`` (rising)
+    """The columns of the opinion variables at positions ``rows`` (ascending)
     among m, and the batch width: every assignment of those variables once
     without ``rng``, ``trials`` uniform draws of all m with it.
 

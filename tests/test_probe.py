@@ -201,11 +201,13 @@ def test_probes_pack_and_step_only_the_light_cone(monkeypatch, target, t, rows, 
     def refuse(*args):
         raise AssertionError("a host-wide run")
 
+    def counted_over(cls, adj, *args):
+        runs.append(len(adj))
+        return over(cls, adj, *args)
+
     monkeypatch.setattr(probe, "pack_bit_rows", pack)
     monkeypatch.setattr(BatchRun, "__init__", refuse)
-    monkeypatch.setattr(
-        BatchRun, "over", classmethod(lambda cls, adj, *a: runs.append(len(adj)) or over(cls, adj, *a))
-    )
+    monkeypatch.setattr(BatchRun, "over", classmethod(counted_over))
     est = estimate_probability(target, 8, t, method="mc", trials=1000, seed=11)
     assert est.trials == 1000
     assert len(packed) == rows
