@@ -53,6 +53,11 @@ _NEG = -(1 << 30)  # effectively -inf for the integer DP
 
 BRUTE_FORCE_BUDGET = 1 << 24
 
+# brute_force_tau runs the 2^(n-1) vectors in blocks of 2^16: a column is
+# then an 8 KiB integer, so its memory does not grow with n or depend on
+# the tree's shape.
+_BRUTE_FORCE_BLOCK_BITS = 16
+
 
 @dataclass(frozen=True)
 class CandidatePath:
@@ -291,9 +296,16 @@ def brute_force_tau(
             f"2^{tree.n} assignments exceed the enumeration budget {budget}"
         )
     m = tree.n - 1
-    width = 1 << m
-    mask = (1 << width) - 1
-    cols = [mask] + [tt_column(v - 1, m) for v in range(1, tree.n)]
-    tau, index = batch_max_tau(tree, cols, mask)
+    low = min(m, _BRUTE_FORCE_BLOCK_BITS)
+    mask = (1 << (1 << low)) - 1
+    low_cols = [tt_column(i, low) for i in range(low)]
+    tau, index = -1, 0
+    # Block b holds the indices b * 2^low + j: the low variables are the
+    # truth-table columns, each high variable is constant across the block.
+    for block in range(1 << (m - low)):
+        high_cols = [mask if block >> i & 1 else 0 for i in range(m - low)]
+        block_tau, j = batch_max_tau(tree, [mask, *low_cols, *high_cols], mask)
+        if block_tau > tau:
+            tau, index = block_tau, block << low | j
     # vertex 0 is +1; vertex v >= 1 is +1 exactly where bit v - 1 of index is set
     return tau, OpinionVector.from_signs([1] + [index >> i & 1 for i in range(m)])

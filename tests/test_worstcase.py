@@ -77,6 +77,13 @@ def test_perfect_tree_closed_form(k, h, expected):
     assert report.tau == expected == 2 * h - 3
 
 
+def test_brute_force_blocks_agree_with_one_block(small_suite, monkeypatch):
+    trees = [tree for tree in small_suite if tree.n >= 6]
+    whole = [brute_force_tau(tree) for tree in trees]
+    monkeypatch.setattr("majlab.worstcase._BRUTE_FORCE_BLOCK_BITS", 2)
+    assert [brute_force_tau(tree) for tree in trees] == whole
+
+
 def test_known_small_hosts():
     assert worst_case_tau(STAR6).tau == 1
     assert brute_force_tau(STAR6)[0] == 1
