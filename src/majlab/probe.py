@@ -14,7 +14,8 @@ time-t state is all it reads, and nothing farther reaches the subtree
 by time t), (<= t)-stability the subtree's top t + 1 levels, the others
 the whole subtree.  Only the cone is drawn, packed, stepped and
 enumerated, its boundary pinned (see ``stability._PinnedSubtree``), so
-every verdict is exact.  Exact values enumerate the cone's opinions
+every verdict is exact; (<= t) probes build the host only down to the
+level below their cone.  Exact values enumerate the cone's opinions
 with the bit-sliced batch engine and count each verdict for all
 2^(m - cone) assignments of the other variables, returning dyadic
 fractions over 2^m; ``auto`` is exact when 2^cone fits the budget.
@@ -66,7 +67,7 @@ from .stability import (
     _weak_ok_bits,
     is_one_close_to_stability,
 )
-from .trees import RootedTree, build_perfect_tree
+from .trees import RootedTree, _perfect_level_starts, build_perfect_tree
 
 __all__ = [
     "ProbEstimate",
@@ -262,12 +263,17 @@ def _probability(
         raise BadHostError(f"target {target!r} is defined on binary hosts, got k={k}")
     if height < 0:
         raise BadVertexError(f"subject height must be non-negative, got {height}")
-    host, v = build_perfect_tree(k, height + 1), 1
+    n = _perfect_level_starts(k, height + 1)[-1]
+    # (<= t) reads the subtree's top t + 1 levels: the host keeps those and
+    # the next, which pins the cut.  Ids run level by level, so the cone's
+    # ids and rows are those of the full host.
+    levels = min(height, t + 1) if target == "le_t" else height
+    host, v = build_perfect_tree(k, levels + 1), 1
     if target == "one_close" and host.is_leaf(v):
         raise BadVertexError("1-close stability needs a non-leaf subject")
     # the root's k + 1 subtrees are alike, and the subject's is one of them
-    m = (host.n - 1) // (k + 1)
-    outside = host.n - m
+    m = (n - 1) // (k + 1)
+    outside = n - m
     if target == "one_close" and 1 << outside > budget:
         raise BudgetExceededError(
             f"1-closeness enumerates all 2^{outside} outside extensions of each "

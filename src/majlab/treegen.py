@@ -7,25 +7,67 @@ reduction backwards - start from a single edge and repeatedly attach a pair
 of new leaves to a uniformly chosen vertex - therefore reaches every
 odd-degree tree shape.  The distribution is not uniform and does not need
 to be; suites only require diversity and seeded reproducibility.
+
+The tree is built from its parent draws alone, into the arrays that
+``RootedTree.from_edges`` builds from the same edges.  Each attached
+vertex gets a parent with a smaller id, and each vertex's children are
+appended in id order, so vertex v's ascending neighbour list is its parent
+followed by its children.  The adjacency therefore needs no sort, and a
+FIFO walk over the child lists visits the vertices in exactly the order,
+with the parents and depths, of the BFS over that adjacency.  The edges
+are valid by construction; of the generic checks only degree parity is
+kept, as an invariant.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
+
 import numpy as np
 
-from .errors import TooSmallError
-from .trees import RootedTree
+from .errors import InvariantViolationError, TooSmallError
+from .trees import RootedTree, _height_and_diameter
 
 
 def random_odd_tree(n: int, rng: np.random.Generator) -> RootedTree:
     """Random tree with n vertices, all degrees odd; n must be even, >= 2."""
     if n < 2 or n % 2 != 0:
         raise TooSmallError(f"odd-degree trees need even n >= 2, got {n}")
-    ends = np.zeros((n - 1, 2), dtype=np.int64)  # row c - 1: (parent, c)
-    ends[:, 1] = np.arange(1, n)
-    for size in range(2, n, 2):
-        ends[size - 1 : size + 1, 0] = rng.integers(size)
-    return RootedTree.from_edges(ends, root=0, n=n)
+    parent, depth, kids = [-1, 0], [0, 1], [[1], []]
+    for size in range(2, n, 2):  # vertices size and size + 1 join the tree
+        p = int(rng.integers(size))
+        parent += (p, p)
+        depth += (depth[p] + 1,) * 2
+        kids[p] += (size, size + 1)
+        kids += ([], [])
+    order = [0]
+    for v in order:  # the list grows while it is read: a FIFO queue
+        order += kids[v]
+    adj = [[p, *c] for p, c in zip(parent, kids)]
+    adj[0] = kids[0]  # the root has no parent
+    degree = np.fromiter(map(len, adj), dtype=np.int32, count=n)
+    if not np.bitwise_and.reduce(degree) & 1:  # odd exactly when all are
+        v = int(np.argmin(degree & 1))
+        raise InvariantViolationError(f"generated vertex {v} has even degree {degree[v]}")
+    parent = np.array(parent, dtype=np.int32)
+    order = np.array(order, dtype=np.int32)
+    height, diameter = _height_and_diameter(n, parent, order)
+    return RootedTree(
+        n=n, root=0, parent=parent, order=order,
+        depth=np.array(depth, dtype=np.int32), height=height, degree=degree,
+        adj_flat=_flat(adj, 2 * n - 2), adj_offsets=_offsets(adj),
+        child_flat=_flat(kids, n - 1), child_offsets=_offsets(kids),
+        diameter=diameter,
+    )
+
+
+def _flat(lists: list[list[int]], size: int) -> np.ndarray:
+    return np.fromiter(chain.from_iterable(lists), dtype=np.int32, count=size)
+
+
+def _offsets(lists: list[list[int]]) -> np.ndarray:
+    starts = accumulate(map(len, lists), initial=0)
+    return np.fromiter(starts, dtype=np.int64, count=len(lists) + 1)
 
 
 def random_even_size(low: int, high: int, rng: np.random.Generator) -> int:

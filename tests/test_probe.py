@@ -1,6 +1,7 @@
 """Probability estimation: frozen exact values, MC consistency, fixed point."""
 
 import concurrent.futures
+import itertools
 import os
 import subprocess
 import sys
@@ -212,6 +213,68 @@ def test_probes_pack_and_step_only_the_light_cone(monkeypatch, target, t, rows, 
     assert est.trials == 1000
     assert len(packed) == rows
     assert set(runs) == vertices
+
+
+def full_height_le_t_count(height, t, k, trials, seed, xi):
+    """(count, denominator) of a (<= t) probe on the whole perfect host:
+    every subtree variable drawn as the byte matrix, or (``trials=None``)
+    the depth-t cone enumerated and each pattern counted for every
+    assignment of the variables below it."""
+    host, v = build_perfect_tree(k, height + 1), 1
+    m = (host.n - 1) // (k + 1)
+    sub = _PinnedSubtree(host, v, depth=t)
+    cone = len(sub.ids)
+    if trials is None:
+        draws, width = [tt_column(i, cone) for i in range(cone)], 1 << cone
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        draws = pack_bit_rows(rng.integers(0, 2, size=(m, trials), dtype=np.uint8))
+        width = trials
+    cols = [0] * host.n
+    for u, col in zip(sub.ids, draws):
+        cols[u] = col
+    mask = (1 << width) - 1
+    ok = mask
+    for fill in (0, mask):
+        ok &= ~_changed_by(sub.run(cols, mask, fill), 0, t)
+    if xi is not None:
+        ok &= cols[v] if xi > 0 else mask ^ cols[v]
+    if trials is None:
+        return ok.bit_count() << m - cone, 1 << m
+    return ok.bit_count(), width
+
+
+@pytest.mark.parametrize("k,heights", [(2, range(8)), (4, range(5))])
+def test_le_t_probes_build_only_the_levels_their_cone_reads(monkeypatch, k, heights):
+    # the host keeps the subtree's top t + 1 levels and the one below them,
+    # and every count is the one on the whole host
+    built, build = [], probe.build_perfect_tree
+    monkeypatch.setattr(probe, "build_perfect_tree", lambda k, h: built.append(h) or build(k, h))
+    for height in heights:
+        for t in (2, 4):
+            cone = (k ** (min(height, t) + 1) - 1) // (k - 1)
+            runs = [(1, 0), (13, 1), (1001, 3)] + [(None, 0)] * (cone <= 16)
+            for (trials, seed), xi in itertools.product(runs, (None, 1, -1)):
+                built.clear()
+                method = "mc" if trials else "exact"
+                if xi is None:
+                    est = estimate_probability(
+                        "le_t", height, t, k=k, method=method, trials=trials or 1, seed=seed
+                    )
+                else:
+                    est = le_t_positive_check(
+                        k, t, xi, height=height, method=method, trials=trials or 1, seed=seed
+                    )
+                got = (est.count, est.trials if trials else est.denominator)
+                assert got == full_height_le_t_count(height, t, k, trials, seed, xi)
+                assert built == [min(height, t + 1) + 1], (height, t)
+    # at height 18 the host has 4 levels, not 20, and the value is height 3's
+    built.clear()
+    tall = estimate_probability("le_t", 18, 2, k=2, method="exact")
+    low = estimate_probability("le_t", 3, 2, k=2, method="exact")
+    assert built == [4, 4]
+    assert tall.denominator == 1 << 2**19 - 1
+    assert Fraction(tall.count, tall.denominator) == Fraction(low.count, low.denominator)
 
 
 def test_mc_strong_reports_unresolved_patterns():

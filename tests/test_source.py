@@ -141,3 +141,15 @@ def test_cli_writes_result_types_without_restating_them():
 def test_witness_reuses_the_tree_rooting():
     # the witness walks the tree's own parent chain, not a second BFS
     assert not _imported_names("worstcase.py") & {"_bfs_tree", "_child_csr"}
+
+
+def test_generated_trees_skip_the_generic_build():
+    # random_odd_tree builds its arrays from its own parent draws: no
+    # generated tree falls back onto edge checks, the CSR sorts or the BFS
+    path = Path(majlab.__file__).parent / "treegen.py"
+    names = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Attribute, ast.Name))
+    } | _imported_names("treegen.py")
+    assert not names & {"from_edges", "_bfs_tree", "_build_csr", "_child_csr", "_finish"}
