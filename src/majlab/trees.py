@@ -2,9 +2,11 @@
 
 Hosts are finite trees in which every vertex has odd degree, so a majority
 among neighbours is always strict.  Every edge list reaches RootedTree as
-one (m, 2) integer array, checked by array operations.  Generated trees use
+one (m, 2) integer array, checked by array operations.  Perfect trees use
 dense 0-based vertex ids assigned in BFS order from the root, which keeps
-each vertex's children contiguous; loaded trees keep the ids given in the file.
+each vertex's children contiguous; random odd trees (``treegen``) number
+every parent before its children and build their arrays without an edge
+list; loaded trees keep the ids given in the file.
 
 Vertex classification counts degree-1 neighbours ("pendant" vertices)
 against the threshold (deg - 1) / 2 and is independent of the root choice.
