@@ -1,5 +1,6 @@
 """Tree construction, vertex classification, and the text format."""
 
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -365,6 +366,28 @@ def test_text_round_trip(tmp_path):
     path = tmp_path / "tree.txt"
     save_tree(RootedTree.from_edges(STAR), path)
     assert load_tree(path) == RootedTree.from_edges(STAR)
+
+
+# sha256 of tree_to_text under gen-style header comments, recorded before
+# the writer was vectorised: the bytes of every tree file stay the same
+TEXT_DIGESTS = {
+    "perfect-4-8": "70fb843df0fec887a9ff1b2c07aa76bf7cb2f54ea51ab187b6a6eed9d361188f",
+    "perfect-2-7": "68ff784efdada803a729df3ef704e814b031be058e7bab8328be5073b258fd36",
+    "random-2000-rerooted": "c89f8f283ab524fb42f07fd248d52488b50ade82f67690a7e879c3fd0ef2feeb",
+}
+
+
+@pytest.mark.parametrize("case", TEXT_DIGESTS)
+def test_tree_text_matches_its_golden_digest(case):
+    if case.startswith("perfect"):
+        k, h = map(int, case.split("-")[1:])
+        tree = build_perfect_tree(k, h)
+        comments = ["majlab 0.1.0", f"gen k={k} h={h} n={tree.n} diameter={tree.diameter}"]
+    else:
+        tree = reroot(random_odd_tree(2000, np.random.default_rng(15)), 1234)
+        comments = ["majlab 0.1.0", f"random n=2000 seed=15 root=1234 diameter={tree.diameter}"]
+    text = tree_to_text(tree, header_comments=comments)
+    assert hashlib.sha256(text.encode()).hexdigest() == TEXT_DIGESTS[case]
 
 
 def test_text_format_errors():
