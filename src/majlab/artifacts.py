@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .dynamics import OpinionVector
-from .errors import MajlabError
+from .errors import MajlabError, OpinionFormatError
 
 TOOL_NAME = "majlab"
 
@@ -112,7 +112,10 @@ def envelope(command: str, config: dict, seed: int | None, result) -> dict:
 
 
 def load_opinions(path) -> OpinionVector:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OpinionFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) != 1:
         raise MajlabError(

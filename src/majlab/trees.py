@@ -2,7 +2,9 @@
 
 Hosts are finite trees in which every vertex has odd degree, so a majority
 among neighbours is always strict.  Every edge list reaches RootedTree as
-one (m, 2) integer array, checked by array operations.  Perfect trees use
+one (m, 2) integer array, checked by array operations; rows already in BFS
+(parent, child) order, as every tree file majlab writes is, give the
+parent, order and depth without a BFS.  Perfect trees use
 dense 0-based vertex ids assigned in BFS order from the root, which keeps
 each vertex's children contiguous; random odd trees (``treegen``) number
 every parent before its children and build their arrays without an edge
@@ -64,9 +66,11 @@ def _build_csr(n: int, src: np.ndarray, dst: np.ndarray):
     return flat, offsets, degree
 
 
-def _validated_edge_arrays(n: int, ends: np.ndarray):
-    """Both directions of every edge.  Raises at the first edge, in input
-    order, that is out of range or a self-loop, then at any parallel pair."""
+def _validated_edge_arrays(n: int, root: int, ends: np.ndarray):
+    """Both directions of every edge, and ``_rows_in_bfs_order``'s parent,
+    order and depth (None if the rows are not in BFS order).  Raises at the
+    first edge, in input order, that is out of range or a self-loop, then
+    at any parallel pair."""
     src, dst = ends.T
     outside = (ends < 0) | (ends >= n)
     bad = outside[:, 0] | outside[:, 1] | (src == dst)
@@ -76,10 +80,52 @@ def _validated_edge_arrays(n: int, ends: np.ndarray):
         if outside[i].any():
             raise TreeFormatError(f"edge ({u}, {v}) out of range for n={n}")
         raise TreeFormatError(f"self-loop at vertex {u}")
-    keys = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
-    if (keys[1:] == keys[:-1]).any():
-        raise TreeFormatError("parallel edge in input")
-    return np.concatenate([src, dst]), np.concatenate([dst, src])
+    rooted = _rows_in_bfs_order(n, root, ends)
+    if rooted is None:  # rows in BFS order have no parallel pair
+        keys = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
+        if (keys[1:] == keys[:-1]).any():
+            raise TreeFormatError("parallel edge in input")
+    return np.concatenate([src, dst]), np.concatenate([dst, src]), rooted
+
+
+def _rows_in_bfs_order(n: int, root: int, ends: np.ndarray):
+    """Parent, order and depth read straight from rows of in-range ids with
+    no self-loop, or None unless the rows, as (parent, child), are
+    ``_bfs_tree``'s order from ``root``.
+
+    They are when the children plus the root are all n ids, parent
+    positions never decrease, and children of one parent come in ascending
+    id order.  Each parent then also comes before its child: were row i's
+    parent at a position p > i, the row at position p would have a parent
+    at or past p, itself or later, and so on past the last row.  So the
+    parent pointers span a tree, and a FIFO walk over ascending neighbour
+    lists visits the root, then each listed vertex's children in turn:
+    these rows.
+    """
+    par, kid = ends.T
+    pos = np.zeros(n, dtype=np.int64)
+    pos[kid] = np.arange(1, n)
+    at = pos[par]  # each row's parent position
+    after = at[1:] - at[:-1]
+    if not (
+        pos[root] == 0
+        and np.array_equal(pos[kid], np.arange(1, n))
+        and ((after > 0) | ((after == 0) & (kid[1:] > kid[:-1]))).all()
+    ):
+        return None
+    # depth by pointer jumping over positions: dist is the distance to anc
+    anc = np.concatenate(([0], at))
+    dist = np.ones(n, dtype=np.int64)
+    dist[0] = 0
+    while anc.any():
+        dist += dist[anc]
+        anc = anc[anc]
+    parent = np.full(n, -1, dtype=np.int32)
+    parent[kid] = par
+    order = np.concatenate(([root], kid)).astype(np.int32)
+    depth = np.empty(n, dtype=np.int32)
+    depth[order] = dist
+    return parent, order, depth
 
 
 class RootedTree:
@@ -139,17 +185,18 @@ class RootedTree:
             raise NotATreeError(f"expected {n - 1} edges for n={n}, got {len(ends)}")
         if not (0 <= root < n):
             raise BadVertexError(f"root {root} out of range for n={n}")
-        src, dst = _validated_edge_arrays(n, ends)
+        src, dst, rooted = _validated_edge_arrays(n, root, ends)
         adj_flat, adj_offsets, degree = _build_csr(n, src, dst)
         even = np.flatnonzero(degree % 2 == 0)
         if even.size:
             raise DegreeParityError(
                 f"vertex {even[0]} has even degree {degree[even[0]]}; all degrees must be odd"
             )
-        parent, order, depth = _bfs_tree(n, adj_flat, adj_offsets, root)
-        if order.size != n:
-            raise NotATreeError("input is disconnected")
-        return cls._finish(n, root, parent, order, depth, adj_flat, adj_offsets, degree)
+        if rooted is None:
+            rooted = _bfs_tree(n, adj_flat, adj_offsets, root)
+            if rooted[1].size != n:
+                raise NotATreeError("input is disconnected")
+        return cls._finish(n, root, *rooted, adj_flat, adj_offsets, degree)
 
     @classmethod
     def _finish(cls, n, root, parent, order, depth, adj_flat, adj_offsets, degree,
@@ -375,15 +422,68 @@ def classify_vertex(host, v: int) -> VertexClass:
 def tree_to_text(tree: RootedTree, header_comments: list[str] | None = None) -> str:
     lines = [f"# {c}" for c in (header_comments or [])]
     lines.append(f"tree n={tree.n} root={tree.root}")
-    lines.extend(f"{u} {v}" for u, v in tree.edges())
-    return "\n".join(lines) + "\n"
+    kids = tree.order[1:]
+    rows = np.column_stack((tree.parent[kids], kids))  # edges(), as one array
+    return "\n".join(lines) + "\n" + "%d %d\n" * len(kids) % tuple(rows.ravel().tolist())
 
 
 def _is_content(line: str) -> bool:
     return line.strip()[:1] not in ("", "#")
 
 
+# The body of a plain file: ASCII digits, blanks and newlines only.  Ids of
+# at most 18 digits fit int64; np.fromstring saturates longer ones silently.
+_PLAIN_BYTES = b"0123456789 \t\n"
+_PLAIN_DIGITS = 18
+
+
 def tree_from_text(text: str) -> RootedTree:
+    n, root, ends = _plain_edges(text) or _edges_by_line(text)
+    return RootedTree.from_edges(ends, root=root, n=n)
+
+
+def _plain_edges(text: str):
+    """(n, root, ends) by array passes, or None unless the header parses and
+    the body after it is plain (see ``_PLAIN_BYTES``) with 0 or 2 ids on
+    every line and n - 1 edge lines: then ``_edges_by_line`` reads the same
+    edges, and any other text goes there, which also reports every error.
+
+    Every file majlab writes is plain."""
+    start = 0
+    while start < len(text):  # to the first \n-ended piece with content
+        end = text.find("\n", start) + 1 or len(text)
+        content = [line for line in text[start:end].splitlines() if _is_content(line)]
+        if content:
+            break
+        start = end
+    else:
+        return None
+    m = _HEADER_RE.match(content[0].strip())
+    body = text[end:]
+    if len(content) > 1 or not m or not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    digit = codes >= ord("0")  # blanks and newlines are below
+    bounds = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    first, past = bounds[::2], bounds[1::2]  # each digit run
+    n, root = int(m.group(1)), int(m.group(2))
+    if len(first) != 2 * (n - 1) or (past - first).max(initial=0) > _PLAIN_DIGITS:
+        return None
+    # whether a newline lies between each run and the next: never within a
+    # line's pair, always between pairs
+    newline = codes == ord("\n")
+    broken = np.logical_or.reduceat(newline, first) if first.size else first
+    if broken[::2].any() or not broken[1:-1:2].all():
+        return None
+    return n, root, np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
+
+
+def _edges_by_line(text: str):
+    """(n, root, ends) line by line: the reference reading, and the one
+    that reports every format error."""
     lines = list(filter(_is_content, text.splitlines()))
     if not lines:
         raise TreeFormatError("empty tree file")
@@ -408,7 +508,7 @@ def tree_from_text(text: str) -> RootedTree:
                 row[:] = map(int, row)
             except ValueError:
                 raise _line_error(text, k, "non-integer vertex id") from None
-    return RootedTree.from_edges(ends, root=root, n=n)
+    return n, root, ends
 
 
 def _line_error(text: str, k: int, problem: str) -> TreeFormatError:
@@ -418,8 +518,12 @@ def _line_error(text: str, k: int, problem: str) -> TreeFormatError:
 
 
 def save_tree(tree: RootedTree, path, header_comments: list[str] | None = None) -> None:
-    Path(path).write_text(tree_to_text(tree, header_comments))
+    Path(path).write_text(tree_to_text(tree, header_comments), encoding="utf-8")
 
 
 def load_tree(path) -> RootedTree:
-    return tree_from_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TreeFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    return tree_from_text(text)

@@ -266,6 +266,26 @@ def test_simulate_rejects_a_malformed_tree(tmp_path, text, code, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "flag,data,code",
+    [
+        ("--tree", b"# caf\xe9\ntree n=4 root=0\n0 1\n0 2\n0 3\n", "TREE_FORMAT"),
+        ("--init", b"+-\xff+\n", "OPINION_FORMAT"),
+    ],
+    ids=["tree", "opinions"],
+)
+def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, tree_file, flag, data, code, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    argv = {"--tree": ["worst-case", "--tree", str(path)],
+            "--init": ["simulate", "--tree", str(tree_file), "--init", str(path)]}[flag]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{code}: {path}: not valid UTF-8 at byte ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -6,9 +6,12 @@ from collections import deque
 import numpy as np
 import pytest
 
+import majlab.trees
+from majlab.cli import main
 from majlab.errors import (
     BadVertexError,
     DegreeParityError,
+    MajlabError,
     NotATreeError,
     TooSmallError,
     TreeFormatError,
@@ -24,6 +27,8 @@ from majlab.trees import (
     pendant_neighbour_counts,
     reroot,
     save_tree,
+    _edges_by_line,
+    _plain_edges,
     _subtree_bfs,
     tree_from_text,
     tree_to_text,
@@ -401,3 +406,132 @@ def test_text_format_errors():
         tree_from_text("tree n=4 root=0\n0 1 2\n0 2\n0 3\n")
     with pytest.raises(NotATreeError):
         tree_from_text("tree n=4 root=0\n0 1\n0 2\n")
+
+
+def assert_same_arrays(want, got):
+    for name in RootedTree.__slots__:
+        a, b = getattr(want, name), getattr(got, name)
+        if isinstance(a, np.ndarray):
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+        else:
+            assert a == b, name
+
+
+GEN_TEXT = tree_to_text(build_perfect_tree(2, 3), ["majlab 0.1.0", "gen k=2 h=3 n=22 diameter=6"])
+STAR_TEXT = "tree n=4 root=0\n0 1\n0 2\n0 3\n"
+
+
+def star_with(row):
+    return f"tree n=4 root=0\n0 1\n0 2\n{row}\n"
+
+
+# text, and whether its body is plain (read by array passes)
+PARSE_CASES = {
+    "gen": (GEN_TEXT, True),
+    "gen-shuffled": ("".join(GEN_TEXT.splitlines(keepends=True)[:3])
+                     + "".join(sorted(GEN_TEXT.splitlines(keepends=True)[3:])), True),
+    "no-final-newline": (STAR_TEXT[:-1], True),
+    "comment-after-header": ("tree n=4 root=0\n# c\n0 1\n0 2\n0 3\n", False),
+    "blank-lines": ("\n# c\n\ntree n=4 root=0 \n\n0 1\n   \n0 2\n\t\n0 3\n\n", True),
+    "crlf": (STAR_TEXT.replace("\n", "\r\n"), False),
+    "tabs": ("tree n=4 root=0\n0\t1\n\t0 2 \n0  3\t\n", True),
+    "leading-zeros": ("tree n=4 root=0\n000 01\n0 0002\n00 3\n", True),
+    "18-digit-id": (star_with("0 100000000000000000"), True),
+    "19-digit-id": (star_with("0 1000000000000000000"), False),
+    "19-digit-padded-id": (star_with("0 0000000000000000003"), False),
+    "20-digit-id": (star_with("0 99999999999999999999"), False),
+    "negative-id": (star_with("-3 0"), False),
+    "plus-sign": (star_with("0 +3"), False),
+    "arabic-indic-digit": (star_with("0 \u0663"), False),
+    "lone-cr": ("tree n=4 root=0\n0 1\r0 2\n0 3\n", False),
+    "lone-cr-in-header-line": ("tree n=4 root=0\r0 1\n0 2\n0 3\n", False),
+    "separator-in-comment": ("# a\u2028b\n" + STAR_TEXT, False),
+    "one-field": (star_with("3"), False),
+    "three-fields": (star_with("0 3 1"), False),
+    "comment-on-edge-line": (star_with("0 3 # c"), False),
+    "fields-across-lines": ("tree n=4 root=0\n0 1 0\n2\n0 3\n", False),
+    "two-edges-on-a-line": ("tree n=4 root=0\n0 1 0 2\n\n0 3\n", False),
+    "too-few-lines": ("tree n=4 root=0\n0 1\n0 2\n", False),
+    "too-many-lines": (STAR_TEXT + "1 2\n", False),
+    "single-vertex": ("tree n=1 root=0\n", True),
+    "bad-header": ("tree n=4\n0 1\n0 2\n0 3\n", False),
+    "empty": ("# nothing\n\n", False),
+}
+
+
+def by_line(text):
+    n, root, ends = _edges_by_line(text)
+    return RootedTree.from_edges(ends, root=root, n=n)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except MajlabError as exc:
+        return type(exc), exc.message
+
+
+@pytest.mark.parametrize("case", PARSE_CASES)
+def test_array_tokeniser_agrees_with_the_line_reader(case):
+    text, plain = PARSE_CASES[case]
+    assert (_plain_edges(text) is not None) == plain
+    got, want = outcome(tree_from_text, text), outcome(by_line, text)
+    if isinstance(want, RootedTree):
+        assert_same_arrays(want, got)
+    else:
+        assert got == want
+
+
+def count_bfs_calls(monkeypatch):
+    calls = []
+    bfs = majlab.trees._bfs_tree
+
+    def counted(*args):
+        calls.append(args[-1])
+        return bfs(*args)
+
+    monkeypatch.setattr(majlab.trees, "_bfs_tree", counted)
+    return calls
+
+
+def test_rows_in_bfs_order_build_without_a_bfs(exhaustive_suite, random_suite, monkeypatch):
+    trees = [*exhaustive_suite, *random_suite]
+    trees += [reroot(tree, root) for tree in trees for root in {1, tree.n // 2, tree.n - 1}]
+    calls = count_bfs_calls(monkeypatch)
+    rng = np.random.default_rng(20261019)
+    for tree in trees:
+        rows = np.array(tree.edges(), dtype=np.int64)
+        for edges, bfs in ((rows, 0), (rng.permutation(rows), None), (rows[:, ::-1], 1)):
+            del calls[:]
+            assert_same_arrays(tree, RootedTree.from_edges(edges, root=tree.root, n=tree.n))
+            assert bfs is None or len(calls) == bfs
+
+
+def test_near_bfs_orders_take_the_bfs(monkeypatch):
+    tree = build_perfect_tree(2, 2)  # rows (0, 1..3), (1, 4), (1, 5), (2, 6), ...
+    rows = tree.edges()
+    descending = rows[:3] + [rows[4], rows[3]] + rows[5:]
+    child_first = [rows[3]] + rows[:3] + rows[4:]
+    calls = count_bfs_calls(monkeypatch)
+    for edges in (descending, child_first):
+        del calls[:]
+        assert_same_arrays(tree, RootedTree.from_edges(edges, n=tree.n))
+        assert calls == [0]
+    # parent positions never decrease, but vertex 2 is listed twice and 6
+    # never: a triangle with pendants, and an edge apart
+    cycle = [(0, 1), (0, 2), (0, 3), (6, 7), (1, 2), (1, 4), (2, 5)]
+    with pytest.raises(NotATreeError, match="^input is disconnected$"):
+        RootedTree.from_edges(cycle, n=8)
+
+
+def test_written_trees_load_without_a_bfs(tmp_path, monkeypatch):
+    want = [build_perfect_tree(4, 3), reroot(random_odd_tree(200, np.random.default_rng(7)), 31)]
+    assert main(["gen", "--k", "4", "--h", "3", "-o", str(tmp_path / "gen.txt")]) == 0
+    save_tree(want[1], tmp_path / "saved.txt")
+
+    def refuse(*args):
+        raise AssertionError("a written tree went through the BFS")
+
+    monkeypatch.setattr(majlab.trees, "_bfs_tree", refuse)
+    for tree, name in zip(want, ("gen.txt", "saved.txt")):
+        assert_same_arrays(tree, load_tree(tmp_path / name))
