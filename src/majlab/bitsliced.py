@@ -110,9 +110,14 @@ class BatchRun:
     ``stabilise``.
 
     ``undecided`` holds the trajectories that have not yet produced a step
-    t with xi_{t+2} = xi_t; it can only shrink.  The run aborts if any
-    trajectory survives past the period-two budget, which would mean the
-    engine is wrong.
+    s with xi_{s+2} = xi_s; it can only shrink.  Stepping is deterministic,
+    so a trajectory with xi_s = xi_{s-2} repeats ever after, and these are
+    exactly the trajectories changed between t - 2 and t: the bits are
+    built only when read.  ``changing`` says whether the whole state t
+    differs from state t - 2 (true before step 2), which compares columns
+    without building any; with no column bits outside ``mask`` it is
+    ``undecided != 0``.  The run aborts if the state still changes past
+    the period-two budget, which would mean the engine is wrong.
     """
 
     def __init__(self, host, cols0: list[int], mask: int):
@@ -134,12 +139,16 @@ class BatchRun:
         self.n = len(adj)
         self.t = 0
         self.window: list[list[int]] = [list(cols0)]
-        self.undecided = mask
+        self.changing = True
         self.limit = limit
 
     @property
     def cols(self) -> list[int]:
         return self.window[-1]
+
+    @property
+    def undecided(self) -> int:
+        return self.mask if self.t < 2 else _changed_lanes(self.window, self.mask)
 
     def flip_col(self, v: int) -> int:
         """Trajectories where v changed between steps t-2 and t."""
@@ -148,7 +157,7 @@ class BatchRun:
         return self.window[-1][v] ^ self.window[0][v]
 
     def advance(self) -> None:
-        if self.undecided and self.t >= self.limit:
+        if self.changing and self.t >= self.limit:
             raise InvariantViolationError(
                 f"batch not 2-periodic within {self.limit} steps"
             )
@@ -157,17 +166,24 @@ class BatchRun:
         self.window.append(new)
         if len(self.window) > 3:
             self.window.pop(0)
-        if self.t >= 2 and self.undecided:
-            self.undecided &= reduce(or_, map(xor, new, self.window[0]), 0)
+        if self.t >= 2:
+            self.changing = new != self.window[0]  # compares, builds no int
+
+
+def _changed_lanes(window: list[list[int]], mask: int) -> int:
+    """Trajectories whose state differs between the first and last of
+    ``window``'s states."""
+    return mask & reduce(or_, map(xor, window[-1], window[0]), 0)
 
 
 def batch_max_tau(host, cols0: list[int], mask: int) -> tuple[int, int]:
     """Largest tau over the batch plus the lowest bit index attaining it."""
     run = BatchRun(host, cols0, mask)
-    survivors = run.undecided
-    while run.undecided:
-        survivors = run.undecided
+    survivors = undecided = run.undecided
+    while undecided:
+        survivors = undecided
         run.advance()
+        undecided = run.undecided
     if run.t < 2:
         # Width-0 masks are rejected upstream; undecided empties at t >= 2.
         raise InvariantViolationError("batch ended before the first check")

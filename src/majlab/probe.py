@@ -334,7 +334,7 @@ def _step_subtree(sub: _PinnedSubtree, cols: list[int], mask: int, t: int) -> No
     """Set the subtree entries of ``cols`` to their time-t state, stepped
     on the light cone ``sub`` of reach t - 1."""
     run = sub.run(cols, mask)
-    while run.t < t and run.undecided:
+    while run.t < t and run.changing:
         run.advance()
     if (run.t ^ t) & 1:
         run.advance()

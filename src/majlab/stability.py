@@ -200,7 +200,7 @@ def _late_flips(run: BatchRun, v: int, t: int) -> int:
     """
     parity = t & 1
     flips = 0
-    while run.undecided:
+    while run.changing:
         run.advance()
         if run.t >= t + 2 and (run.t & 1) == parity:
             flips |= run.flip_col(v)
@@ -213,7 +213,7 @@ def _changed_by(run: BatchRun, v: int, t: int) -> int:
     if t & 1:
         run.advance()
     first, changed = run.cols[v], 0
-    while run.t < t and run.undecided:
+    while run.t < t and run.changing:
         run.advance()
         if not (run.t ^ t) & 1:
             changed |= run.cols[v] ^ first
@@ -457,7 +457,7 @@ def is_one_close_to_stability(
     run = BatchRun(tree, cols, mask)
     flipped = 0
     violations = 0
-    while run.undecided:
+    while run.changing:
         run.advance()
         if run.t & 1:
             continue
