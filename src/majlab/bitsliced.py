@@ -148,7 +148,9 @@ class BatchRun:
 
     @property
     def undecided(self) -> int:
-        return self.mask if self.t < 2 else _changed_lanes(self.window, self.mask)
+        if self.t < 2:
+            return self.mask
+        return self.mask & reduce(or_, map(xor, self.window[-1], self.window[0]), 0)
 
     def flip_col(self, v: int) -> int:
         """Trajectories where v changed between steps t-2 and t."""
@@ -168,12 +170,6 @@ class BatchRun:
             self.window.pop(0)
         if self.t >= 2:
             self.changing = new != self.window[0]  # compares, builds no int
-
-
-def _changed_lanes(window: list[list[int]], mask: int) -> int:
-    """Trajectories whose state differs between the first and last of
-    ``window``'s states."""
-    return mask & reduce(or_, map(xor, window[-1], window[0]), 0)
 
 
 def batch_max_tau(host, cols0: list[int], mask: int) -> tuple[int, int]:

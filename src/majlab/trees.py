@@ -472,10 +472,11 @@ def _plain_edges(text: str):
     n, root = int(m.group(1)), int(m.group(2))
     if len(first) != 2 * (n - 1) or (past - first).max(initial=0) > _PLAIN_DIGITS:
         return None
+    if not first.size:  # np.fromstring reads a blank string as [0]
+        return n, root, np.empty((0, 2), dtype=np.int64)
     # whether a newline lies between each run and the next: never within a
     # line's pair, always between pairs
-    newline = codes == ord("\n")
-    broken = np.logical_or.reduceat(newline, first) if first.size else first
+    broken = np.logical_or.reduceat(codes == ord("\n"), first)
     if broken[::2].any() or not broken[1:-1:2].all():
         return None
     return n, root, np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)

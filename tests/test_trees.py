@@ -454,6 +454,7 @@ PARSE_CASES = {
     "too-few-lines": ("tree n=4 root=0\n0 1\n0 2\n", False),
     "too-many-lines": (STAR_TEXT + "1 2\n", False),
     "single-vertex": ("tree n=1 root=0\n", True),
+    "single-vertex-blank-lines": ("tree n=1 root=0\n  \n\t\n", True),
     "bad-header": ("tree n=4\n0 1\n0 2\n0 3\n", False),
     "empty": ("# nothing\n\n", False),
 }
