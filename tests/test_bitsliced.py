@@ -1,5 +1,7 @@
 """Bit-sliced batch engines against the scalar reference engine."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from majlab.bitsliced import (
 )
 from majlab.dynamics import OpinionVector, _step_signs, stabilise, step, step_budget
 from majlab.errors import InvariantViolationError
+from majlab.probe import _batch_taus
 from majlab.treegen import random_even_size, random_odd_tree
 from majlab.trees import build_perfect_tree
 
@@ -198,6 +201,44 @@ def test_packed_taus_on_a_perfect_host(slices):
     rows = [np.packbits(xi.to_signs() > 0, bitorder="little") for xi in vectors]
     assert PackedHost(4, 4).taus(rows) == [stabilise(tree, xi).tau for xi in vectors]
     assert PackedHost(4, 4).taus([]) == []
+
+
+# sha256 of the comma-joined taus of trials 0-199 of seed 20261019, as the
+# full-host word engine computed them: three full words and one of width 8.
+PACKED_TAU_DIGESTS = [
+    (2, 1, "4e34ae04b0bd7090d1fcd1924522068e4657f94c3780cbde6ee329a03cccc803"),
+    (2, 2, "e92c8e3bb497584d1e1f8edfd797de5f83bbaa779ba0812a5d26a7a13828ea12"),
+    (2, 3, "de796a9e4fc97a9db67e970a2334f8efe594e7cbc09d1c50cdca068a754ca1a7"),
+    (2, 4, "b0a0e5355148f690cb41b155896bfa87d2cc7453db359663a836c1d8031808d0"),
+    (2, 5, "9d8f9b0974c744266a2fe7d7c8612f46a820b72c06ab0fb792ce9eb9a846b828"),
+    (2, 6, "509228ac0e70f82a6214d9abb825a272c373a1a357e3443cc7a66a7abe78c133"),
+    (2, 7, "6e1ecb5175220cd70cb41ef3839b523a6008150bfa6abb8d83370aa6260e0a64"),
+    (2, 8, "2d1951c95dec44043e635f251b7192750babc4965dfd840ebd77c7e2618d24c6"),
+    (2, 9, "afa6330714611358d1f6a145a1a856d416c65dec33705bf9f8342feb6d753f26"),
+    (2, 10, "11c83e2ac22ab6f63d843c310bbed5d9281747b375012af7c7224b9f28ea6261"),
+    (2, 11, "b5fc25fe3c8ecf7aebae3f1d54ebc245188c5728a53714cf8fb0d0e058f4b77e"),
+    (2, 12, "8f0757e0b7f1e9a1e120cdc827df86a1a0e390d57a5c1a2c771c7a199567b1a1"),
+    (4, 1, "6483fdd214de656f7ab8b2f6bea8653c2a59764473042db1fd2b2d5bf29da51a"),
+    (4, 2, "659978bcda6c3ae291057213bbaeacb4dcc6bc8dd4a5227090efcf531c2f437b"),
+    (4, 3, "5e091d52aa721ecf557eb1679f29fd2a06cb3ea9da34cc482295458a4aa346f2"),
+    (4, 4, "4d311bca2015071c35309f2cee2ff03d9dbca9aaab5af0748a72fa240286e29d"),
+    (4, 5, "e186b682f8b4b66635beeeeab445f526c78188c6e01b329f08007980a0f63ede"),
+    (4, 6, "bd33ff2ef463258a4be8cfed3c6d144969c44972b4782dc81403751faff57d1c"),
+    (4, 7, "724ceefa5aec61c6ee750977a9630d969174b4ed84668de71e7ffa4004461692"),
+    (6, 1, "504a54d37e06e118b674c88b123e461769c9b7f1b20bedebfba11cab7cc93e0f"),
+    (6, 2, "659978bcda6c3ae291057213bbaeacb4dcc6bc8dd4a5227090efcf531c2f437b"),
+    (6, 3, "fc797b942447131808ed936055babf2a560fbc827b172516a24413c7565379c5"),
+    (6, 4, "423ba95c5e199930650fb9bd4de7f7712fee721549e072233c98e486c1deab17"),
+    (6, 5, "2d9fffd9ed557394ffd38c22582f809404dca38cd18e25ccccc12e975005ed25"),
+]
+
+
+@pytest.mark.parametrize(
+    "k,h,digest", PACKED_TAU_DIGESTS, ids=[f"{k}-{h}" for k, h, _ in PACKED_TAU_DIGESTS]
+)
+def test_packed_taus_match_their_golden_digest(k, h, digest, slices):
+    taus = _batch_taus(PackedHost(k, h), 20261019, 0, 200)
+    assert hashlib.sha256(",".join(map(str, taus)).encode()).hexdigest() == digest
 
 
 def test_packed_run_aborts_at_the_step_budget(monkeypatch):
