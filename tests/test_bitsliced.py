@@ -138,7 +138,7 @@ def test_batch_max_tau_matches_per_trajectory_maximum():
         tree = random_odd_tree(random_even_size(6, 12, rng), rng)
         width = 1 << tree.n
         cols0 = [tt_column(v, tree.n) for v in range(tree.n)]
-        tau, argmax = batch_max_tau(tree, cols0, width - 1)
+        tau, argmax = batch_max_tau(tree, cols0, (1 << width) - 1)
         best = -1
         first = None
         for j in range(width):
@@ -201,6 +201,30 @@ def test_packed_taus_on_a_perfect_host(slices):
     rows = [np.packbits(xi.to_signs() > 0, bitorder="little") for xi in vectors]
     assert PackedHost(4, 4).taus(rows) == [stabilise(tree, xi).tau for xi in vectors]
     assert PackedHost(4, 4).taus([]) == []
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_perfect_hosts_settle_their_bottom_two_levels_at_once(k):
+    """Why the word engine steps only levels 0 to h - 2: the k leaf children
+    of a vertex on level h - 1 all hold its time-t opinion at t + 1, so it
+    alternates from t = 0 and its leaves copy that from t = 1.  A leaf can
+    delay tau only to 1, when its time-0 opinion differs from its parent's
+    time-1 opinion, which is its own at time 2."""
+    for h in range(2, 7):
+        tree = build_perfect_tree(k, h)
+        core, above = tree.depth < h - 1, tree.depth == h - 1
+        leaves = tree.depth == h
+        for seed in range(20):
+            xi = OpinionVector.random(tree.n, np.random.default_rng(seed))
+            res = stabilise(tree, xi, keep_history=True)
+            hist = np.array(res.history)
+            assert (hist[2:, above] == hist[:-2, above]).all(), (k, h, seed)
+            assert (hist[3:, leaves] == hist[1:-2, leaves]).all(), (k, h, seed)
+            core_tau = next(
+                t for t in range(len(hist) - 2) if (hist[t + 2, core] == hist[t, core]).all()
+            )
+            leaf_flag = int((hist[2, leaves] != hist[0, leaves]).any())
+            assert res.tau == max(core_tau, leaf_flag), (k, h, seed)
 
 
 # sha256 of the comma-joined taus of trials 0-199 of seed 20261019, as the
