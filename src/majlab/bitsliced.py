@@ -19,6 +19,10 @@ numpy array, laid out by the host's levels: leaves copy their parent's
 word, and every other vertex runs the counter on a slice of whole levels
 at once, so 64 trajectories on a host of millions of vertices step
 together (E. Biham, "A fast new DES implementation in software", FSE 1997).
+With k even, level h - 1 of the host repeats with period two from time 0
+and the leaves from time 1, so only the first step updates the whole
+host: the later ones update levels 0 to h - 2, with level h - 1 a fixed
+boundary, and a flag per lane says whether the leaves delay tau to 1.
 """
 
 from __future__ import annotations
@@ -279,6 +283,9 @@ class PackedHost:
     each vertex's children contiguous.  Level d, reshaped to (parents, row),
     reads level d - 1 as a broadcast column, and level d + 1, reshaped to
     (parents, row, children), as its children.  No tree is built.
+
+    ``step`` updates the whole host.  ``taus`` uses it for the first step
+    only and then updates the core, levels 0 to h - 2, alone.
     """
 
     def __init__(self, k: int, h: int):
@@ -292,20 +299,28 @@ class PackedHost:
         # a counter of k + 1 inputs: (k + 1).bit_length() rows, a carry, a spare
         self._scratch = np.empty(((k + 1).bit_length() + 2, width), dtype=np.uint64)
 
-    def step(self, state: np.ndarray, out: np.ndarray) -> None:
-        """One synchronous majority update of every lane, into ``out``."""
+    def _step_levels(self, state, below, out, levels: int) -> None:
+        """The majority update of levels 0 to ``levels`` - 1, into ``out``.
+        Each level reads its parents and children in ``state``, but the last
+        one reads its children in ``below``."""
         s = self._starts
-        h = len(s) - 2
-        for d in range(h):  # the root, then each internal level
+        for d in range(levels):  # the root, then each lower level
             parents = s[d] - s[d - 1] if d else 1
             rows = out[s[d] : s[d + 1]].reshape(parents, -1)
-            kids = state[s[d + 1] : s[d + 2]].reshape(*rows.shape, -1)
+            kids = state[s[d + 1] : s[d + 2]] if d + 1 < levels else below
+            kids = kids.reshape(*rows.shape, -1)
             inputs = [kids[..., i] for i in range(kids.shape[2])]
             if d:  # and the parent, as a broadcast column
                 inputs.append(state[s[d - 1] : s[d]].reshape(parents, 1))
             for a in range(0, parents, self._rows):
                 part = slice(a, a + self._rows)
                 _majority([x[part] for x in inputs], rows[part], self._scratch)
+
+    def step(self, state: np.ndarray, out: np.ndarray) -> None:
+        """One synchronous majority update of every lane, into ``out``."""
+        s = self._starts
+        h = len(s) - 2
+        self._step_levels(state, state[s[h] :], out, h)
         # leaves copy their parent
         parents = s[h] - s[h - 1]
         out[s[h] :].reshape(parents, -1)[:] = state[s[h - 1] : s[h]].reshape(parents, 1)
@@ -316,41 +331,56 @@ class PackedHost:
         Each row holds ceil(n / 8) bytes whose bit v, read little-endian,
         is set iff vertex v holds +1 at time 0: the layout that
         ``OpinionVector.random`` draws.  Rows are consumed as they come,
-        so at most one word of them is held at a time.
+        so at most one word of them is held at a time.  The run holds two
+        states of the whole host, 2n words, and nothing else of size n.
         """
         rows = iter(rows)
         words = (self.n + LANES - 1) // LANES
-        ring = np.empty((3, words * LANES), dtype=np.uint64)
+        x0, x1 = np.empty((2, words * LANES), dtype=np.uint64)
         taus: list[int] = []
         while True:
-            # ring[2] is free until step 2: it holds the lanes meanwhile
-            lanes = ring[2].view(np.uint8).reshape(LANES, 8 * words)
+            # x1 is free until the first step: it holds the lanes meanwhile
+            lanes = x1.view(np.uint8).reshape(LANES, 8 * words)
             lanes[:] = 0
             width = 0
             for width, row in enumerate(islice(rows, LANES), 1):
                 lanes[width - 1, : (self.n + 7) // 8] = row
             if not width:
                 return taus
-            _transpose_lanes(lanes, ring[0])
-            taus += self._run(ring[:, : self.n], width)
+            _transpose_lanes(lanes, x0)
+            taus += self._run(x0[: self.n], x1[: self.n], width)
 
-    def _run(self, ring: np.ndarray, width: int) -> list[int]:
-        """Step the state in ``ring[0]`` until each of its first ``width``
-        lanes has a t with state t + 2 equal to state t; the first such t
-        is the lane's tau."""
+    def _run(self, x0: np.ndarray, x1: np.ndarray, width: int) -> list[int]:
+        """The tau of each of the first ``width`` lanes of state ``x0``, the
+        first t with state t + 2 equal to state t; ``x1`` is scratch.
+
+        With k even, a vertex v on level h - 1 has k leaves, which all hold
+        x_t(v) at time t + 1, so x_{t+2}(v) = x_t(v) from t = 0, and the
+        leaves repeat from t = 1.  Only the first step updates the whole
+        host.  The later ones update only the core, levels 0 to h - 2, with
+        level h - 1 a fixed boundary read as x_0 or x_1 by the parity of t,
+        and the core's tau is raised to 1 where a leaf's x_0 differs from
+        its parent's x_1, which is the leaf's x_2.
+        """
+        s = self._starts
+        h = len(s) - 2
+        self.step(x0, x1)
+        flags = self._leaf_flags(x0, x1)
+        boundary = (x0[s[h - 1] : s[h]], x1[s[h - 1] : s[h]])
+        core = s[h - 1]
+        # the core's third state goes where x1's leaves, never read, lie
+        ring = (x0[:core], x1[:core], x1[s[h] : s[h] + core])
         taus = [0] * width
         undecided = (1 << width) - 1
-        t = 0
+        t = 1
         while undecided:
             if t >= self.limit:
                 raise InvariantViolationError(
                     f"{undecided.bit_count()} lanes not 2-periodic within "
                     f"{self.limit} steps; the word engine is broken"
                 )
-            self.step(ring[t % 3], ring[(t + 1) % 3])
+            self._step_levels(ring[t % 3], boundary[t % 2], ring[(t + 1) % 3], h - 1)
             t += 1
-            if t < 2:
-                continue
             # state t - 2 is dead once compared: step t + 1 overwrites it
             old = ring[(t + 1) % 3]
             np.bitwise_xor(old, ring[t % 3], out=old)
@@ -360,4 +390,20 @@ class PackedHost:
                 if settled >> j & 1:
                     taus[j] = t - 2
             undecided &= changing
-        return taus
+        return [max(tau, flags >> j & 1) for j, tau in enumerate(taus)]
+
+    def _leaf_flags(self, x0: np.ndarray, x1: np.ndarray) -> int:
+        """Lanes where some leaf's x_0 differs from its parent's x_1, a
+        slice of parents at a time."""
+        s = self._starts
+        h = len(s) - 2
+        parents = s[h] - s[h - 1]
+        leaves = x0[s[h] :].reshape(parents, -1)
+        above = x1[s[h - 1] : s[h]].reshape(parents, 1)
+        flags = 0
+        for a in range(0, parents, self._rows):
+            part = leaves[a : a + self._rows]
+            diff = self._scratch[0, : part.size].reshape(part.shape)
+            np.bitwise_xor(part, above[a : a + self._rows], out=diff)
+            flags |= int(np.bitwise_or.reduce(diff, axis=None))
+        return flags

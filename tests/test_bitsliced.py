@@ -269,12 +269,12 @@ def test_packed_run_aborts_at_the_step_budget(monkeypatch):
     tree = build_perfect_tree(2, 3)
     calls = []
 
-    def never_periodic(self, state, out):
+    def never_periodic(self, state, below, out, levels):
         # every lane runs a, a, not a, not a, a, ...: no state t + 2 equals state t
         calls.append(1)
         np.bitwise_xor(state, np.uint64(0 if len(calls) % 2 else 2**64 - 1), out=out)
 
-    monkeypatch.setattr(PackedHost, "step", never_periodic)
+    monkeypatch.setattr(PackedHost, "_step_levels", never_periodic)
     rows = np.zeros((3, (tree.n + 7) // 8), dtype=np.uint8)
     with pytest.raises(InvariantViolationError, match="3 lanes"):
         PackedHost(2, 3).taus(rows)
