@@ -688,24 +688,33 @@ def _suite_strong_value_symmetry(
 ) -> ClaimReport:
     """Global negation preserves strong stability and negates every
     opinion, so over all full initial vectors the strong ones split evenly
-    by the subject's opinion at time t."""
+    by the subject's opinion at time t.
+
+    The vectors run in blocks of 2^16, whose low variables go to the
+    subject's subtree first: strong stability reads only the subtree, so
+    one mask per t serves every block."""
     del instances, rng
-    tree, v = _binary_host(3), 1
-    n = tree.n
-    mask = (1 << (1 << n)) - 1
-    cols0 = [tt_column(u, n) for u in range(n)]  # the whole truth table
-    run = BatchRun(tree, cols0, mask)
-    value_at = [run.cols[v]]
-    for _ in range(3):
-        run.advance()
-        value_at.append(run.cols[v])
-    del run  # 2^22-lane states: free them before the strong runs
+    tree, v, width = _binary_host(3), 1, 16
+    ids = _PinnedSubtree(tree, v).ids
+    var = ids + [u for u in range(tree.n) if u not in ids]  # vertex of each variable
+    mask = (1 << (1 << width)) - 1
+    cols = [0] * tree.n
+    for j, u in enumerate(var[:width]):
+        cols[u] = tt_column(j, width)
+    strong = [_strong_ok_bits(tree, cols, mask, v, t, EXTENSION_BUDGET)[0] for t in range(4)]
+    plus = [0] * 4
+    for block in range(1 << (tree.n - width)):
+        for j, u in enumerate(var[width:]):
+            cols[u] = mask if block >> j & 1 else 0
+        run = BatchRun(tree, cols, mask)
+        for t in range(4):
+            if t:
+                run.advance()
+            plus[t] += (strong[t] & run.cols[v]).bit_count()
     outcomes = []
-    for t, value in enumerate(value_at):
-        strong, _ = _strong_ok_bits(tree, cols0, mask, v, t, EXTENSION_BUDGET)
-        plus = (strong & value).bit_count()
-        minus = strong.bit_count() - plus
-        outcomes.append((True, plus == minus, f"t={t} +1:{plus} -1:{minus}"))
+    for t in range(4):
+        minus = (strong[t].bit_count() << (tree.n - width)) - plus[t]
+        outcomes.append((True, plus[t] == minus, f"t={t} +1:{plus[t]} -1:{minus}"))
     return _tally("strong_value_symmetry", outcomes)
 
 

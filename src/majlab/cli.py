@@ -97,7 +97,7 @@ def cmd_gen(args) -> int:
     tree = build_perfect_tree(args.k, args.h)
     comments = [
         f"{TOOL_NAME} {__version__}",
-        f"gen k={args.k} h={args.h} n={tree.n} diameter={tree.diameter}",
+        f"gen k={args.k} h={args.h} n={tree.n} diameter={2 * args.h}",
     ]
     _write_text(args.output, tree_to_text(tree, header_comments=comments))
     return 0

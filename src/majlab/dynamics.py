@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadTimeError,
     BadVertexError,
     InvariantViolationError,
     LengthMismatchError,
@@ -223,7 +224,7 @@ def is_t_stable(host, xi0: OpinionVector, v: int, t: int) -> bool:
     if not (0 <= v < host.n):
         raise BadVertexError(f"vertex {v} out of range for n={host.n}")
     if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+        raise BadTimeError(f"t must be >= 0, got {t}")
     return stabilise(host, xi0).is_vertex_t_stable(v, t)
 
 

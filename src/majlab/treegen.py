@@ -14,9 +14,10 @@ vertex gets a parent with a smaller id, and each vertex's children are
 appended in id order, so vertex v's ascending neighbour list is its parent
 followed by its children.  The adjacency therefore needs no sort, and a
 FIFO walk over the child lists visits the vertices in exactly the order,
-with the parents and depths, of the BFS over that adjacency.  The edges
-are valid by construction; of the generic checks only degree parity is
-kept, as an invariant.
+with the parents, of the BFS over that adjacency.  The edges are valid by
+construction; of the generic checks only degree parity is kept, as an
+invariant.  Depth, height and diameter are left, as for every tree, to
+their first read.
 """
 
 from __future__ import annotations
@@ -26,18 +27,17 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .errors import InvariantViolationError, TooSmallError
-from .trees import RootedTree, _height_and_diameter
+from .trees import RootedTree
 
 
 def random_odd_tree(n: int, rng: np.random.Generator) -> RootedTree:
     """Random tree with n vertices, all degrees odd; n must be even, >= 2."""
     if n < 2 or n % 2 != 0:
         raise TooSmallError(f"odd-degree trees need even n >= 2, got {n}")
-    parent, depth, kids = [-1, 0], [0, 1], [[1], []]
+    parent, kids = [-1, 0], [[1], []]
     for size in range(2, n, 2):  # vertices size and size + 1 join the tree
         p = int(rng.integers(size))
         parent += (p, p)
-        depth += (depth[p] + 1,) * 2
         kids[p] += (size, size + 1)
         kids += ([], [])
     order = [0]
@@ -49,15 +49,11 @@ def random_odd_tree(n: int, rng: np.random.Generator) -> RootedTree:
     if not np.bitwise_and.reduce(degree) & 1:  # odd exactly when all are
         v = int(np.argmin(degree & 1))
         raise InvariantViolationError(f"generated vertex {v} has even degree {degree[v]}")
-    parent = np.array(parent, dtype=np.int32)
-    order = np.array(order, dtype=np.int32)
-    height, diameter = _height_and_diameter(n, parent, order)
     return RootedTree(
-        n=n, root=0, parent=parent, order=order,
-        depth=np.array(depth, dtype=np.int32), height=height, degree=degree,
+        n=n, root=0, parent=np.array(parent, dtype=np.int32),
+        order=np.array(order, dtype=np.int32), degree=degree,
         adj_flat=_flat(adj, 2 * n - 2), adj_offsets=_offsets(adj),
         child_flat=_flat(kids, n - 1), child_offsets=_offsets(kids),
-        diameter=diameter,
     )
 
 

@@ -4,11 +4,12 @@ Hosts are finite trees in which every vertex has odd degree, so a majority
 among neighbours is always strict.  Every edge list reaches RootedTree as
 one (m, 2) integer array, checked by array operations; rows already in BFS
 (parent, child) order, as every tree file majlab writes is, give the
-parent, order and depth without a BFS.  Perfect trees use
-dense 0-based vertex ids assigned in BFS order from the root, which keeps
-each vertex's children contiguous; random odd trees (``treegen``) number
-every parent before its children and build their arrays without an edge
-list; loaded trees keep the ids given in the file.
+parent and order without a BFS.  No constructor derives depth, height or
+diameter: the first read of any of them derives all three.  Perfect trees
+use dense 0-based vertex ids assigned in BFS order from the root, which
+keeps each vertex's children contiguous; random odd trees (``treegen``)
+number every parent before its children and build their arrays without an
+edge list; loaded trees keep the ids given in the file.
 
 Vertex classification counts degree-1 neighbours ("pendant" vertices)
 against the threshold (deg - 1) / 2 and is independent of the root choice.
@@ -67,8 +68,8 @@ def _build_csr(n: int, src: np.ndarray, dst: np.ndarray):
 
 
 def _validated_edge_arrays(n: int, root: int, ends: np.ndarray):
-    """Both directions of every edge, and ``_rows_in_bfs_order``'s parent,
-    order and depth (None if the rows are not in BFS order).  Raises at the
+    """Both directions of every edge, and ``_rows_in_bfs_order``'s parent
+    and order (None if the rows are not in BFS order).  Raises at the
     first edge, in input order, that is out of range or a self-loop, then
     at any parallel pair."""
     src, dst = ends.T
@@ -89,7 +90,7 @@ def _validated_edge_arrays(n: int, root: int, ends: np.ndarray):
 
 
 def _rows_in_bfs_order(n: int, root: int, ends: np.ndarray):
-    """Parent, order and depth read straight from rows of in-range ids with
+    """Parent and order read straight from rows of in-range ids with
     no self-loop, or None unless the rows, as (parent, child), are
     ``_bfs_tree``'s order from ``root``.
 
@@ -113,23 +114,13 @@ def _rows_in_bfs_order(n: int, root: int, ends: np.ndarray):
         and ((after > 0) | ((after == 0) & (kid[1:] > kid[:-1]))).all()
     ):
         return None
-    # depth by pointer jumping over positions: dist is the distance to anc
-    anc = np.concatenate(([0], at))
-    dist = np.ones(n, dtype=np.int64)
-    dist[0] = 0
-    while anc.any():
-        dist += dist[anc]
-        anc = anc[anc]
     parent = np.full(n, -1, dtype=np.int32)
     parent[kid] = par
-    order = np.concatenate(([root], kid)).astype(np.int32)
-    depth = np.empty(n, dtype=np.int32)
-    depth[order] = dist
-    return parent, order, depth
+    return parent, np.concatenate(([root], kid)).astype(np.int32)
 
 
 class RootedTree:
-    """A rooted odd-degree tree with precomputed structure arrays.
+    """A rooted odd-degree tree: its adjacency and its rooting.
 
     Attributes
     ----------
@@ -142,8 +133,10 @@ class RootedTree:
         ``height[v]`` is the distance from v to the farthest leaf inside the
         subtree of v (0 exactly at childless vertices).
     diameter : int
-        Longest path length, from the same leaves-up pass as ``height``:
-        the longest path through v joins its two tallest branches.
+        Longest path length.
+
+    Depth, height and diameter are read-only, and the first read of any of
+    them derives all three (``_depth_height_diameter``).
     """
 
     __slots__ = (
@@ -151,19 +144,18 @@ class RootedTree:
         "root",
         "parent",
         "order",
-        "depth",
-        "height",
         "degree",
         "adj_flat",
         "adj_offsets",
         "child_flat",
         "child_offsets",
-        "diameter",
+        "_levels",  # (depth, height, diameter) once read, else None
     )
 
     def __init__(self, **fields):
-        for name in RootedTree.__slots__:
+        for name in RootedTree.__slots__[:-1]:
             setattr(self, name, fields[name])
+        self._levels = None
 
     # -- constructors -------------------------------------------------
 
@@ -199,19 +191,24 @@ class RootedTree:
         return cls._finish(n, root, *rooted, adj_flat, adj_offsets, degree)
 
     @classmethod
-    def _finish(cls, n, root, parent, order, depth, adj_flat, adj_offsets, degree,
-                height=None, diameter=None):
-        if height is None:
-            height, diameter = _height_and_diameter(n, parent, order)
+    def _finish(cls, n, root, parent, order, adj_flat, adj_offsets, degree):
         child_flat, child_offsets = _child_csr(n, parent, root)
         return cls(
-            n=n, root=root, parent=parent, order=order, depth=depth,
-            height=height, degree=degree, adj_flat=adj_flat,
-            adj_offsets=adj_offsets, child_flat=child_flat,
-            child_offsets=child_offsets, diameter=int(diameter),
+            n=n, root=root, parent=parent, order=order, degree=degree,
+            adj_flat=adj_flat, adj_offsets=adj_offsets,
+            child_flat=child_flat, child_offsets=child_offsets,
         )
 
     # -- structure accessors -------------------------------------------
+
+    def _read_levels(self):
+        if self._levels is None:
+            self._levels = _depth_height_diameter(self.n, self.parent, self.order)
+        return self._levels
+
+    depth = property(lambda self: self._read_levels()[0])
+    height = property(lambda self: self._read_levels()[1])
+    diameter = property(lambda self: self._read_levels()[2])
 
     def neighbours(self, v: int) -> np.ndarray:
         return self.adj_flat[self.adj_offsets[v] : self.adj_offsets[v + 1]]
@@ -259,22 +256,19 @@ class RootedTree:
 
 
 def _bfs_tree(n, adj_flat, adj_offsets, root):
-    """Parent (-1 at the root), BFS order and depth from ``root``; the
-    order covers fewer than n vertices exactly when the graph is
-    disconnected."""
+    """Parent (-1 at the root) and BFS order from ``root``; the order
+    covers fewer than n vertices exactly when the graph is disconnected."""
     adj, offsets = adj_flat.tolist(), adj_offsets.tolist()
     parent = [-1] * n
-    depth = [-1] * n
-    depth[root] = 0
+    parent[root] = root  # a parent marks a visited vertex
     order = [root]
     for v in order:  # the list grows while it is read: a FIFO queue
-        below = depth[v] + 1
         for u in adj[offsets[v] : offsets[v + 1]]:
-            if depth[u] < 0:
-                depth[u] = below
+            if parent[u] < 0:
                 parent[u] = v
                 order.append(u)
-    return tuple(np.array(xs, dtype=np.int32) for xs in (parent, order, depth))
+    parent[root] = -1
+    return np.array(parent, dtype=np.int32), np.array(order, dtype=np.int32)
 
 
 def _subtree_bfs(
@@ -305,20 +299,24 @@ def _subtree_bfs(
     return ids, adj
 
 
-def _height_and_diameter(n, parent, order):
-    """Height per vertex and the diameter in one leaves-up pass: each
-    vertex keeps its two tallest branches, and the longest path through
-    it joins them."""
-    par = parent.tolist()
+def _depth_height_diameter(n, parent, order):
+    """Depth per vertex in a root-down pass, then height per vertex and
+    the diameter in a leaves-up pass: each vertex keeps its two tallest
+    branches, and the longest path through it joins them."""
+    par, below_root = parent.tolist(), order.tolist()[1:]
+    depth = [0] * n
+    for v in below_root:
+        depth[v] = depth[par[v]] + 1
     tallest = [0] * n
     second = [0] * n
-    for v in reversed(order.tolist()[1:]):
+    for v in reversed(below_root):
         p, branch = par[v], tallest[v] + 1
         if branch > tallest[p]:
             tallest[p], second[p] = branch, tallest[p]
         elif branch > second[p]:
             second[p] = branch
-    return np.array(tallest, dtype=np.int32), max(map(add, tallest, second))
+    height = np.array(tallest, dtype=np.int32)
+    return np.array(depth, dtype=np.int32), height, max(map(add, tallest, second))
 
 
 def _child_csr(n, parent, root):
@@ -356,34 +354,26 @@ def build_perfect_tree(k: int, h: int) -> RootedTree:
     starts = _perfect_level_starts(k, h)
     n = starts[-1]
     parent = np.full(n, -1, dtype=np.int32)
-    depth = np.zeros(n, dtype=np.int32)
     parent[1 : starts[2]] = 0
-    depth[1 : starts[2]] = 1
     for d in range(2, h + 1):
         lo, hi = starts[d], starts[d + 1]
         j = np.arange(hi - lo, dtype=np.int64)
         parent[lo:hi] = starts[d - 1] + j // k
-        depth[lo:hi] = d
     kids = np.arange(1, n, dtype=np.int64)
     src = np.concatenate([kids, parent[kids]])
     dst = np.concatenate([parent[kids], kids])
     adj_flat, adj_offsets, degree = _build_csr(n, src, dst)
     order = np.arange(n, dtype=np.int32)
-    height = (h - depth).astype(np.int32)
-    return RootedTree._finish(
-        n, 0, parent, order, depth, adj_flat, adj_offsets, degree,
-        height=height, diameter=2 * h,
-    )
+    return RootedTree._finish(n, 0, parent, order, adj_flat, adj_offsets, degree)
 
 
 def reroot(tree: RootedTree, new_root: int) -> RootedTree:
     """Same tree (same ids and edges), re-rooted by a BFS from new_root."""
     if not (0 <= new_root < tree.n):
         raise BadVertexError(f"root {new_root} out of range for n={tree.n}")
-    parent, order, depth = _bfs_tree(tree.n, tree.adj_flat, tree.adj_offsets, new_root)
+    parent, order = _bfs_tree(tree.n, tree.adj_flat, tree.adj_offsets, new_root)
     return RootedTree._finish(
-        tree.n, new_root, parent, order, depth, tree.adj_flat, tree.adj_offsets,
-        tree.degree,
+        tree.n, new_root, parent, order, tree.adj_flat, tree.adj_offsets, tree.degree
     )
 
 

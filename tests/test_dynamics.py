@@ -14,6 +14,8 @@ from majlab.dynamics import (
     step_budget,
 )
 from majlab.errors import (
+    BadTimeError,
+    BadVertexError,
     LengthMismatchError,
     OpinionFormatError,
     PartitionError,
@@ -165,6 +167,14 @@ def test_flip_bookkeeping_matches_history():
                 )
                 assert res.is_vertex_t_stable(v, t) == direct
                 assert is_t_stable(tree, xi0, v, t) == direct
+
+
+def test_is_t_stable_rejects_bad_vertices_and_times():
+    xi0 = OpinionVector.from_string("+-+-")
+    with pytest.raises(BadVertexError):
+        is_t_stable(STAR, xi0, 4, 0)
+    with pytest.raises(BadTimeError, match="^t must be >= 0, got -1$"):
+        is_t_stable(STAR, xi0, 0, -1)
 
 
 def test_stabilise_history_is_opt_in_and_starts_at_xi0():

@@ -44,25 +44,40 @@ def test_claims_has_one_instance_loop():
     assert len(loops) == 1, f"range(instances) at claims.py lines {loops}"
 
 
-def test_edges_reach_trees_through_from_edges_only():
-    # one graph type, and one edge array checked in one place
-    callers, classes = [], []
+def _scopes(match) -> list[str]:
+    """The Class.function scope, across the package, of each node that
+    ``match`` accepts."""
+    found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 inner = f"{scope}.{child.name}".lstrip(".")
-            if isinstance(child, ast.ClassDef):
-                classes.append(child.name)
-            if isinstance(child, ast.Call) and ast.unparse(child.func) == "_validated_edge_arrays":
-                callers.append(scope)
+            if match(child):
+                found.append(scope)
             visit(child, inner)
 
     for path in sorted(Path(majlab.__file__).parent.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), "")
-    assert "GraphView" not in classes
+    return found
+
+
+def test_edges_reach_trees_through_from_edges_only():
+    # one graph type, and one edge array checked in one place
+    assert not _scopes(lambda node: isinstance(node, ast.ClassDef) and node.name == "GraphView")
+    callers = _scopes(
+        lambda node: isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "_validated_edge_arrays"
+    )
     assert callers == ["RootedTree.from_edges"]
+
+
+def test_levels_are_derived_through_the_tree_accessor_only():
+    # depth, height and diameter come from one helper, on first read
+    helper = "_depth_height_diameter"
+    callers = _scopes(lambda node: helper in (getattr(node, "id", 0), getattr(node, "attr", 0)))
+    assert callers == ["RootedTree._read_levels"], callers
 
 
 def test_path_scores_is_two_passes_over_lists():

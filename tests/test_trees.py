@@ -2,6 +2,7 @@
 
 import hashlib
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,12 +183,7 @@ def test_edge_input_forms_build_identical_trees(random_suite):
             )
         ]
         for other in built[1:]:
-            for name in RootedTree.__slots__:
-                want, got = getattr(built[0], name), getattr(other, name)
-                if isinstance(want, np.ndarray):
-                    assert (want.dtype, want.tobytes()) == (got.dtype, got.tobytes())
-                else:
-                    assert want == got
+            assert_same_arrays(built[0], other)
     for bad in ([(0, 1, 2), (0, 2, 3)], [0, 1, 2], np.zeros((3, 3), dtype=np.int64)):
         with pytest.raises(TreeFormatError, match=r"^edges must be \(u, v\) pairs$"):
             RootedTree.from_edges(bad, n=4)
@@ -346,6 +342,53 @@ def test_structure_arrays_match_their_definitions(random_suite, exhaustive_suite
             RootedTree.from_edges(edges, root=root, n=8)
 
 
+def _random_rows():
+    tree = random_odd_tree(40, np.random.default_rng(3))
+    return tree, np.random.default_rng(4).permutation(np.array(tree.edges()))
+
+
+# one case per way of building a tree
+CONSTRUCTION_PATHS = {
+    "from_edges-shuffled": lambda: RootedTree.from_edges(_random_rows()[1], root=5, n=40),
+    "tree_from_text-bfs-rows": lambda: tree_from_text(tree_to_text(reroot(_random_rows()[0], 7))),
+    "perfect-2": lambda: build_perfect_tree(2, 4),
+    "perfect-4": lambda: build_perfect_tree(4, 3),
+    "perfect-6": lambda: build_perfect_tree(6, 2),
+    "random_odd_tree": lambda: _random_rows()[0],
+    "reroot": lambda: reroot(build_perfect_tree(2, 3), 17),
+}
+
+
+@pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+def test_levels_are_derived_on_first_read(path):
+    tree = CONSTRUCTION_PATHS[path]()
+    assert tree._levels is None
+    check_structure_against_definitions(tree)  # reads depth first
+    assert tree._levels is not None
+    assert (tree.depth.dtype, tree.height.dtype, type(tree.diameter)) == (np.int32, np.int32, int)
+    with pytest.raises(AttributeError):
+        tree.diameter = 0
+
+
+def test_commands_derive_no_levels(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a command derived depth, height and diameter")
+
+    monkeypatch.setattr(majlab.trees, "_depth_height_diameter", refuse)
+    host, out = str(tmp_path / "host.txt"), ["-o", str(tmp_path / "out.json")]
+    prob = [["weak", "--t", "0"], ["strong", "--t", "1"], ["le_t", "--t", "2"], ["one_close"]]
+    for argv in (
+        ["gen", "--k", "2", "--h", "2", "-o", host],
+        ["simulate", "--tree", host, *out],
+        ["worst-case", "--tree", host, *out],
+        ["brute-force", "--tree", host, *out],
+        *(["prob", "--height", "2", "--target", *target, *out] for target in prob),
+        ["mc-tau", "--k", "2", "--h", "3", "--trials", "5", *out],
+    ):
+        assert main(argv) == 0, argv
+    assert "diameter=4" in Path(host).read_text(encoding="utf-8")
+
+
 def test_reroot_preserves_structure():
     rng = np.random.default_rng(5)
     tree = random_odd_tree(12, rng)
@@ -408,8 +451,12 @@ def test_text_format_errors():
         tree_from_text("tree n=4 root=0\n0 1\n0 2\n")
 
 
+# the stored fields, then the levels their first read derives
+TREE_FIELDS = [*RootedTree.__slots__[:-1], "depth", "height", "diameter"]
+
+
 def assert_same_arrays(want, got):
-    for name in RootedTree.__slots__:
+    for name in TREE_FIELDS:
         a, b = getattr(want, name), getattr(got, name)
         if isinstance(a, np.ndarray):
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name

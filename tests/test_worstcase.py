@@ -231,7 +231,7 @@ def bfs_rooted_witness(tree, path):
     """The witness recipe on a second rooting at the path's end, from its
     own BFS and child CSR: the oracle for the walk up the tree's parents."""
     first, end = path[0], path[-1]
-    parent, order, _ = _bfs_tree(tree.n, tree.adj_flat, tree.adj_offsets, end)
+    parent, order = _bfs_tree(tree.n, tree.adj_flat, tree.adj_offsets, end)
     child_flat, child_offsets = _child_csr(tree.n, parent, end)
 
     def children(v):
