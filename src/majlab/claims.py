@@ -160,9 +160,10 @@ def _random_host(rng: np.random.Generator, low: int = 6, high: int = 18) -> Root
 
 
 def _stabilise_each(
-    hosts: list[RootedTree], xi0s: list[OpinionVector], keep_history: bool = False
+    hosts: list[RootedTree], xi0s: list[OpinionVector]
 ) -> list[StabilisationResult]:
-    """``stabilise(host, xi0)`` of every pair, from one run on the union.
+    """``stabilise(host, xi0, keep_history=True)`` of every pair, from one
+    run on the union.
 
     Components of a disjoint union evolve independently, each 2-periodic
     from its own first repeat on (Goles & Olivos, 1980): its tau is its
@@ -180,16 +181,16 @@ def _stabilise_each(
         adj_offsets=np.append(0, np.cumsum(degree)),
     )
     xi0 = OpinionVector(np.concatenate([x.to_signs() for x in xi0s]))
-    res = stabilise(forest, xi0, keep_history=keep_history)
+    res = stabilise(forest, xi0, keep_history=True)
     taus = np.maximum(np.maximum.reduceat(res.last_flip, starts) - 1, 0).tolist()
     even, odd = res.stable_even.to_signs(), res.stable_odd.to_signs()
-    rows = np.stack(res.history) if keep_history else None
+    rows = np.stack(res.history)
     return [
         StabilisationResult(
             tau, tau + 2, OpinionVector(even[lo:hi]), OpinionVector(odd[lo:hi]),
             res.first_flip[lo:hi], res.last_flip[lo:hi],
             res.last_flip_even[lo:hi], res.last_flip_odd[lo:hi],
-            None if rows is None else list(rows[: tau + 3, lo:hi]),
+            list(rows[: tau + 3, lo:hi]),
         )
         for lo, hi, tau in zip(starts.tolist(), (starts + sizes).tolist(), taus)
     ]
@@ -221,7 +222,7 @@ def _runs(asks: list[tuple[RootedTree, OpinionVector]]) -> list[_Run]:
     """Every (host, xi0) trajectory with its history, and weak verdicts on
     the binary hosts, the only ones where weak stability is defined."""
     hosts = [host for host, _ in asks]
-    results = _stabilise_each(hosts, [xi0 for _, xi0 in asks], keep_history=True)
+    results = _stabilise_each(hosts, [xi0 for _, xi0 in asks])
     hists = [np.array(res.history) for res in results]
     weak = [None] * len(results)
     binary = {id(host) for host in _BINARY_HOSTS.values()}

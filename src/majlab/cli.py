@@ -50,15 +50,18 @@ from .worstcase import BRUTE_FORCE_BUDGET, brute_force_tau, worst_case_tau
 
 
 def _resolved_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    raw = os.environ.get("MAJLAB_SEED")
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise MajlabError(f"MAJLAB_SEED must be an integer, got {raw!r}") from None
+    seed, source = getattr(args, "seed", None), "--seed"
+    if seed is None:
+        raw, source = os.environ.get("MAJLAB_SEED"), "MAJLAB_SEED"
+        if raw is None:
+            return 0
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise MajlabError(f"MAJLAB_SEED must be an integer, got {raw!r}") from None
+    if seed < 0:  # numpy seeds only non-negative integers
+        raise MajlabError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _config(args, fields: tuple[str, ...]) -> dict:

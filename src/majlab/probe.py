@@ -55,7 +55,6 @@ from .errors import (
     BadTimeError,
     BadVertexError,
     BudgetExceededError,
-    InvariantViolationError,
     MajlabError,
 )
 from .stability import (
@@ -63,6 +62,7 @@ from .stability import (
     _PinnedSubtree,
     _extension_vector,
     _le_t_ok_bits,
+    _step_subtree,
     _strong_ok_bits,
     _weak_ok_bits,
     is_one_close_to_stability,
@@ -330,18 +330,6 @@ def _probability(
     return _estimate(count, width, method, seed, **meta)
 
 
-def _step_subtree(sub: _PinnedSubtree, cols: list[int], mask: int, t: int) -> None:
-    """Set the subtree entries of ``cols`` to their time-t state, stepped
-    on the light cone ``sub`` of reach t - 1."""
-    run = sub.run(cols, mask)
-    while run.t < t and run.changing:
-        run.advance()
-    if (run.t ^ t) & 1:
-        run.advance()
-    for u, col in zip(sub.ids, run.cols):
-        cols[u] = col
-
-
 def _one_close_count(
     host: RootedTree,
     v: int,
@@ -434,14 +422,6 @@ def fixed_point_q(
     )
 
 
-_POOL_HOST: PackedHost | None = None
-
-
-def _pool_init(packed: PackedHost) -> None:
-    global _POOL_HOST
-    _POOL_HOST = packed
-
-
 def _trial_sequence(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
 
@@ -460,10 +440,11 @@ def _batch_taus(packed: PackedHost, seed: int, start: int, stop: int) -> list[in
     )
 
 
-def _pool_batch(batch: tuple[int, int, int]) -> list[int]:
-    if _POOL_HOST is None:
-        raise InvariantViolationError("worker process was not initialised")
-    return _batch_taus(_POOL_HOST, *batch)
+def _job_taus(job: tuple[int, int, int, int, int]) -> list[int]:
+    """``_batch_taus`` of a ``(k, h, seed, start, stop)`` job, on a packed
+    host of its own: building one builds no tree."""
+    k, h, seed, start, stop = job
+    return _batch_taus(PackedHost(k, h), seed, start, stop)
 
 
 def mc_tau(
@@ -486,8 +467,8 @@ def mc_tau(
     if workers < 1:
         raise MajlabError(f"workers must be positive, got {workers}")
     packed = PackedHost(k, h)
-    batches = [(seed, a, min(a + LANES, trials)) for a in range(0, trials, LANES)]
-    processes = min(workers, len(batches))
+    jobs = [(k, h, seed, a, min(a + LANES, trials)) for a in range(0, trials, LANES)]
+    processes = min(workers, len(jobs))
     if processes == 1:
         taus = _batch_taus(packed, seed, 0, trials)
     else:
@@ -495,14 +476,10 @@ def mc_tau(
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        # forked workers inherit the packed host instead of rebuilding it
         with ProcessPoolExecutor(
-            max_workers=processes,
-            mp_context=get_context("fork"),
-            initializer=_pool_init,
-            initargs=(packed,),
+            max_workers=processes, mp_context=get_context("fork")
         ) as pool:
-            taus = [t for part in pool.map(_pool_batch, batches) for t in part]
+            taus = [t for part in pool.map(_job_taus, jobs) for t in part]
     return McSummary(
         k=k,
         h=h,

@@ -31,9 +31,8 @@ whole outside with one constant per trajectory, which then never
 changes, so they step only the subtree and the vertex's pinned parent
 (``_PinnedSubtree``); the (<= t) runs step only the subtree's top t
 levels, the rest pinned, since nothing deeper reaches the vertex by
-time t.  Only ``is_weakly_t_stable`` steps its time-t state on the
-whole host, on the int8 engine of ``dynamics``; the probes of ``probe``
-step it on the light cone.
+time t.  Weak t-stability steps its time-t state on the light cone
+alone: the subtree and the outside within t - 1 of the vertex's parent.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitsliced import BatchRun, lowest_bit_index, tt_column
-from .dynamics import OpinionVector, _check_length, _step_signs, step_budget
+from .dynamics import OpinionVector, _check_length, step_budget
 from .errors import BadHostError, BadTimeError, BadVertexError, BudgetExceededError
 from .trees import RootedTree, _subtree_bfs
 
@@ -96,13 +95,6 @@ def _check_binary_host(tree: RootedTree) -> None:
         raise BadHostError("host must be a binary tree whose root has three children")
 
 
-def _state_at(tree: RootedTree, xi0: OpinionVector, t: int) -> np.ndarray:
-    signs = xi0.to_signs()
-    for _ in range(t):
-        signs = _step_signs(tree, signs)
-    return signs
-
-
 def _columns(signs: np.ndarray) -> list[int]:
     """One width-one column per vertex: 1 for +1, 0 for -1."""
     return (signs > 0).view(np.uint8).tolist()
@@ -122,13 +114,16 @@ def is_weakly_t_stable(
     if t < 0:
         raise BadTimeError(f"t must be non-negative, got {t}")
     _check_length(tree, xi0)
-    state = _state_at(tree, xi0, t)
-    sub = _PinnedSubtree(tree, v)
+    sub = _PinnedSubtree(tree, v, reach=max(t - 1, 0))
+    state = xi0.to_signs()
+    cols = _columns(state)
+    _step_subtree(sub, cols, 1, t)
+    state[sub.ids] = [2 * cols[u] - 1 for u in sub.ids]  # the subtree at time t
     return StabilityVerdict(
         kind="weak",
         vertex=v,
         t=t,
-        verdict=_weak_ok_bits(sub, _columns(state), 1) == 1,
+        verdict=_weak_ok_bits(sub, cols, 1) == 1,
         method="canonical",
         certificate=sub.extension(state, state[v]),
         checked=1,
@@ -291,6 +286,18 @@ class _PinnedSubtree:
         ext = np.full(signs.size, fill, dtype=np.int8)
         ext[self.ids] = signs[self.ids]
         return OpinionVector(ext)
+
+
+def _step_subtree(sub: _PinnedSubtree, cols: list[int], mask: int, t: int) -> None:
+    """Set the subtree entries of ``cols`` to their time-t state, stepped
+    on the light cone ``sub`` of reach t - 1."""
+    run = sub.run(cols, mask)
+    while run.t < t and run.changing:
+        run.advance()
+    if (run.t ^ t) & 1:
+        run.advance()
+    for u, col in zip(sub.ids, run.cols):
+        cols[u] = col
 
 
 def _weak_ok_bits(sub: _PinnedSubtree, cols: list[int], mask: int) -> int:

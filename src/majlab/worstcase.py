@@ -10,10 +10,10 @@ vertex and n otherwise, and the worst case over all initial opinions is
 exactly the maximum score.
 
 ``worst_case_tau`` evaluates that maximum with two linear-time passes
-over directed edges (down scores from the leaves, then up scores from the
-root, which also finish each vertex's best path) and reconstructs the
-lexicographically smallest maximising path.  The same sweep, scoring 1
-per active vertex, gives ``active_path_bounds``.
+over the parent pointers (down scores from the leaves, then up scores
+from the root, which also finish each vertex's best path) and
+reconstructs the lexicographically smallest maximising path.  The same
+sweep, scoring 1 per active vertex, gives ``active_path_bounds``.
 ``worst_case_witness`` builds an initial opinion vector that attains the
 score of a given candidate path, and ``brute_force_tau`` provides the
 independent exhaustive check used to validate both.
@@ -102,31 +102,29 @@ def _path_scores(
     path from parent(c) that avoids c's subtree; and with it ``full``: the
     best path from v in any direction.
     """
-    offsets, flat = tree.child_offsets.tolist(), tree.child_flat.tolist()
-    kids = [flat[a:b] for a, b in zip(offsets, offsets[1:])]
-    active, order, base = active.tolist(), tree.order.tolist(), base.tolist()
+    par, order = tree.parent.tolist(), tree.order.tolist()
+    active, base = active.tolist(), base.tolist()
     down = base[:]
+    # each vertex's top two child scores give its best child but one in
+    # O(1); a top tie gives best2 == best1.  Slot n takes the root's fold,
+    # whose parent is -1.
+    best1, best2 = [_NEG] * (tree.n + 1), [_NEG] * (tree.n + 1)
     for v in reversed(order):
-        if active[v] and kids[v]:
-            down[v] = max(base[v], 1 + max(down[c] for c in kids[v]))
+        if active[v]:
+            down[v] = max(base[v], 1 + best1[v])
+        p, d = par[v], down[v]
+        if d > best1[p]:
+            best1[p], best2[p] = d, best1[p]
+        elif d > best2[p]:
+            best2[p] = d
     up = [_NEG] * tree.n
-    full = base[:]
-    for u in order:
-        if not active[u]:
-            for c in kids[u]:
-                up[c] = base[u]
-            continue
-        # top two child scores exclude one child in O(1); a top tie gives best2 == best1
-        best1 = best2 = _NEG
-        for c in kids[u]:
-            d = down[c]
-            if d > best1:
-                best1, best2 = d, best1
-            elif d > best2:
-                best2 = d
-        full[u] = max(base[u], 1 + max(up[u], best1))
-        for c in kids[u]:
-            up[c] = max(base[u], 1 + max(up[u], best2 if down[c] == best1 else best1))
+    for u in order[1:]:
+        p = par[u]
+        other = best2[p] if down[u] == best1[p] else best1[p]
+        up[u] = max(base[p], 1 + max(up[p], other)) if active[p] else base[p]
+    full = [
+        max(b, 1 + max(x, y)) if a else b for a, b, x, y in zip(active, base, up, best1)
+    ]
     return down, up, full
 
 

@@ -58,7 +58,7 @@ def test_weak_definition_sweep_small():
     assert report.satisfied == report.instances > 0
 
 
-def assert_same_result(got, want, keep_history):
+def assert_same_result(got, want):
     assert type(got.tau) is type(want.tau) is int
     assert (got.tau, got.steps_executed) == (want.tau, want.steps_executed)
     for name in ("stable_even", "stable_odd"):
@@ -69,9 +69,6 @@ def assert_same_result(got, want, keep_history):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
-    if not keep_history:
-        assert got.history is want.history is None
-        return
     assert len(got.history) == len(want.history)
     for a, b in zip(got.history, want.history):
         assert a.dtype == b.dtype
@@ -95,18 +92,17 @@ def hosts_of(name, exhaustive_suite, random_suite):
     }[name]
 
 
-@pytest.mark.parametrize("keep_history", [False, True])
 @pytest.mark.parametrize(
     "name", ["exhaustive", "random", "perfect", "mixed", "single", "none"]
 )
 def test_forest_run_splits_into_per_host_results(
-    name, keep_history, exhaustive_suite, random_suite
+    name, exhaustive_suite, random_suite
 ):
     hosts = hosts_of(name, exhaustive_suite, random_suite)
     rng = np.random.default_rng(11)
     xi0s = [OpinionVector.random(host.n, rng) for host in hosts]
-    results = _stabilise_each(hosts, xi0s, keep_history=keep_history)
+    results = _stabilise_each(hosts, xi0s)
     assert len(results) == len(hosts)
     for host, xi0, got in zip(hosts, xi0s, results):
-        want = stabilise(host, xi0, keep_history=keep_history)
-        assert_same_result(got, want, keep_history)
+        want = stabilise(host, xi0, keep_history=True)
+        assert_same_result(got, want)

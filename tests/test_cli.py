@@ -89,6 +89,32 @@ def test_simulate_seed_resolution(tmp_path, tree_file, monkeypatch):
     assert main(["simulate", "--tree", str(tree_file)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--tree", "{tree}"],
+        ["stability", "--tree", "{tree}", "--vertex", "1", "--kind", "one_close"],
+        ["prob", "--target", "weak", "--height", "1", "--t", "0", "--method", "mc"],
+        ["mc-tau", "--k", "2", "--h", "2", "--trials", "3"],
+        ["check-claims", "--instances", "1"],
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_seed_is_one_error_line(
+    tmp_path, tree_file, monkeypatch, capsys, argv, source
+):
+    argv = [arg.format(tree=tree_file) for arg in argv]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("MAJLAB_SEED", "-3")
+    assert main([*argv, "-o", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR: ")
+    assert ("--seed" if source == "flag" else "MAJLAB_SEED") in err[0]
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_worst_case_and_brute_force_cli(tmp_path, tree_file):
     tree = load_tree(tree_file)
     report = worst_case_tau(tree)

@@ -361,10 +361,10 @@ def test_claim_reports_under_a_broken_engine(monkeypatch, breakage, failing, dig
     # the suites run every trajectory through one seam; break each result
     each = majlab.claims._stabilise_each
 
-    def broken(hosts, xi0s, keep_history=False):
-        results = iter(each(hosts, xi0s, keep_history))
+    def broken(hosts, xi0s):
+        results = iter(each(hosts, xi0s))
         one = breakage(lambda tree, xi0, keep_history=False: next(results))
-        return [one(tree, xi0, keep_history) for tree, xi0 in zip(hosts, xi0s)]
+        return [one(tree, xi0) for tree, xi0 in zip(hosts, xi0s)]
 
     monkeypatch.setattr(majlab.claims, "_stabilise_each", broken)
     reports = run_claim_suites(instances=200, seed=5)

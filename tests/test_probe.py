@@ -439,9 +439,8 @@ def test_mc_tau_forks_at_most_one_process_per_word(monkeypatch, trials, workers,
     pools = []
 
     class InProcessPool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
+        def __init__(self, max_workers, mp_context):
             pools.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -453,7 +452,6 @@ def test_mc_tau_forks_at_most_one_process_per_word(monkeypatch, trials, workers,
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(probe, "_POOL_HOST", None)
     summary = mc_tau(2, 3, trials=trials, seed=5, workers=workers)
     assert pools == ([] if processes is None else [processes])
     assert summary.taus == mc_tau(2, 3, trials=trials, seed=5).taus

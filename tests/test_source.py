@@ -20,8 +20,8 @@ def test_no_assert_statements():
 
 
 def test_stability_runs_no_single_trajectory_engine():
-    # every predicate has one implementation, the batched layer; int8 only
-    # steps weak stability's time-t state
+    # every predicate has one implementation, the batched layer, and weak
+    # stability steps its time-t state there too, on the light cone
     path = Path(majlab.__file__).parent / "stability.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {
@@ -30,7 +30,7 @@ def test_stability_runs_no_single_trajectory_engine():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     } | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not used & {"stabilise", "Trajectory"}
+    assert not used & {"stabilise", "Trajectory", "_step_signs"}
 
 
 def test_claims_has_one_instance_loop():
@@ -81,22 +81,24 @@ def test_levels_are_derived_through_the_tree_accessor_only():
 
 
 def test_path_scores_is_two_passes_over_lists():
-    # leaves up, then root down; child lists are built once per call, not
-    # sliced from the tree per vertex
+    # leaves up, then root down, over the parent pointers and BFS order:
+    # no child lists, built per call or sliced from the tree per vertex
     path = Path(majlab.__file__).parent / "worstcase.py"
+    module = ast.parse(path.read_text(encoding="utf-8"))
     (func,) = [
         node
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for node in ast.walk(module)
         if isinstance(node, ast.FunctionDef) and node.name == "_path_scores"
     ]
     loops = [stmt.lineno for stmt in func.body if isinstance(stmt, ast.For)]
     assert len(loops) == 2, f"top-level for statements at worstcase.py lines {loops}"
-    accessors = {
-        node.attr
-        for node in ast.walk(func)
-        if isinstance(node, ast.Attribute) and node.attr in ("children", "neighbours")
-    }
-    assert not accessors
+
+    def reads(node, names):
+        return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)} & names
+
+    assert not reads(func, {"children", "neighbours"})
+    # and no part of worstcase reads the child CSR
+    assert not reads(module, {"child_flat", "child_offsets"})
 
 
 def test_claims_steps_trajectories_through_one_seam():

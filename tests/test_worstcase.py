@@ -171,6 +171,51 @@ def test_path_scores_match_a_literal_candidate_path_oracle(random_suite, exhaust
         assert worst_case_tau(tree).argmax.vertices == want
 
 
+
+def child_list_path_scores(tree, active, base):
+    """``_path_scores`` over Python child lists: each vertex scans its
+    children for its down score, its top two, and its children's up scores."""
+    offsets, flat = tree.child_offsets.tolist(), tree.child_flat.tolist()
+    kids = [flat[a:b] for a, b in zip(offsets, offsets[1:])]
+    active, order, base = active.tolist(), tree.order.tolist(), base.tolist()
+    down = base[:]
+    for v in reversed(order):
+        if active[v] and kids[v]:
+            down[v] = max(base[v], 1 + max(down[c] for c in kids[v]))
+    up = [_NEG] * tree.n
+    full = base[:]
+    for u in order:
+        if not active[u]:
+            for c in kids[u]:
+                up[c] = base[u]
+            continue
+        best1 = best2 = _NEG
+        for c in kids[u]:
+            d = down[c]
+            if d > best1:
+                best1, best2 = d, best1
+            elif d > best2:
+                best2 = d
+        full[u] = max(base[u], 1 + max(up[u], best1))
+        for c in kids[u]:
+            up[c] = max(base[u], 1 + max(up[u], best2 if down[c] == best1 else best1))
+    return down, up, full
+
+
+def test_path_scores_match_the_child_list_sweep(random_suite, exhaustive_suite):
+    perfect = [build_perfect_tree(k, h) for k, h in ((2, 6), (4, 4), (6, 3))]
+    rerooted = [
+        reroot(tree, v)
+        for tree in random_suite[:100] + perfect
+        for v in (1, tree.n // 2, tree.n - 1)
+    ]
+    for tree in exhaustive_suite + random_suite + perfect + rerooted:
+        codes = classify_all(tree)
+        active = codes == VertexClass.ACTIVE
+        for base in (_terminal_scores(tree, codes), active.astype(np.int64)):
+            want = child_list_path_scores(tree, active, base)
+            assert _path_scores(tree, active, base) == want
+
 def per_subtree_witness(tree, path):
     """The witness recipe written per subtree: one mask per off-path child."""
     rt = reroot(tree, path[-1])
