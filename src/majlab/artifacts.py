@@ -118,8 +118,8 @@ def load_opinions(path) -> OpinionVector:
         raise OpinionFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) != 1:
-        raise MajlabError(
-            f"opinion file must hold exactly one non-empty line, got {len(lines)}"
+        raise OpinionFormatError(
+            f"{path}: opinion file must hold exactly one non-empty line, got {len(lines)}"
         )
     return OpinionVector.from_string(lines[0])
 

@@ -44,7 +44,8 @@ class LengthMismatchError(MajlabError):
 
 
 class OpinionFormatError(MajlabError):
-    """Opinion file contains characters outside the +/- alphabet."""
+    """Opinion text or file is malformed: a character outside the +/-
+    alphabet, bytes that are not UTF-8, or not exactly one non-empty line."""
 
     code = "OPINION_FORMAT"
 

@@ -44,7 +44,7 @@ import numpy as np
 from .bitsliced import BatchRun, lowest_bit_index, tt_column
 from .dynamics import OpinionVector, _check_length, step_budget
 from .errors import BadHostError, BadTimeError, BadVertexError, BudgetExceededError
-from .trees import RootedTree, _subtree_bfs
+from .trees import RootedTree, _walk
 
 __all__ = [
     "StabilityVerdict",
@@ -89,7 +89,7 @@ def _check_vertex(tree: RootedTree, v: int, *, forbid_leaf: bool) -> None:
 
 
 def _check_binary_host(tree: RootedTree) -> None:
-    kids = np.diff(tree.child_offsets)
+    kids = tree.degree - (tree.parent >= 0)
     # 3 & ~2 is the one nonzero entry when every other vertex has 0 or 2
     if kids[tree.root] != 3 or np.count_nonzero(kids & ~2) != 1:
         raise BadHostError("host must be a binary tree whose root has three children")
@@ -228,19 +228,20 @@ def _enumerated_flips(
 class _PinnedSubtree:
     """The subtree of ``v`` (``ids``, in BFS order; v is vertex 0 of the
     runs) plus the vertices outside it within ``reach`` of v's parent p
-    (``outside``, p first; none for a root subject).  Every vertex with
-    neighbours beyond these is pinned: its neighbour list is itself, so
-    it holds its start where the host would move it, and the difference
-    travels one edge a step.
+    (``outside``, p first; none for a root subject): two ``trees._walk``
+    calls, from v away from p and from p away from v, joined by the v-p
+    edge.  Every vertex with neighbours beyond these is pinned: its
+    neighbour list is itself, so it holds its start where the host would
+    move it, and the difference travels one edge a step.
 
     A run whose outside starts at one constant per trajectory (the
     extreme and canonical extensions) is exact at every time: every
     outside vertex other than p has only outside neighbours, and a p of
     degree d >= 3 has d - 1 >= (d + 1) / 2 of them, so the whole outside
     keeps its fill.  A p of degree 1 has v as its only neighbour and
-    copies it.  ``depth`` cuts the subtree that far below v (see
-    ``_subtree_bfs``), and such a run stays exact at v up to time
-    ``depth``: the light cone of (<= t)-stability at t = depth.
+    copies it.  ``depth`` cuts the subtree that far below v, and such a
+    run stays exact at v up to time ``depth``: the light cone of
+    (<= t)-stability at t = depth.
 
     A run from the host's own start everywhere is exact on the subtree up
     to time ``reach`` + 1: the light cone of the time-t state that weak
@@ -251,23 +252,14 @@ class _PinnedSubtree:
     def __init__(
         self, tree: RootedTree, v: int, depth: int | None = None, reach: int = 0
     ):
-        ids, adj = _subtree_bfs(tree, v, depth)
         p = int(tree.parent[v])
-        # (vertex, the neighbour it is reached from, that one's position,
-        # distance from p), in BFS order from p away from v
-        ball = [(p, v, 0, 0)] if p >= 0 else []
-        if ball:
+        ids, adj = _walk(tree, v, p, depth)
+        outside = []
+        if p >= 0:
             adj[0].append(len(ids))
-        for j, (w, prev, back, d) in enumerate(ball):  # grows while read
-            here = len(ids) + j
-            beyond = [u for u in tree.neighbours(w).tolist() if u != prev]
-            if d == reach:
-                adj.append([here] if beyond else [back])
-                continue
-            first = len(ids) + len(ball)
-            adj.append([back, *range(first, first + len(beyond))])
-            ball += [(u, w, here, d + 1) for u in beyond]
-        self.ids, self.outside, self.adj = ids, [w for w, *_ in ball], adj
+            outside, ball = _walk(tree, p, v, reach, first=len(ids), back=0)
+            adj += ball
+        self.ids, self.outside, self.adj = ids, outside, adj
         self.limit = step_budget(tree) + 2
 
     def run(self, cols: list[int], mask: int, fill: int | None = None) -> BatchRun:
@@ -436,7 +428,7 @@ def is_le_t_stable(
         raise BadTimeError(f"(<=t)-stability needs t >= 2, got {t}")
     _check_length(tree, xi0)
     base = xi0.to_signs()
-    ids = _subtree_bfs(tree, v)[0]
+    ids = _walk(tree, v, int(tree.parent[v]))[0]
     free, width, mask, cols = _extension_batch(tree, base, ids, budget)
     changed = _changed_by(BatchRun(tree, cols, mask), v, t)
     return _enumerated_verdict("le_t", v, t, changed, base, free, width)

@@ -22,7 +22,7 @@ their first read.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -52,18 +52,9 @@ def random_odd_tree(n: int, rng: np.random.Generator) -> RootedTree:
     return RootedTree(
         n=n, root=0, parent=np.array(parent, dtype=np.int32),
         order=np.array(order, dtype=np.int32), degree=degree,
-        adj_flat=_flat(adj, 2 * n - 2), adj_offsets=_offsets(adj),
-        child_flat=_flat(kids, n - 1), child_offsets=_offsets(kids),
+        adj_flat=np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=2 * n - 2),
+        adj_offsets=np.append(0, np.cumsum(degree, dtype=np.int64)),
     )
-
-
-def _flat(lists: list[list[int]], size: int) -> np.ndarray:
-    return np.fromiter(chain.from_iterable(lists), dtype=np.int32, count=size)
-
-
-def _offsets(lists: list[list[int]]) -> np.ndarray:
-    starts = accumulate(map(len, lists), initial=0)
-    return np.fromiter(starts, dtype=np.int64, count=len(lists) + 1)
 
 
 def random_even_size(low: int, high: int, rng: np.random.Generator) -> int:

@@ -1,15 +1,18 @@
 """Rooted trees for synchronous majority dynamics.
 
 Hosts are finite trees in which every vertex has odd degree, so a majority
-among neighbours is always strict.  Every edge list reaches RootedTree as
-one (m, 2) integer array, checked by array operations; rows already in BFS
-(parent, child) order, as every tree file majlab writes is, give the
-parent and order without a BFS.  No constructor derives depth, height or
-diameter: the first read of any of them derives all three.  Perfect trees
-use dense 0-based vertex ids assigned in BFS order from the root, which
-keeps each vertex's children contiguous; random odd trees (``treegen``)
-number every parent before its children and build their arrays without an
-edge list; loaded trees keep the ids given in the file.
+among neighbours is always strict.  A tree is one adjacency (a CSR with
+neighbours ascending) and its rooting (parent pointers and BFS order): a
+vertex's children are its neighbours other than its parent, and every
+subtree or light cone is one walk over that adjacency (``_walk``).  Every
+edge list reaches RootedTree as one (m, 2) integer array, checked by array
+operations; rows already in BFS (parent, child) order, as every tree file
+majlab writes is, give the parent and order without a BFS.  No constructor
+derives depth, height or diameter: the first read of any of them derives
+all three.  Perfect trees use dense 0-based vertex ids assigned in BFS
+order from the root; random odd trees (``treegen``) number every parent
+before its children and build their arrays without an edge list; loaded
+trees keep the ids given in the file.
 
 Vertex classification counts degree-1 neighbours ("pendant" vertices)
 against the threshold (deg - 1) / 2 and is independent of the root choice.
@@ -129,6 +132,9 @@ class RootedTree:
         Parent id per vertex, -1 at the root.
     order : np.ndarray
         BFS order from the root; parents precede children.
+    adj_flat, adj_offsets : np.ndarray
+        The CSR adjacency, each neighbour list ascending.  The children
+        of v are its neighbours other than ``parent[v]``, in that order.
     depth, height, degree : np.ndarray
         ``height[v]`` is the distance from v to the farthest leaf inside the
         subtree of v (0 exactly at childless vertices).
@@ -147,8 +153,6 @@ class RootedTree:
         "degree",
         "adj_flat",
         "adj_offsets",
-        "child_flat",
-        "child_offsets",
         "_levels",  # (depth, height, diameter) once read, else None
     )
 
@@ -188,15 +192,10 @@ class RootedTree:
             rooted = _bfs_tree(n, adj_flat, adj_offsets, root)
             if rooted[1].size != n:
                 raise NotATreeError("input is disconnected")
-        return cls._finish(n, root, *rooted, adj_flat, adj_offsets, degree)
-
-    @classmethod
-    def _finish(cls, n, root, parent, order, adj_flat, adj_offsets, degree):
-        child_flat, child_offsets = _child_csr(n, parent, root)
+        parent, order = rooted
         return cls(
             n=n, root=root, parent=parent, order=order, degree=degree,
             adj_flat=adj_flat, adj_offsets=adj_offsets,
-            child_flat=child_flat, child_offsets=child_offsets,
         )
 
     # -- structure accessors -------------------------------------------
@@ -214,11 +213,13 @@ class RootedTree:
         return self.adj_flat[self.adj_offsets[v] : self.adj_offsets[v + 1]]
 
     def children(self, v: int) -> np.ndarray:
-        return self.child_flat[self.child_offsets[v] : self.child_offsets[v + 1]]
+        """The neighbours of v other than its parent, ascending."""
+        nbrs = self.neighbours(v)
+        return nbrs[nbrs != self.parent[v]]
 
     def is_leaf(self, v: int) -> bool:
         """True iff v has no children (height 0)."""
-        return self.child_offsets[v] == self.child_offsets[v + 1]
+        return self.degree[v] == (v != self.root)
 
     @property
     def pendant(self) -> np.ndarray:
@@ -231,8 +232,10 @@ class RootedTree:
 
     def subtree_mask(self, v: int) -> np.ndarray:
         """Boolean membership mask of the subtree rooted at v."""
+        if not (0 <= v < self.n):
+            raise BadVertexError(f"vertex {v} out of range for n={self.n}")
         mask = np.zeros(self.n, dtype=bool)
-        mask[_subtree_bfs(self, v)[0]] = True
+        mask[_walk(self, v, int(self.parent[v]))[0]] = True
         return mask
 
     def edges(self) -> list[tuple[int, int]]:
@@ -271,31 +274,40 @@ def _bfs_tree(n, adj_flat, adj_offsets, root):
     return np.array(parent, dtype=np.int32), np.array(order, dtype=np.int32)
 
 
-def _subtree_bfs(
-    tree: RootedTree, v: int, depth: int | None = None
+def _walk(
+    tree: RootedTree, start: int, avoid: int, levels: int | None = None,
+    first: int = 0, back: int | None = None,
 ) -> tuple[list[int], list[list[int]]]:
-    """The subtree of ``v`` in BFS order from v, and each entry's
-    neighbours inside it as positions in that order, parent first.
+    """The vertices reached from ``start`` without entering ``avoid``, in
+    BFS order, and each one's neighbours among them as positions, the one
+    it is reached from first: the subtree of ``start`` when ``avoid`` is
+    its parent.  Positions count from ``first``, and ``back``, if given,
+    is the position listed first at ``start``.
 
-    With ``depth`` (at least 1) the walk keeps the vertices at most that
-    far below v, and each kept vertex that has children left out lists
-    itself as its one neighbour: the cut pins it.
+    With ``levels`` the walk keeps the vertices at most that far from
+    ``start``, and each kept vertex with neighbours beyond the walk lists
+    itself as its one neighbour: the cut pins it.  Each kept vertex slices
+    its own adjacency row and no other.
     """
-    flat, offsets = tree.child_flat.tolist(), tree.child_offsets.tolist()
-    ids, adj = [int(v)], [[]]
-    end, level = 1, 0  # the entries before end are at most level below v
+    flat, offsets = tree.adj_flat, tree.adj_offsets
+    ids, via = [int(start)], [avoid]
+    adj = [[] if back is None else [back]]
+    end, level = 1, 0  # the entries before end are at most level from start
     for i, u in enumerate(ids):  # the list grows while it is read
         if i == end:
             end, level = len(ids), level + 1
-        kids = flat[offsets[u] : offsets[u + 1]]
-        if level == depth:
-            if kids:
-                adj[i] = [i]
+        beyond = flat[offsets[u] : offsets[u + 1]].tolist()
+        if via[i] in beyond:
+            beyond.remove(via[i])
+        if level == levels:
+            if beyond:
+                adj[i] = [first + i]
             continue
-        for c in kids:
-            adj[i].append(len(ids))
-            adj.append([i])
-            ids.append(c)
+        for w in beyond:
+            adj[i].append(first + len(ids))
+            adj.append([first + i])
+            ids.append(w)
+            via.append(u)
     return ids, adj
 
 
@@ -317,16 +329,6 @@ def _depth_height_diameter(n, parent, order):
             second[p] = branch
     height = np.array(tallest, dtype=np.int32)
     return np.array(depth, dtype=np.int32), height, max(map(add, tallest, second))
-
-
-def _child_csr(n, parent, root):
-    kids = np.flatnonzero(parent >= 0).astype(np.int64)
-    by = np.lexsort((kids, parent[kids]))
-    child_flat = kids[by].astype(np.int32)
-    counts = np.bincount(parent[kids], minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return child_flat, offsets
 
 
 def _perfect_level_starts(k: int, h: int) -> list[int]:
@@ -364,7 +366,10 @@ def build_perfect_tree(k: int, h: int) -> RootedTree:
     dst = np.concatenate([parent[kids], kids])
     adj_flat, adj_offsets, degree = _build_csr(n, src, dst)
     order = np.arange(n, dtype=np.int32)
-    return RootedTree._finish(n, 0, parent, order, adj_flat, adj_offsets, degree)
+    return RootedTree(
+        n=n, root=0, parent=parent, order=order, degree=degree,
+        adj_flat=adj_flat, adj_offsets=adj_offsets,
+    )
 
 
 def reroot(tree: RootedTree, new_root: int) -> RootedTree:
@@ -372,8 +377,9 @@ def reroot(tree: RootedTree, new_root: int) -> RootedTree:
     if not (0 <= new_root < tree.n):
         raise BadVertexError(f"root {new_root} out of range for n={tree.n}")
     parent, order = _bfs_tree(tree.n, tree.adj_flat, tree.adj_offsets, new_root)
-    return RootedTree._finish(
-        tree.n, new_root, parent, order, tree.adj_flat, tree.adj_offsets, tree.degree
+    return RootedTree(
+        n=tree.n, root=new_root, parent=parent, order=order, degree=tree.degree,
+        adj_flat=tree.adj_flat, adj_offsets=tree.adj_offsets,
     )
 
 

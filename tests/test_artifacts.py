@@ -18,7 +18,7 @@ from majlab.artifacts import (
     utc_timestamp,
 )
 from majlab.dynamics import OpinionVector
-from majlab.errors import MajlabError
+from majlab.errors import MajlabError, OpinionFormatError
 
 
 def test_format_float_is_shortest_round_trip():
@@ -114,10 +114,10 @@ def test_opinions_round_trip(tmp_path):
     assert load_opinions(path) == xi
 
     (tmp_path / "two.txt").write_text("+-+\n-+-\n", encoding="utf-8")
-    with pytest.raises(MajlabError):
+    with pytest.raises(OpinionFormatError):
         load_opinions(tmp_path / "two.txt")
     (tmp_path / "empty.txt").write_text("", encoding="utf-8")
-    with pytest.raises(MajlabError):
+    with pytest.raises(OpinionFormatError):
         load_opinions(tmp_path / "empty.txt")
     (tmp_path / "bad.txt").write_text("+0-\n", encoding="utf-8")
     with pytest.raises(MajlabError):

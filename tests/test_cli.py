@@ -312,6 +312,22 @@ def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, tree_file, flag, da
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "text,count", [("", 0), ("+-+-\n\n-+-+\n", 2)], ids=["empty", "two-lines"]
+)
+def test_an_opinion_file_without_one_line_is_one_error_line(
+    tmp_path, tree_file, text, count, capsys
+):
+    path = tmp_path / "xi.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--tree", str(tree_file), "--init", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"OPINION_FORMAT: {path}: opinion file must hold exactly one non-empty line, got {count}\n"
+    )
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -427,7 +427,7 @@ def test_mc_tau_builds_no_tree(monkeypatch):
         raise AssertionError("mc_tau built a tree")
 
     monkeypatch.setattr(probe, "build_perfect_tree", refuse)
-    monkeypatch.setattr(RootedTree, "_finish", refuse)
+    monkeypatch.setattr(RootedTree, "__init__", refuse)
     assert mc_tau(4, 6, 130, 20261018).taus == want
 
 

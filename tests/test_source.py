@@ -97,8 +97,62 @@ def test_path_scores_is_two_passes_over_lists():
         return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)} & names
 
     assert not reads(func, {"children", "neighbours"})
-    # and no part of worstcase reads the child CSR
-    assert not reads(module, {"child_flat", "child_offsets"})
+
+
+_NAME_FIELDS = {
+    ast.Name: "id",
+    ast.Attribute: "attr",
+    ast.FunctionDef: "name",
+    ast.ClassDef: "name",
+    ast.alias: "name",
+    ast.keyword: "arg",
+}
+
+
+def _names(node) -> set[str]:
+    """The identifiers a node spells: a name, attribute, definition,
+    import, keyword argument or string constant."""
+    if type(node) in _NAME_FIELDS:
+        return {getattr(node, _NAME_FIELDS[type(node)])}
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    return set()
+
+
+def test_trees_hold_one_adjacency():
+    # a tree is its adjacency CSR and its rooting: no module stores, builds
+    # or reads a second, child-only CSR
+    banned = {"child_flat", "child_offsets", "_child_csr"}
+    found = _scopes(lambda node: _names(node) & banned)
+    assert not found, f"child CSR named in {found}"
+
+
+def test_subtrees_and_light_cones_are_walked_in_one_loop():
+    # one BFS over the adjacency, ``trees._walk``, gives the subtree mask,
+    # the subtree that (<= t)-stability enumerates around, and both halves
+    # of every pinned light cone; stability and probe slice no neighbour row
+    callers = _scopes(
+        lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "_walk"
+    )
+    assert sorted(callers) == [
+        "RootedTree.subtree_mask",
+        "_PinnedSubtree.__init__",
+        "_PinnedSubtree.__init__",
+        "is_le_t_stable",
+    ], callers
+    path = Path(majlab.__file__).parent / "stability.py"
+    stability = ast.parse(path.read_text(encoding="utf-8"))
+    (init,) = [
+        node
+        for node in ast.walk(stability)
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    ]
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not any(isinstance(node, loops) for node in ast.walk(init))
+    adjacency = {"neighbours", "children", "adj_flat", "adj_offsets"}
+    probe = ast.parse((path.parent / "probe.py").read_text(encoding="utf-8"))
+    for module in (stability, probe):
+        assert not set().union(*map(_names, ast.walk(module))) & adjacency
 
 
 def test_claims_steps_trajectories_through_one_seam():

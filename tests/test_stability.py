@@ -377,6 +377,79 @@ def test_light_cones_match_full_host_runs_up_to_their_horizon(exhaustive_suite, 
                     assert run.cols[: len(watched)] == [full.cols[u] for u in watched], v
 
 
+
+def two_loop_pinned_subtree(tree, v, depth=None, reach=0):
+    """(ids, outside, adj) of ``_PinnedSubtree`` built as it was with two
+    loops: a BFS over child lists (made here from the parent pointers,
+    ascending) cut at ``depth``, then a BFS over neighbour lists from p
+    away from v, to ``reach``."""
+    kids = [[] for _ in range(tree.n)]
+    for u, w in enumerate(tree.parent.tolist()):
+        if w >= 0:
+            kids[w].append(u)
+    ids, adj = [int(v)], [[]]
+    end, level = 1, 0
+    for i, u in enumerate(ids):
+        if i == end:
+            end, level = len(ids), level + 1
+        if level == depth:
+            if kids[u]:
+                adj[i] = [i]
+            continue
+        for c in kids[u]:
+            adj[i].append(len(ids))
+            adj.append([i])
+            ids.append(c)
+    p = int(tree.parent[v])
+    # (vertex, the neighbour it is reached from, that one's position,
+    # distance from p), in BFS order from p away from v
+    ball = [(p, v, 0, 0)] if p >= 0 else []
+    if ball:
+        adj[0].append(len(ids))
+    for j, (w, prev, back, d) in enumerate(ball):
+        here = len(ids) + j
+        beyond = [u for u in tree.neighbours(w).tolist() if u != prev]
+        if d == reach:
+            adj.append([here] if beyond else [back])
+            continue
+        first = len(ids) + len(ball)
+        adj.append([back, *range(first, first + len(beyond))])
+        ball += [(u, w, here, d + 1) for u in beyond]
+    return ids, [w for w, *_ in ball], adj
+
+
+def test_pinned_subtree_matches_the_two_loop_build(exhaustive_suite, random_suite):
+    perfect = [build_perfect_tree(2, 4), build_perfect_tree(4, 3)]
+    for tree in [*exhaustive_suite, *random_suite[:60], *perfect]:
+        for v in range(tree.n):
+            for depth in (None, 1, 2, 3):
+                for reach in (0, 1, 2):
+                    sub = _PinnedSubtree(tree, v, depth=depth, reach=reach)
+                    want = two_loop_pinned_subtree(tree, v, depth, reach)
+                    assert (sub.ids, sub.outside, sub.adj) == want, (v, depth, reach)
+
+
+class SmallReads(np.ndarray):
+    """An array whose ``tolist`` refuses more than 8 elements."""
+
+    def tolist(self):
+        if self.size > 8:
+            raise AssertionError(f"tolist of {self.size} elements")
+        return super().tolist()
+
+
+def test_light_cones_convert_only_the_rows_they_keep():
+    host = build_perfect_tree(2, 14)
+    v = int(host.parent[host.parent[host.n - 1]])  # two levels above the leaves
+    cases = [{"reach": 0}, {"reach": 2}, {"depth": 1}]
+    want = [_PinnedSubtree(host, v, **kwargs).adj for kwargs in cases]
+    mask = host.subtree_mask(v)
+    for name in RootedTree.__slots__:
+        if isinstance(getattr(host, name), np.ndarray):
+            setattr(host, name, getattr(host, name).view(SmallReads))
+    assert [_PinnedSubtree(host, v, **kwargs).adj for kwargs in cases] == want
+    assert (host.subtree_mask(v) == mask).all()
+
 # -- the int8 single-trajectory predicates that the batched layer replaced ---
 
 

@@ -30,7 +30,7 @@ from majlab.trees import (
     save_tree,
     _edges_by_line,
     _plain_edges,
-    _subtree_bfs,
+    _walk,
     tree_from_text,
     tree_to_text,
 )
@@ -281,6 +281,27 @@ def test_subtree_mask_partitions():
             assert mask.sum() == 1
 
 
+def test_children_are_the_neighbours_other_than_the_parent(random_suite, exhaustive_suite):
+    perfect = [build_perfect_tree(k, h) for k, h in ((2, 4), (4, 3))]
+    trees = [*exhaustive_suite, *random_suite, *perfect]
+    for tree in trees + [reroot(tree, tree.n - 1) for tree in trees]:
+        kids = [[] for _ in range(tree.n)]
+        for u, p in enumerate(tree.parent.tolist()):
+            if p >= 0:
+                kids[p].append(u)
+        for v in range(tree.n):
+            children = tree.children(v)
+            assert children.dtype == np.int32 and children.tolist() == kids[v]
+            assert tree.is_leaf(v) == (not kids[v])
+
+
+def test_subtree_mask_rejects_vertices_out_of_range():
+    tree = build_perfect_tree(2, 2)  # n = 10: no negative v counts from the end
+    for v in (-1, -10, tree.n, tree.n + 5):
+        with pytest.raises(BadVertexError):
+            tree.subtree_mask(v)
+
+
 def test_subtree_walk_is_the_literal_walk_and_its_cut_a_prefix(random_suite):
     trees = [*random_suite[:60], build_perfect_tree(2, 4), build_perfect_tree(4, 3)]
     for tree in trees:
@@ -293,14 +314,15 @@ def test_subtree_walk_is_the_literal_walk_and_its_cut_a_prefix(random_suite):
                     adj.append([i])
                     ids.append(c)
                     level.append(level[i] + 1)
-            assert _subtree_bfs(tree, v) == (ids, adj)
+            p = int(tree.parent[v])
+            assert _walk(tree, v, p) == (ids, adj)
             for depth in (1, 2, 3):
                 kept = sum(d <= depth for d in level)
                 pinned = [
                     [i] if level[i] == depth and not tree.is_leaf(ids[i]) else adj[i]
                     for i in range(kept)
                 ]
-                assert _subtree_bfs(tree, v, depth) == (ids[:kept], pinned)
+                assert _walk(tree, v, p, depth) == (ids[:kept], pinned)
 
 
 def bfs_distances(tree, src):

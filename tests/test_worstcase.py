@@ -11,7 +11,6 @@ from majlab.trees import (
     VertexClass,
     build_perfect_tree,
     _bfs_tree,
-    _child_csr,
     classify_all,
     reroot,
 )
@@ -172,11 +171,19 @@ def test_path_scores_match_a_literal_candidate_path_oracle(random_suite, exhaust
 
 
 
+def child_lists(parent):
+    """Each vertex's children, ascending, from its parent pointers."""
+    kids = [[] for _ in parent]
+    for u, p in enumerate(parent):
+        if p >= 0:
+            kids[p].append(u)
+    return kids
+
+
 def child_list_path_scores(tree, active, base):
     """``_path_scores`` over Python child lists: each vertex scans its
     children for its down score, its top two, and its children's up scores."""
-    offsets, flat = tree.child_offsets.tolist(), tree.child_flat.tolist()
-    kids = [flat[a:b] for a, b in zip(offsets, offsets[1:])]
+    kids = child_lists(tree.parent.tolist())
     active, order, base = active.tolist(), tree.order.tolist(), base.tolist()
     down = base[:]
     for v in reversed(order):
@@ -274,23 +281,20 @@ def test_witness_matches_the_per_subtree_recipe(random_suite, exhaustive_suite, 
 
 def bfs_rooted_witness(tree, path):
     """The witness recipe on a second rooting at the path's end, from its
-    own BFS and child CSR: the oracle for the walk up the tree's parents."""
+    own BFS and the child lists of that BFS's parents: the oracle for the
+    walk up the tree's parents."""
     first, end = path[0], path[-1]
     parent, order = _bfs_tree(tree.n, tree.adj_flat, tree.adj_offsets, end)
-    child_flat, child_offsets = _child_csr(tree.n, parent, end)
-
-    def children(v):
-        return child_flat[child_offsets[v] : child_offsets[v + 1]].tolist()
-
     parent = parent.tolist()
+    kids = child_lists(parent)
     signs = [0] * tree.n
     for v in path:
         signs[v] = 1
-    for c in children(first):
+    for c in kids[first]:
         signs[c] = 1
     for v in path[1:]:
         negatives = 0
-        for c in children(v):
+        for c in kids[v]:
             if signs[c]:
                 continue
             if tree.pendant[c]:
