@@ -45,8 +45,7 @@ from .errors import MajlabError
 from .probe import _recursion_map, fixed_point_q
 from .stability import (
     EXTENSION_BUDGET,
-    _extension_batch,
-    _extension_vector,
+    _Extensions,
     _PinnedSubtree,
     _strong_ok_bits,
     _weak_ok_bits,
@@ -559,25 +558,21 @@ def _witness_attains_tau(rng: np.random.Generator):
 
 
 def _weak_definition_verdicts(
-    tree: RootedTree, v: int, ids: np.ndarray, base: np.ndarray, k_max: int = 9
+    run: BatchRun, v: int, parent: int, k_max: int = 9
 ) -> tuple[bool, bool, bool]:
     """Verdicts of the three weak-stability characterisations for one
-    subtree pattern.
+    subtree pattern chi, from the ``run`` of all its extensions (lanes as
+    ``stability._Extensions`` lays them out) before its first step.
 
-    ``ids`` is the subtree of v and ``base`` holds the pattern chi on it.
     Returns (existential, canonical, parent-pinned): whether some
     extension keeps v 0-stable, whether the constant extension does, and
     whether every extension whose parent holds chi(v) at all odd times up
     to k returns v to chi(v) at time k + 1, for every odd k <= k_max.
     """
-    # every extension, whatever the count: the sweep is exhaustive by design
-    _, width, mask, cols = _extension_batch(tree, base, ids, 1 << tree.n)
-    target = cols[v]
-    parent = int(tree.parent[v])
-    run = BatchRun(tree, cols, mask)
-    steps = max(step_budget(tree) + 2, k_max + 1)
+    mask = run.mask
+    target = prev_even = run.cols[v]
+    steps = max(run.limit, k_max + 1)
     even_flip = 0
-    prev_even = cols[v]
     pinned = mask
     pinned_ok = True
     for s in range(1, steps + 1):
@@ -592,7 +587,8 @@ def _weak_definition_verdicts(
             if s - 1 <= k_max:
                 pinned_ok = pinned_ok and not (pinned & (cur[v] ^ target))
     survivors = ~even_flip & mask
-    canonical_index = width - 1 if base[v] > 0 else 0
+    # the constant extension: the last lane (all outside +1) or lane 0
+    canonical_index = mask.bit_length() - 1 if target else 0
     existential = survivors != 0
     canonical = bool((survivors >> canonical_index) & 1)
     return existential, canonical, pinned_ok
@@ -610,16 +606,17 @@ def weak_definition_sweep(max_height: int = 3, k_max: int = 9) -> ClaimReport:
     def outcomes():
         for h in range(1, max_height + 1):
             tree = _binary_host(h)
-            ones = np.ones(tree.n, dtype=np.int8)
             for v in range(1, tree.n):
-                ids = np.flatnonzero(tree.subtree_mask(v))
-                for bits in range(1 << ids.size):
-                    base = _extension_vector(ones, ids, bits).to_signs()
-                    verdicts = _weak_definition_verdicts(tree, v, ids, base, k_max)
+                ids = np.flatnonzero(tree.subtree_mask(v)).tolist()
+                # every extension, whatever the count: the sweep is exhaustive by design
+                ext = _Extensions(tree, ids, 1 << tree.n)
+                for bits in range(1 << len(ids)):
+                    run = ext.run(bits)
+                    verdicts = _weak_definition_verdicts(run, v, int(tree.parent[v]), k_max)
                     yield (
                         True,
                         len(set(verdicts)) == 1,
-                        f"h={h} v={v} pattern={bits:0{ids.size}b} verdicts={verdicts}",
+                        f"h={h} v={v} pattern={bits:0{len(ids)}b} verdicts={verdicts}",
                     )
 
     return _tally("weak_definitions_agree", outcomes())
@@ -696,13 +693,14 @@ def _suite_strong_value_symmetry(
     one mask per t serves every block."""
     del instances, rng
     tree, v, width = _binary_host(3), 1, 16
-    ids = _PinnedSubtree(tree, v).ids
+    sub = _PinnedSubtree(tree, v)
+    ids = sub.ids
     var = ids + [u for u in range(tree.n) if u not in ids]  # vertex of each variable
     mask = (1 << (1 << width)) - 1
     cols = [0] * tree.n
     for j, u in enumerate(var[:width]):
         cols[u] = tt_column(j, width)
-    strong = [_strong_ok_bits(tree, cols, mask, v, t, EXTENSION_BUDGET)[0] for t in range(4)]
+    strong = [_strong_ok_bits(sub, cols, mask, t, EXTENSION_BUDGET)[0] for t in range(4)]
     plus = [0] * 4
     for block in range(1 << (tree.n - width)):
         for j, u in enumerate(var[width:]):

@@ -379,6 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"IO_ERROR: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"OUT_OF_MEMORY: {str(exc) or 'the request does not fit in memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -59,15 +59,15 @@ from .errors import (
 )
 from .stability import (
     EXTENSION_BUDGET,
+    _Extensions,
     _PinnedSubtree,
-    _extension_vector,
     _le_t_ok_bits,
+    _one_close_violations,
     _step_subtree,
     _strong_ok_bits,
     _weak_ok_bits,
-    is_one_close_to_stability,
 )
-from .trees import RootedTree, _perfect_level_starts, build_perfect_tree
+from .trees import _perfect_level_starts, build_perfect_tree
 
 __all__ = [
     "ProbEstimate",
@@ -302,7 +302,7 @@ def _probability(
     meta = {"target": target, "k": k, "height": height, "t": t}
     rng = _sampler(method, trials, seed)
     if target == "one_close":
-        count, width = _one_close_count(host, v, sub.ids, trials, rng, budget)
+        count, width = _one_close_count(sub, trials, rng, budget)
         return _estimate(count, width, method, seed, **meta)
     draws, width = _pattern_cols(m, rows, trials, rng)
     cols = [0] * host.n
@@ -315,7 +315,7 @@ def _probability(
             _step_subtree(sub, cols, mask, t)
         ok = _weak_ok_bits(sub, cols, mask)
     elif target == "strong":
-        ok, pending = _strong_ok_bits(host, cols, mask, v, t, budget)
+        ok, pending = _strong_ok_bits(sub, cols, mask, t, budget)
         if rng is not None:
             meta["unresolved"] = pending.bit_count()
     else:
@@ -331,28 +331,22 @@ def _probability(
 
 
 def _one_close_count(
-    host: RootedTree,
-    v: int,
-    inside: list[int],
-    trials: int,
-    rng: np.random.Generator | None,
-    budget: int,
+    sub: _PinnedSubtree, trials: int, rng: np.random.Generator | None, budget: int
 ) -> tuple[int, int]:
-    """(1-close patterns, patterns drawn): every subtree pattern without
-    ``rng``, ``trials`` uniform draws with it, each distinct one decided
-    once."""
-    m = len(inside)
+    """(1-close patterns, patterns drawn) at the subject of ``sub``: every
+    subtree pattern without ``rng``, ``trials`` uniform draws with it,
+    each distinct one decided once over all its extensions."""
+    m = len(sub.ids)
     if rng is None:
         patterns = range(1 << m)
     else:
         patterns = rng.integers(0, 1 << m, size=trials, dtype=np.uint64).tolist()
-    ones = np.ones(host.n, dtype=np.int8)
+    ext = _Extensions(sub.tree, sub.ids, budget)
     verdicts: dict[int, bool] = {}
     count = 0
     for p in patterns:
         if p not in verdicts:
-            xi0 = _extension_vector(ones, inside, p)
-            verdicts[p] = is_one_close_to_stability(host, xi0, v, budget).verdict
+            verdicts[p] = not _one_close_violations(ext.run(p), sub)
         count += verdicts[p]
     return count, len(patterns)
 
@@ -397,6 +391,10 @@ def fixed_point_q(
     bracket, so bisection converges to the unique fixed point there.
     """
     lo, hi = float(lower), float(upper)
+    if not 0.0 < tolerance < np.inf or not np.isfinite([lo, hi]).all():
+        raise MajlabError(
+            f"need finite bracket ends and a tolerance in (0, inf), got [{lo}, {hi}] and {tolerance}"
+        )
     g_lo = _recursion_map(lo) - lo
     g_hi = _recursion_map(hi) - hi
     if not (g_lo > 0.0 > g_hi):

@@ -20,8 +20,9 @@ extensions bound every other one pointwise at every time, which decides
 (<= t)-stability outright and strong t-stability in all but one case —
 extremes that are both t-stable but settle the vertex at opposite
 parity-t opinions pin nothing in between, and only then does the
-decision fall back to enumerating all extensions with the bit-sliced
-engine, subject to a budget.
+decision fall back to enumerating all extensions, the lanes of one
+bit-sliced run laid out once per subject (``_Extensions``), subject to a
+budget.
 
 Each predicate has one implementation: the private layer below decides
 it for a batch of patterns on ``BatchRun``, one bit per pattern, for the
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitsliced import BatchRun, lowest_bit_index, tt_column
+from .bitsliced import BatchRun, adjacency_lists, lowest_bit_index, pack_bit_rows, tt_column
 from .dynamics import OpinionVector, _check_length, step_budget
 from .errors import BadHostError, BadTimeError, BadVertexError, BudgetExceededError
 from .trees import RootedTree, _walk
@@ -130,60 +131,6 @@ def is_weakly_t_stable(
     )
 
 
-def _extension_batch(
-    tree: RootedTree, base: np.ndarray, ids: list[int], budget: int
-) -> tuple[list[int], int, int, list[int]]:
-    """Every extension of ``base`` outside the subtree ``ids``, one per
-    bit: (free vertices, width, mask, columns)."""
-    m = tree.n - len(ids)
-    if 1 << m > budget:
-        raise BudgetExceededError(
-            f"2^{m} extensions exceed the enumeration budget {budget}"
-        )
-    inside = set(ids)
-    free = [u for u in range(tree.n) if u not in inside]
-    width = 1 << m
-    mask = (1 << width) - 1
-    cols = [0] * tree.n
-    for u in ids:
-        cols[u] = mask if base[u] > 0 else 0
-    for i, u in enumerate(free):
-        cols[u] = tt_column(i, m)
-    return free, width, mask, cols
-
-
-def _extension_vector(
-    base: np.ndarray, free: np.ndarray | list[int], index: int
-) -> OpinionVector:
-    """``base`` with ``free[i]`` set from bit i of ``index``: one extension,
-    or one subtree pattern when ``free`` is the subtree."""
-    signs = base.copy()
-    for i, u in enumerate(free):
-        signs[u] = 1 if (index >> i) & 1 else -1
-    return OpinionVector.from_signs(signs)
-
-
-def _enumerated_verdict(
-    kind: str, v: int, t: int | None, violations: int, base: np.ndarray,
-    free: list[int], checked: int,
-) -> StabilityVerdict:
-    """Verdict of a universal query over every extension of ``base``, bit
-    i of ``violations`` standing for extension i: it holds when no bit is
-    set, and the lowest set bit is the counterexample."""
-    cert = None
-    if violations:
-        cert = _extension_vector(base, free, lowest_bit_index(violations))
-    return StabilityVerdict(
-        kind=kind,
-        vertex=v,
-        t=t,
-        verdict=not violations,
-        method="brute-force",
-        certificate=cert,
-        checked=checked,
-    )
-
-
 # -- the batched predicate layer: bit j of every column is one trajectory ----
 
 
@@ -215,14 +162,71 @@ def _changed_by(run: BatchRun, v: int, t: int) -> int:
     return changed
 
 
-def _enumerated_flips(
-    tree: RootedTree, base: np.ndarray, ids: list[int], t: int, budget: int
-) -> tuple[int, list[int], int]:
-    """Late flips of the subject ``ids[0]`` over every extension of
-    ``base`` outside its subtree ``ids``: (flip bits, free vertices,
-    number of extensions)."""
-    free, width, mask, cols = _extension_batch(tree, base, ids, budget)
-    return _late_flips(BatchRun(tree, cols, mask), ids[0], t), free, width
+def _bits(x: int, k: int) -> np.ndarray:
+    """Bits 0 to k - 1 of ``x``, as a uint8 array."""
+    raw = np.frombuffer(x.to_bytes(-(-k // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=k, bitorder="little")
+
+
+class _Extensions:
+    """Every extension of a pattern on the subtree ``ids`` (subject first)
+    to the rest of the host, as the lanes of one run: lane i sets the
+    outside vertex ``free[i]`` (ascending) from its bit i.  A pattern is
+    an int whose bit i is the opinion of ``ids[i]``.  The outside's
+    columns, the host's neighbour lists and the abort bound are built
+    once, for every pattern."""
+
+    def __init__(self, tree: RootedTree, ids: list[int], budget: int):
+        m = tree.n - len(ids)
+        if 1 << m > budget:
+            raise BudgetExceededError(
+                f"2^{m} extensions exceed the enumeration budget {budget}"
+            )
+        inside = set(ids)
+        self.ids, self.free = ids, [u for u in range(tree.n) if u not in inside]
+        self.width = 1 << m
+        self.mask = (1 << self.width) - 1
+        self.cols = [0] * tree.n
+        for i, u in enumerate(self.free):
+            self.cols[u] = tt_column(i, m)
+        self.adj, self.limit = adjacency_lists(tree), step_budget(tree) + 2
+
+    def run(self, pattern: int) -> BatchRun:
+        """Every extension of ``pattern``; the run copies its start."""
+        for u, bit in zip(self.ids, _bits(pattern, len(self.ids)).tolist()):
+            self.cols[u] = self.mask if bit else 0
+        return BatchRun.over(self.adj, self.cols, self.mask, self.limit)
+
+    def verdict(
+        self, kind: str, t: int | None, violations: int, pattern: int, checked: int
+    ) -> StabilityVerdict:
+        """Verdict of a universal query over every extension of ``pattern``,
+        lane i of ``violations`` standing for extension i: it holds when no
+        lane is set, and the lowest set lane is the counterexample."""
+        cert = None
+        if violations:
+            bits = np.empty(len(self.cols), dtype=np.int8)
+            bits[self.ids] = _bits(pattern, len(self.ids))
+            bits[self.free] = _bits(lowest_bit_index(violations), len(self.free))
+            cert = OpinionVector(2 * bits - 1)
+        v = self.ids[0]
+        return StabilityVerdict(kind, v, t, not violations, "brute-force", cert, checked)
+
+
+def _one_close_violations(run: BatchRun, sub: _PinnedSubtree) -> int:
+    """Lanes of a host-wide ``run`` whose first even-time flip of the
+    subject of ``sub`` leaves it not weakly stable."""
+    v, mask = sub.ids[0], run.mask
+    flipped = violations = 0
+    while run.changing:
+        run.advance()
+        if run.t & 1:
+            continue
+        newly = run.flip_col(v) & ~flipped & mask
+        flipped |= newly
+        if newly:
+            violations |= newly & ~_weak_ok_bits(sub, run.cols, mask)
+    return violations
 
 
 class _PinnedSubtree:
@@ -259,7 +263,7 @@ class _PinnedSubtree:
             adj[0].append(len(ids))
             outside, ball = _walk(tree, p, v, reach, first=len(ids), back=0)
             adj += ball
-        self.ids, self.outside, self.adj = ids, outside, adj
+        self.tree, self.ids, self.outside, self.adj = tree, ids, outside, adj
         self.limit = step_budget(tree) + 2
 
     def run(self, cols: list[int], mask: int, fill: int | None = None) -> BatchRun:
@@ -328,9 +332,10 @@ def _extremes(
 
 
 def _strong_ok_bits(
-    tree: RootedTree, cols: list[int], mask: int, v: int, t: int, budget: int
+    sub: _PinnedSubtree, cols: list[int], mask: int, t: int, budget: int
 ) -> tuple[int, int]:
-    """(stable bits, pending bits) for strong t-stability of each pattern.
+    """(stable bits, pending bits) for strong t-stability of each pattern
+    at the subject of ``sub``, the subtree with its pinned parent.
 
     Only the subtree entries of ``cols`` are read.  The extreme extensions
     decide almost every pattern (see ``_extremes``).  Pending bits are
@@ -339,20 +344,18 @@ def _strong_ok_bits(
     ``is_strongly_t_stable`` does; they stay pending when 2^(outside)
     exceeds the budget.
     """
-    sub = _PinnedSubtree(tree, v)
     low, high, pending = _extremes(sub, cols, mask, t)
     ok = mask & ~(low | high) & ~pending
     ids = sub.ids
-    if not pending or 1 << (tree.n - len(ids)) > budget:
+    if not pending or 1 << (sub.tree.n - len(ids)) > budget:
         return ok, pending
-    ones = np.ones(tree.n, dtype=np.int8)
+    ext = _Extensions(sub.tree, ids, budget)
     # depth first, so only one group per subtree column is held at a time
     stack = [(pending, 0, 0)]  # (bits, their pattern on ids[:j], j)
     while stack:
         bits, key, j = stack.pop()
         if j == len(ids):
-            base = _extension_vector(ones, ids, key).to_signs()
-            if not _enumerated_flips(tree, base, ids, t, budget)[0]:
+            if not _late_flips(ext.run(key), ids[0], t):
                 ok |= bits
             continue
         on = bits & cols[ids[j]]
@@ -410,8 +413,10 @@ def is_strongly_t_stable(
             certificate=sub.extension(base, -1 if low else 1) if bad else None,
             checked=2,
         )
-    flips, free, width = _enumerated_flips(tree, base, sub.ids, t, budget)
-    return _enumerated_verdict("strong", v, t, flips, base, free, 2 + width)
+    ext = _Extensions(tree, sub.ids, budget)
+    pattern = pack_bit_rows([base[sub.ids] > 0])[0]
+    flips = _late_flips(ext.run(pattern), v, t)
+    return ext.verdict("strong", t, flips, pattern, 2 + ext.width)
 
 
 def is_le_t_stable(
@@ -427,11 +432,11 @@ def is_le_t_stable(
     if t < 2:
         raise BadTimeError(f"(<=t)-stability needs t >= 2, got {t}")
     _check_length(tree, xi0)
-    base = xi0.to_signs()
     ids = _walk(tree, v, int(tree.parent[v]))[0]
-    free, width, mask, cols = _extension_batch(tree, base, ids, budget)
-    changed = _changed_by(BatchRun(tree, cols, mask), v, t)
-    return _enumerated_verdict("le_t", v, t, changed, base, free, width)
+    ext = _Extensions(tree, ids, budget)
+    pattern = pack_bit_rows([xi0.to_signs()[ids] > 0])[0]
+    changed = _changed_by(ext.run(pattern), v, t)
+    return ext.verdict("le_t", t, changed, pattern, ext.width)
 
 
 def is_one_close_to_stability(
@@ -450,21 +455,11 @@ def is_one_close_to_stability(
     _check_vertex(tree, v, forbid_leaf=True)
     _check_binary_host(tree)
     _check_length(tree, xi0)
-    base = xi0.to_signs()
     sub = _PinnedSubtree(tree, v)
-    free, width, mask, cols = _extension_batch(tree, base, sub.ids, budget)
-    run = BatchRun(tree, cols, mask)
-    flipped = 0
-    violations = 0
-    while run.changing:
-        run.advance()
-        if run.t & 1:
-            continue
-        newly = run.flip_col(v) & ~flipped & mask
-        flipped |= newly
-        if newly:
-            violations |= newly & ~_weak_ok_bits(sub, run.cols, mask)
-    return _enumerated_verdict("one_close", v, None, violations, base, free, width)
+    ext = _Extensions(tree, sub.ids, budget)
+    pattern = pack_bit_rows([xi0.to_signs()[sub.ids] > 0])[0]
+    violations = _one_close_violations(ext.run(pattern), sub)
+    return ext.verdict("one_close", None, violations, pattern, ext.width)
 
 
 def strong_t_stable_extreme_runs(

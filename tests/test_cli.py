@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import majlab
+import majlab.cli
 from majlab.cli import main
 from majlab.dynamics import OpinionVector, stabilise
 from majlab.probe import estimate_probability, fixed_point_q
@@ -217,6 +218,36 @@ def test_fixed_point_cli(tmp_path):
     assert payload["result"]["q"] == res.q
     assert payload["result"]["iterations"] == res.iterations
     assert payload["seed"] is None
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--tol", "-1"), ("--tol", "0"), ("--tol", "inf"), ("--tol", "nan"),
+                   ("--lower", "-inf"), ("--upper", "nan")]
+)
+def test_fixed_point_cli_rejects_a_meaningless_bound(tmp_path, capsys, flag, value):
+    out = tmp_path / "fp.json"
+    assert main(["fixed-point", f"{flag}={value}", "-o", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exc", [MemoryError("Unable to allocate 48.0 GiB for an array"), MemoryError()]
+)
+def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, exc):
+    # numpy raises a MemoryError subclass when an allocation fails
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(majlab.cli, "mc_tau", exhausted)
+    out = tmp_path / "taus.json"
+    assert main(["mc-tau", "--k", "2", "--h", "30", "--trials", "1", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("OUT_OF_MEMORY: "), err
+    assert err[0] != "OUT_OF_MEMORY: "
+    assert captured.out == "" and not out.exists()
 
 
 def test_check_claims_cli(tmp_path, capsys):

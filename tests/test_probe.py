@@ -145,7 +145,7 @@ def host_wide_count(target, height, t, k, trials, seed):
             run.advance()
         ok = _weak_ok_bits(sub, run.cols, mask)
     elif target == "strong":
-        ok = _strong_ok_bits(host, cols, mask, v, t, EXTENSION_BUDGET)[0]
+        ok = _strong_ok_bits(sub, cols, mask, t, EXTENSION_BUDGET)[0]
     else:
         ok = mask
         for fill in (0, mask):
@@ -382,6 +382,18 @@ def test_fixed_point_of_the_weak_stability_recursion():
     assert 20 <= res.iterations <= 60
     with pytest.raises(MajlabError):
         fixed_point_q(lower=0.2, upper=0.3)  # no sign change on this bracket
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tolerance": t} for t in (-1.0, 0.0, float("inf"), float("nan"))]
+    + [{"lower": float("-inf")}, {"upper": float("inf")}, {"lower": float("nan")}],
+)
+def test_fixed_point_refuses_a_meaningless_bound(kwargs):
+    # before bisecting: a negative tolerance would report 200 iterations,
+    # and an infinite one a result that JSON cannot hold
+    with pytest.raises(MajlabError, match="finite bracket ends"):
+        fixed_point_q(**kwargs)
 
 
 def test_mc_tau_is_worker_invariant_and_seeded():

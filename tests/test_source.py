@@ -44,9 +44,9 @@ def test_claims_has_one_instance_loop():
     assert len(loops) == 1, f"range(instances) at claims.py lines {loops}"
 
 
-def _scopes(match) -> list[str]:
-    """The Class.function scope, across the package, of each node that
-    ``match`` accepts."""
+def _scopes(match, modules: str = "*.py") -> list[str]:
+    """The Class.function scope, across the package modules that match the
+    glob ``modules``, of each node that ``match`` accepts."""
     found = []
 
     def visit(node, scope):
@@ -58,7 +58,7 @@ def _scopes(match) -> list[str]:
                 found.append(scope)
             visit(child, inner)
 
-    for path in sorted(Path(majlab.__file__).parent.rglob("*.py")):
+    for path in sorted(Path(majlab.__file__).parent.rglob(modules)):
         visit(ast.parse(path.read_text(encoding="utf-8")), "")
     return found
 
@@ -142,9 +142,14 @@ def test_subtrees_and_light_cones_are_walked_in_one_loop():
     ], callers
     path = Path(majlab.__file__).parent / "stability.py"
     stability = ast.parse(path.read_text(encoding="utf-8"))
+    (pinned,) = [
+        node
+        for node in stability.body
+        if isinstance(node, ast.ClassDef) and node.name == "_PinnedSubtree"
+    ]
     (init,) = [
         node
-        for node in ast.walk(stability)
+        for node in pinned.body
         if isinstance(node, ast.FunctionDef) and node.name == "__init__"
     ]
     loops = (ast.For, ast.While, ast.comprehension)
@@ -191,6 +196,24 @@ def _imported_names(module: str) -> set[str]:
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def test_extensions_are_laid_out_in_one_place():
+    # every enumeration of a subject's extensions runs on ``_Extensions``:
+    # it alone builds the outside's truth-table columns, probe and claims
+    # rebuild no extension vector, and probe decides no pattern through a
+    # public decider
+    callers = _scopes(
+        lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "tt_column",
+        "stability.py",
+    )
+    assert callers == ["_Extensions.__init__"], callers
+    deleted = {"_extension_batch", "_extension_vector", "_enumerated_verdict", "_enumerated_flips"}
+    deciders = {
+        name for name in majlab.stability.__all__ if name.startswith("is_") or name.endswith("_runs")
+    }
+    assert not (_imported_names("probe.py") | _imported_names("claims.py")) & deleted
+    assert not _imported_names("probe.py") & deciders
 
 
 def test_cli_writes_result_types_without_restating_them():
