@@ -762,7 +762,9 @@ def run_claim_suites(
     selected = list(ALL_SUITES) if names is None else list(names)
     unknown = sorted(set(selected) - set(ALL_SUITES))
     if unknown:
-        raise MajlabError(f"unknown suites: {', '.join(unknown)}")
+        raise MajlabError(
+            f"unknown suites: {', '.join(unknown)}; known suites: {', '.join(ALL_SUITES)}"
+        )
     position = {name: i for i, name in enumerate(ALL_SUITES)}
     reports = []
     for name in selected:

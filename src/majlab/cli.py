@@ -13,6 +13,10 @@ byte; the only non-reproducible field is the ``generated_at`` timestamp.
 The master seed defaults to the MAJLAB_SEED environment variable, then 0.
 Worker counts never appear in payloads: they shard work without affecting
 any output.
+
+Each handler imports the engine modules it runs, so a process loads only
+what its command needs, and parsing needs none of them: a ``--budget``
+default resolves in its handler, before the configuration is recorded.
 """
 
 from __future__ import annotations
@@ -34,19 +38,9 @@ from .artifacts import (
     mc_csv_text,
     utc_timestamp,
 )
-from .claims import ALL_SUITES, run_claim_suites
-from .dynamics import OpinionVector, stabilise
+from .dynamics import TARGETS, OpinionVector, stabilise
 from .errors import BadTimeError, MajlabError
-from .probe import TARGETS, _probability, fixed_point_q, mc_tau
-from .stability import (
-    EXTENSION_BUDGET,
-    is_le_t_stable,
-    is_one_close_to_stability,
-    is_strongly_t_stable,
-    is_weakly_t_stable,
-)
 from .trees import build_perfect_tree, load_tree, tree_to_text
-from .worstcase import BRUTE_FORCE_BUDGET, brute_force_tau, worst_case_tau
 
 
 def _resolved_seed(args) -> int:
@@ -131,6 +125,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_worst_case(args) -> int:
+    from .worstcase import worst_case_tau
+
     tree = load_tree(args.tree)
     report = worst_case_tau(tree)
     result = {
@@ -149,6 +145,10 @@ def cmd_worst_case(args) -> int:
 
 
 def cmd_brute_force(args) -> int:
+    from .worstcase import BRUTE_FORCE_BUDGET, brute_force_tau
+
+    if args.budget is None:
+        args.budget = BRUTE_FORCE_BUDGET
     tree = load_tree(args.tree)
     tau, argmax = brute_force_tau(tree, budget=args.budget)
     result = {"tau": tau, "argmax": argmax.to_string()}
@@ -158,6 +158,16 @@ def cmd_brute_force(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    from .stability import (
+        EXTENSION_BUDGET,
+        is_le_t_stable,
+        is_one_close_to_stability,
+        is_strongly_t_stable,
+        is_weakly_t_stable,
+    )
+
+    if args.budget is None:
+        args.budget = EXTENSION_BUDGET
     tree = load_tree(args.tree)
     seed = _resolved_seed(args)
     xi0 = _initial_opinions(tree, args, seed)
@@ -183,6 +193,11 @@ def cmd_stability(args) -> int:
 
 
 def cmd_prob(args) -> int:
+    from .probe import _probability
+    from .stability import EXTENSION_BUDGET
+
+    if args.budget is None:
+        args.budget = EXTENSION_BUDGET
     seed = _resolved_seed(args)
     if args.xi is not None and args.target != "le_t":
         raise MajlabError("--xi applies only to --target le_t")
@@ -200,6 +215,8 @@ def cmd_prob(args) -> int:
 
 
 def cmd_mc_tau(args) -> int:
+    from .probe import mc_tau
+
     seed = _resolved_seed(args)
     summary = mc_tau(args.k, args.h, trials=args.trials, seed=seed, workers=args.workers)
     cfg = _config(args, ("k", "h", "trials"))
@@ -231,6 +248,8 @@ def cmd_mc_tau(args) -> int:
 
 
 def cmd_fixed_point(args) -> int:
+    from .probe import fixed_point_q
+
     res = fixed_point_q(lower=args.lower, upper=args.upper, tolerance=args.tol)
     cfg = _config(args, ("lower", "upper", "tol"))
     _write_text(args.output, dumps_json(envelope("fixed-point", cfg, None, _fields(res))))
@@ -238,6 +257,8 @@ def cmd_fixed_point(args) -> int:
 
 
 def cmd_check_claims(args) -> int:
+    from .claims import run_claim_suites
+
     seed = _resolved_seed(args)
     names = args.suites.split(",") if args.suites else None
     reports = run_claim_suites(names=names, instances=args.instances, seed=seed)
@@ -307,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brute-force", help="enumerate all initial vectors")
     p.add_argument("--tree", required=True)
-    p.add_argument("--budget", type=int, default=BRUTE_FORCE_BUDGET)
+    p.add_argument("--budget", type=int)
     add_output(p)
     p.set_defaults(handler=cmd_brute_force)
 
@@ -318,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=TARGETS, required=True)
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--t", type=int)
-    p.add_argument("--budget", type=int, default=EXTENSION_BUDGET)
+    p.add_argument("--budget", type=int)
     add_output(p)
     p.set_defaults(handler=cmd_stability)
 
@@ -334,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("+", "-"),
         help="with --target le_t: joint event with this settled opinion",
     )
-    p.add_argument("--budget", type=int, default=EXTENSION_BUDGET)
+    p.add_argument("--budget", type=int)
     add_seed(p)
     add_output(p)
     p.set_defaults(handler=cmd_prob)
@@ -357,10 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_fixed_point)
 
     p = sub.add_parser("check-claims", help="run the property suites")
-    p.add_argument(
-        "--suites",
-        help=f"comma-separated subset of: {', '.join(ALL_SUITES)}",
-    )
+    p.add_argument("--suites", help="comma-separated suite names (default: all)")
     p.add_argument("--instances", type=int, default=1000)
     add_seed(p)
     add_output(p)

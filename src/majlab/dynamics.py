@@ -31,6 +31,11 @@ from .errors import (
     PartitionError,
 )
 
+# The stability predicates by name, as ``estimate_probability`` and the
+# CLI's ``prob --target`` and ``stability --kind`` take them; kept here,
+# beside ``is_t_stable``, so the CLI parser imports no engine module.
+TARGETS = ("weak", "strong", "le_t", "one_close")
+
 # '+' and '-' are 43 and 45 in ASCII, so 44 - code maps them to +1 and -1
 # (mod 256) and back again; no other code maps to either.
 _MIDPOINT = np.uint8(44)

@@ -49,7 +49,7 @@ from itertools import groupby
 import numpy as np
 
 from .bitsliced import LANES, PackedHost, pack_bit_rows, tt_column
-from .dynamics import _opinion_bytes
+from .dynamics import TARGETS, _opinion_bytes
 from .errors import (
     BadHostError,
     BadTimeError,
@@ -78,8 +78,6 @@ __all__ = [
     "fixed_point_q",
     "mc_tau",
 ]
-
-TARGETS = ("weak", "strong", "le_t", "one_close")
 
 
 @dataclass(frozen=True)

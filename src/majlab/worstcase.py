@@ -89,20 +89,25 @@ def _terminal_scores(tree: RootedTree, codes: np.ndarray) -> np.ndarray:
 
 
 def _path_scores(
-    tree: RootedTree, active: np.ndarray, base: np.ndarray
+    tree: RootedTree, active: np.ndarray, base: np.ndarray, order: list[int] | None = None
 ) -> tuple[list[int], list[int], list[int]]:
     """Best path scores by direction, over paths whose vertices are all
     active except possibly the last.
 
     ``base[v]`` scores the one-vertex path at v (``_NEG`` where no path
     may end), and each further vertex adds 1; active vertices need
-    ``base >= 1``, so ``1 + _NEG`` never wins.  Two passes give, per
-    vertex, leaves up ``down``: the best path from v into its own subtree;
-    root down ``up`` (indexed by child c, ``_NEG`` at the root): the best
-    path from parent(c) that avoids c's subtree; and with it ``full``: the
-    best path from v in any direction.
+    ``base >= 1``, so ``1 + _NEG`` never wins.  Two passes over ``order``
+    give, per vertex, leaves up ``down``: the best path from v into its
+    own subtree; root down ``up`` (indexed by child c, ``_NEG`` at the
+    root): the best path from parent(c) that avoids c's subtree; and with
+    it ``full``: the best path from v in any direction.
+
+    ``order`` lists the swept vertices in BFS order, by default all of
+    them; a vertex left out keeps ``base`` as its ``down`` and ``full``.
     """
-    par, order = tree.parent.tolist(), tree.order.tolist()
+    if order is None:
+        order = tree.order.tolist()
+    par = tree.parent.tolist()
     active, base = active.tolist(), base.tolist()
     down = base[:]
     # each vertex's top two child scores give its best child but one in
@@ -117,14 +122,15 @@ def _path_scores(
             best1[p], best2[p] = d, best1[p]
         elif d > best2[p]:
             best2[p] = d
-    up = [_NEG] * tree.n
-    for u in order[1:]:
+    up, full = [_NEG] * tree.n, down[:]
+    for u in order:
         p = par[u]
+        if p < 0:
+            continue
         other = best2[p] if down[u] == best1[p] else best1[p]
         up[u] = max(base[p], 1 + max(up[p], other)) if active[p] else base[p]
-    full = [
-        max(b, 1 + max(x, y)) if a else b for a, b, x, y in zip(active, base, up, best1)
-    ]
+        if active[u]:
+            full[u] = max(down[u], 1 + up[u])
     return down, up, full
 
 
@@ -178,9 +184,14 @@ def active_path_bounds(tree: RootedTree) -> dict[int, int]:
 
 
 def _active_bounds(tree: RootedTree, active: np.ndarray) -> dict[int, int]:
-    """``active_path_bounds`` given the tree's active mask."""
-    full = _path_scores(tree, active, active.astype(np.int64))[2]
-    return {v: full[v] for v in range(tree.n) if active[v]}
+    """``active_path_bounds`` given the tree's active mask.
+
+    A non-active vertex scores 0, below an active vertex's floor of 1, so
+    L(v) depends on the active subforest alone, and only it is swept.
+    """
+    order = tree.order[active[tree.order]].tolist()
+    full = _path_scores(tree, active, active.astype(np.int64), order)[2]
+    return {v: full[v] for v in np.flatnonzero(active).tolist()}
 
 
 def worst_case_tau(tree: RootedTree) -> WorstCaseReport:

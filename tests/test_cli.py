@@ -8,6 +8,7 @@ import pytest
 
 import majlab
 import majlab.cli
+from majlab.claims import ALL_SUITES
 from majlab.cli import main
 from majlab.dynamics import OpinionVector, stabilise
 from majlab.probe import estimate_probability, fixed_point_q
@@ -240,7 +241,7 @@ def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, 
     def exhausted(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(majlab.cli, "mc_tau", exhausted)
+    monkeypatch.setattr(majlab.probe, "mc_tau", exhausted)
     out = tmp_path / "taus.json"
     assert main(["mc-tau", "--k", "2", "--h", "30", "--trials", "1", "-o", str(out)]) == 1
     captured = capsys.readouterr()
@@ -263,8 +264,11 @@ def test_check_claims_cli(tmp_path, capsys):
     ]
     assert all(r["passed"] for r in payload["result"])
 
-    assert main(["check-claims", "--suites", "nope"]) == 1
-    assert capsys.readouterr().err.startswith("ERROR:")
+    # an unknown name lists the known ones, which --help leaves out
+    assert main(["check-claims", "--suites", "nope,tau_within_budget"]) == 1
+    assert capsys.readouterr().err == (
+        f"ERROR: unknown suites: nope; known suites: {', '.join(ALL_SUITES)}\n"
+    )
 
 
 @pytest.mark.parametrize("instances", ["0", "-3"])

@@ -1,0 +1,107 @@
+"""What each CLI command imports, and the lazy public names of the package."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import majlab
+from majlab.cli import main
+
+SRC = str(Path(majlab.__file__).parents[1])
+
+# Runs one command in-process and prints, as the last line of stderr, the
+# majlab modules loaded by then; stdout is left to the command.
+RUN_AND_LIST = """\
+import json, sys
+import majlab.cli
+try:
+    code = majlab.cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("majlab."))), file=sys.stderr)
+sys.exit(code)
+"""
+
+ENGINES = {"claims", "probe", "stability", "worstcase", "treegen", "bitsliced"}
+
+
+def loaded_modules(argv, cwd) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("MAJLAB_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_AND_LIST, *argv],
+        capture_output=True, text=True, cwd=cwd, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {name.removeprefix("majlab.") for name in json.loads(proc.stderr.splitlines()[-1])}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("imports")
+    assert main(["gen", "--k", "2", "--h", "3", "-o", str(path / "tree.txt")]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv,left_out",
+    [
+        (["gen", "--k", "2", "--h", "2", "-o", "gen.txt"], ENGINES),
+        (["simulate", "--tree", "tree.txt", "-o", "sim.json"], ENGINES),
+        (["worst-case", "--tree", "tree.txt", "-o", "wc.json"],
+         {"claims", "probe", "stability", "treegen"}),
+        (["prob", "--target", "weak", "--height", "1", "--t", "1", "-o", "prob.json"],
+         {"claims", "worstcase", "treegen"}),
+        (["prob", "--target", "le_t", "--height", "2", "--t", "2", "--method", "mc",
+          "--trials", "200", "-o", "prob-mc.json"],
+         {"claims", "worstcase", "treegen"}),
+        (["mc-tau", "--k", "2", "--h", "3", "--trials", "4", "-o", "mc.json"],
+         {"claims", "worstcase", "treegen"}),
+    ],
+    ids=["gen", "simulate", "worst-case", "prob-exact", "prob-mc", "mc-tau"],
+)
+def test_a_command_loads_only_what_it_runs(argv, left_out, workdir):
+    loaded = loaded_modules(argv, workdir)
+    assert not loaded & left_out, sorted(loaded & left_out)
+    assert (workdir / argv[-1]).is_file()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [None, "gen", "simulate", "worst-case", "brute-force", "stability", "prob", "mc-tau",
+     "fixed-point", "check-claims"],
+)
+def test_help_exits_zero_and_parses_without_the_engines(command, workdir):
+    # the parser reads no constant that lives in an engine module
+    argv = ["--help"] if command is None else [command, "--help"]
+    assert not loaded_modules(argv, workdir) & ENGINES
+
+
+def test_import_majlab_loads_no_submodule():
+    code = "import sys, majlab; print(sorted(m for m in sys.modules if m.startswith('majlab.')))"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_public_names_are_the_defining_modules_objects():
+    for name in majlab.__all__:
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"majlab.{majlab._HOME[name]}")
+        assert getattr(majlab, name) is getattr(module, name), name
+    namespace = {}
+    exec("from majlab import *", namespace)
+    assert set(majlab.__all__) <= set(namespace)
+    assert set(majlab.__all__) <= set(dir(majlab))
+    assert majlab.worstcase is importlib.import_module("majlab.worstcase")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        majlab.no_such_name
+    assert not hasattr(majlab, "no_such_name")

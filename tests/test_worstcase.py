@@ -16,6 +16,7 @@ from majlab.trees import (
 )
 from majlab.worstcase import (
     _NEG,
+    _active_bounds,
     _path_scores,
     _terminal_scores,
     active_path_bounds,
@@ -128,6 +129,26 @@ def test_active_path_bounds_match_a_literal_dfs(random_suite):
         assert active_path_bounds(tree) == want
         long_paths += sum(length >= 3 for length in want.values())
     assert long_paths >= 50
+
+
+def test_active_bounds_sweep_only_the_active_subforest():
+    # a non-active vertex scores 0 and never beats an active floor of 1, so
+    # sweeping the active vertices alone gives the all-vertex sweep's bounds
+    rng = np.random.default_rng(21)
+    trees = [random_odd_tree(random_even_size(6, 120, rng), rng) for _ in range(3000)]
+    trees += [reroot(tree, int(rng.integers(tree.n))) for tree in trees[:300]]
+    trees += [build_perfect_tree(k, h) for k, h in ((2, 3), (2, 6), (4, 4), (6, 3), (2, 10))]
+    active_roots = 0
+    for tree in trees:
+        active = classify_all(tree) == VertexClass.ACTIVE
+        full = _path_scores(tree, active, active.astype(np.int64))[2]
+        want = {v: full[v] for v in range(tree.n) if active[v]}
+        got = _active_bounds(tree, active)
+        assert got == want
+        assert list(got) == sorted(got)
+        active_roots += bool(active[tree.root])
+    # both sides of the up-loop's root test: active roots and inactive ones
+    assert 0 < active_roots < len(trees)
 
 
 def candidate_paths(tree):
