@@ -7,13 +7,13 @@ reproduction string, built only for violations.  One loop takes the
 instances a fixed-size chunk at a time: it draws the whole chunk first,
 in the order a per-instance loop would, then runs every trajectory of
 the chunk as one int8 ``stabilise`` call on the disjoint union of the
-hosts, splits the result exactly per instance, and decides the chunk's
-weak-stability verdicts in one batch per (host, vertex).  The checks
-then judge their instances in order and the outcomes are tallied into a
-``ClaimReport``: the satisfied count, so a healthy run is visibly
-non-vacuous, and the strings of the first few violations.  Exhaustive or
-analytic suites ignore the sampling budget and feed the same tally from a
-fixed sequence of outcomes.
+hosts, hands each instance views of its slice of that run, and decides
+the chunk's weak-stability verdicts in one batch per (host, vertex).
+The checks then judge their instances in order and the outcomes are
+tallied into a ``ClaimReport``: the satisfied count, so a healthy run is
+visibly non-vacuous, and the strings of the first few violations.
+Exhaustive or analytic suites ignore the sampling budget and feed the
+same tally from a fixed sequence of outcomes.
 
 ``STRUCTURAL_SUITES`` hold conditional facts about the dynamics itself:
 the switch rule for balky vertices, flip deadlines for active ones, and
@@ -34,13 +34,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .bitsliced import BatchRun, pack_bit_rows, tt_column
-from .dynamics import (
-    OpinionVector,
-    StabilisationResult,
-    stabilise,
-    step,
-    step_budget,
-)
+from .dynamics import OpinionVector, stabilise, step, step_budget
 from .errors import MajlabError
 from .probe import _recursion_map, fixed_point_q
 from .stability import (
@@ -158,16 +152,43 @@ def _random_host(rng: np.random.Generator, low: int = 6, high: int = 18) -> Root
     return random_odd_tree(random_even_size(low, high, rng), rng)
 
 
-def _stabilise_each(
-    hosts: list[RootedTree], xi0s: list[OpinionVector]
-) -> list[StabilisationResult]:
-    """``stabilise(host, xi0, keep_history=True)`` of every pair, from one
-    run on the union.
+class _Run(NamedTuple):
+    """One instance's views of its chunk's forest run: tau, the states at
+    times 0 .. tau + 2, the last flip times (-1 for "never"), overall and
+    by parity, and, on binary hosts, the weak verdicts
+    (``weak_rows[s, v]``: v is weakly 0-stable in history row s)."""
+
+    tau: int
+    hist: np.ndarray
+    last_flip: np.ndarray
+    last_flip_by_parity: tuple[np.ndarray, np.ndarray]
+    weak_rows: np.ndarray | None = None
+
+    def _index(self, s: int) -> int:
+        # beyond the recorded window the tail is 2-periodic
+        return s if s < len(self.hist) else self.tau + ((s - self.tau) & 1)
+
+    def row(self, s: int) -> np.ndarray:
+        """State at time s."""
+        return self.hist[self._index(s)]
+
+    def weak(self, v: int, t: int) -> bool:
+        """Whether v is weakly t-stable."""
+        return bool(self.weak_rows[self._index(t)][v])
+
+    def t_stable(self, v: int, t: int) -> bool:
+        """No flip of v at a time of t's parity after t."""
+        return int(self.last_flip_by_parity[t & 1][v]) <= t
+
+
+def _stabilise_each(hosts: list[RootedTree], xi0s: list[OpinionVector]) -> list[_Run]:
+    """The run of every (host, xi0) pair, as views of one ``stabilise``
+    on their disjoint union.
 
     Components of a disjoint union evolve independently, each 2-periodic
     from its own first repeat on (Goles & Olivos, 1980): its tau is its
     last flip less one (0 without one), its history the union's first
-    tau + 3 rows, and every other field its slice."""
+    tau + 3 rows, and its flip times its slice."""
     if not hosts:
         return []
     sizes = [host.n for host in hosts]
@@ -182,56 +203,27 @@ def _stabilise_each(
     xi0 = OpinionVector(np.concatenate([x.to_signs() for x in xi0s]))
     res = stabilise(forest, xi0, keep_history=True)
     taus = np.maximum(np.maximum.reduceat(res.last_flip, starts) - 1, 0).tolist()
-    even, odd = res.stable_even.to_signs(), res.stable_odd.to_signs()
     rows = np.stack(res.history)
+    last, even, odd = res.last_flip, res.last_flip_even, res.last_flip_odd
     return [
-        StabilisationResult(
-            tau, tau + 2, OpinionVector(even[lo:hi]), OpinionVector(odd[lo:hi]),
-            res.first_flip[lo:hi], res.last_flip[lo:hi],
-            res.last_flip_even[lo:hi], res.last_flip_odd[lo:hi],
-            list(rows[: tau + 3, lo:hi]),
-        )
+        _Run(tau, rows[: tau + 3, lo:hi], last[lo:hi], (even[lo:hi], odd[lo:hi]))
         for lo, hi, tau in zip(starts.tolist(), (starts + sizes).tolist(), taus)
     ]
 
 
-def _state_row(hist: np.ndarray, tau: int, s: int) -> np.ndarray:
-    """State at time s; beyond the recorded window the tail is 2-periodic."""
-    if s < hist.shape[0]:
-        return hist[s]
-    return hist[tau + ((s - tau) & 1)]
-
-
-class _Run(NamedTuple):
-    """A result, its history and, on binary hosts, its weak verdicts
-    (``weak_rows[s, v]``: v is weakly 0-stable in history row s)."""
-
-    res: StabilisationResult
-    hist: np.ndarray
-    weak_rows: np.ndarray | None
-
-    def row(self, s: int) -> np.ndarray:
-        return _state_row(self.hist, self.res.tau, s)
-
-    def weak(self, v: int, t: int) -> bool:
-        return bool(_state_row(self.weak_rows, self.res.tau, t)[v])
-
-
 def _runs(asks: list[tuple[RootedTree, OpinionVector]]) -> list[_Run]:
-    """Every (host, xi0) trajectory with its history, and weak verdicts on
-    the binary hosts, the only ones where weak stability is defined."""
+    """Every (host, xi0) run, with weak verdicts on the binary hosts, the
+    only ones where weak stability is defined."""
     hosts = [host for host, _ in asks]
-    results = _stabilise_each(hosts, [xi0 for _, xi0 in asks])
-    hists = [np.array(res.history) for res in results]
-    weak = [None] * len(results)
+    runs = _stabilise_each(hosts, [xi0 for _, xi0 in asks])
     binary = {id(host) for host in _BINARY_HOSTS.values()}
     for host in {id(host): host for host in hosts if id(host) in binary}.values():
         members = [i for i, other in enumerate(hosts) if other is host]
-        table = _weak_table(host, np.concatenate([hists[i] for i in members]))
-        ends = np.cumsum([len(hists[i]) for i in members])[:-1]
+        table = _weak_table(host, np.concatenate([runs[i].hist for i in members]))
+        ends = np.cumsum([len(runs[i].hist) for i in members])[:-1]
         for i, part in zip(members, np.split(table, ends)):
-            weak[i] = part
-    return [_Run(*run) for run in zip(results, hists, weak)]
+            runs[i] = runs[i]._replace(weak_rows=part)
+    return runs
 
 
 def _weak_table(host: RootedTree, rows: np.ndarray) -> np.ndarray:
@@ -308,7 +300,7 @@ def _active_deadline(rng: np.random.Generator):
     tree = _random_host(rng)
     xi0 = OpinionVector.random(tree.n, rng)
     (run,) = yield tree, [xi0]
-    last = run.res.last_flip
+    last = run.last_flip
     bounds = active_path_bounds(tree)
     for v, limit in bounds.items():
         if int(last[v]) > limit + 1:
@@ -411,7 +403,7 @@ def _aligned_path(rng: np.random.Generator):
     if not (aligned and run.weak(a, t) and run.weak(b, t)):
         return _UNSATISFIED
     for w in evens:
-        if not run.res.is_vertex_t_stable(w, t):
+        if not run.t_stable(w, t):
             return True, False, f"n={tree.n} path={path} t={t} w={w} xi0={xi0.to_string()}"
     return True, True, ""
 
@@ -446,7 +438,7 @@ def _opposed_path(rng: np.random.Generator):
     t = 2 * int(rng.integers(0, 2))
     ell = 2 * int(rng.integers(1, d // 2 + 1))
     (run,) = yield tree, [xi0]
-    res, hist = run.res, run.hist
+    hist = run.hist
     row_t = run.row(t)
     head = all(int(row_t[path[i]]) == int(row_t[a]) for i in range(2, ell - 1, 2))
     tail = all(int(row_t[path[i]]) == int(row_t[b]) for i in range(ell, d - 1, 2))
@@ -465,14 +457,14 @@ def _opposed_path(rng: np.random.Generator):
     ):
         return _UNSATISFIED
     # beyond tau + 2 every quantity below repeats with period 2
-    for tp in range(t, res.tau + 3, 2):
+    for tp in range(t, run.tau + 3, 2):
         row = run.row(tp)
         boxed = all(
             int(row[path[i]]) == int(row[path[i - 2]])
             or int(row[path[i]]) == int(row[path[i + 2]])
             for i in range(2, d - 1, 2)
         )
-        far = res.is_vertex_t_stable(b, tp) or run.weak(b, tp)
+        far = run.t_stable(b, tp) or run.weak(b, tp)
         if not (boxed and far):
             return True, False, (
                 f"n={tree.n} path={path} t={t} ell={ell} tp={tp} "
@@ -490,13 +482,13 @@ def _tau_within_budget(rng: np.random.Generator):
     tree = _random_host(rng)
     xi0 = OpinionVector.random(tree.n, rng)
     (run,) = yield tree, [xi0]
-    res = run.res
+    settled, after = (OpinionVector.from_signs(row) for row in run.hist[-3:-1])
     ok = (
-        res.tau <= step_budget(tree)
-        and step(tree, res.stable_even) == res.stable_odd
-        and step(tree, res.stable_odd) == res.stable_even
+        run.tau <= step_budget(tree)
+        and step(tree, settled) == after
+        and step(tree, after) == settled
     )
-    return True, ok, "" if ok else f"n={tree.n} tau={res.tau} xi0={xi0.to_string()}"
+    return True, ok, "" if ok else f"n={tree.n} tau={run.tau} xi0={xi0.to_string()}"
 
 
 def _flip_has_cause(rng: np.random.Generator):
@@ -525,12 +517,7 @@ def _negation_symmetry(rng: np.random.Generator):
     tree = _random_host(rng)
     xi0 = OpinionVector.random(tree.n, rng)
     run, neg = yield tree, [xi0, xi0.negated()]
-    res, neg = run.res, neg.res
-    ok = (
-        neg.tau == res.tau
-        and neg.stable_even == res.stable_even.negated()
-        and neg.stable_odd == res.stable_odd.negated()
-    )
+    ok = neg.tau == run.tau and np.array_equal(neg.hist, -run.hist)
     return True, ok, "" if ok else f"n={tree.n} xi0={xi0.to_string()}"
 
 
@@ -549,7 +536,7 @@ def _witness_attains_tau(rng: np.random.Generator):
     tree = _random_host(rng)
     report = worst_case_tau(tree)
     (run,) = yield tree, [report.witness]
-    achieved = run.res.tau
+    achieved = run.tau
     return (
         True,
         achieved == report.tau,
@@ -652,7 +639,7 @@ def _counterexample_replay(rng: np.random.Generator):
     (run,) = yield tree, [verdict.certificate]
     hist = run.hist
     if kind == 0:
-        ok = not run.res.is_vertex_t_stable(v, t)
+        ok = not run.t_stable(v, t)
     elif kind == 1:
         values = {int(run.row(s)[v]) for s in range(t % 2, t + 1, 2)}
         ok = len(values) > 1

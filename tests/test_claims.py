@@ -1,5 +1,6 @@
-"""Property suites: registry, determinism, small-scale passes, and the
-forest run that every sampled suite steps its instances through."""
+"""Property suites: registry, determinism, small-scale passes, the
+forest run that every sampled suite steps its instances through, and the
+weak verdicts decided from its history."""
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ import pytest
 from majlab.claims import (
     ALL_SUITES,
     STRUCTURAL_SUITES,
+    _binary_host,
+    _runs,
     _stabilise_each,
     run_claim_suites,
     weak_definition_sweep,
 )
 from majlab.dynamics import OpinionVector, stabilise
 from majlab.errors import MajlabError
+from majlab.stability import is_weakly_t_stable
 from majlab.trees import build_perfect_tree
 
 
@@ -58,21 +62,10 @@ def test_weak_definition_sweep_small():
     assert report.satisfied == report.instances > 0
 
 
-def assert_same_result(got, want):
-    assert type(got.tau) is type(want.tau) is int
-    assert (got.tau, got.steps_executed) == (want.tau, want.steps_executed)
-    for name in ("stable_even", "stable_odd"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a == b
-        assert a.to_signs().dtype == b.to_signs().dtype == np.int8
-    for name in ("first_flip", "last_flip", "last_flip_even", "last_flip_odd"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
-    assert len(got.history) == len(want.history)
-    for a, b in zip(got.history, want.history):
-        assert a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes()
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def hosts_of(name, exhaustive_suite, random_suite):
@@ -101,8 +94,34 @@ def test_forest_run_splits_into_per_host_results(
     hosts = hosts_of(name, exhaustive_suite, random_suite)
     rng = np.random.default_rng(11)
     xi0s = [OpinionVector.random(host.n, rng) for host in hosts]
-    results = _stabilise_each(hosts, xi0s)
-    assert len(results) == len(hosts)
-    for host, xi0, got in zip(hosts, xi0s, results):
+    runs = _stabilise_each(hosts, xi0s)
+    assert len(runs) == len(hosts)
+    for host, xi0, run in zip(hosts, xi0s, runs):
         want = stabilise(host, xi0, keep_history=True)
-        assert_same_result(got, want)
+        assert type(run.tau) is int
+        assert run.tau == want.tau
+        assert_same_array(run.hist, np.array(want.history))
+        assert_same_array(run.last_flip, want.last_flip)
+        even, odd = run.last_flip_by_parity
+        assert_same_array(even, want.last_flip_even)
+        assert_same_array(odd, want.last_flip_odd)
+        for v in range(host.n):
+            for t in range(want.tau + 4):
+                assert run.t_stable(v, t) == want.is_vertex_t_stable(v, t), (v, t)
+
+
+def test_weak_verdicts_match_the_public_decider():
+    # one table per host decides every (vertex, time) of every run at once
+    rng = np.random.default_rng(3)
+    asks = [
+        (host, OpinionVector.random(host.n, rng))
+        for host in [_binary_host(2), _binary_host(3)] * 20
+    ]
+    checked = 0
+    for (host, xi0), run in zip(asks, _runs(asks)):
+        for v in range(1, host.n):
+            for t in range(run.tau + 4):
+                want = is_weakly_t_stable(host, xi0, v, t).verdict
+                assert run.weak(v, t) == want, (host.n, v, t, xi0.to_string())
+                checked += 1
+    assert checked > 2000

@@ -10,7 +10,6 @@ broken ones that some suites must catch, and every field of the
 worst-case report on perfect and random hosts.
 """
 
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -300,36 +299,17 @@ def test_claim_reports_across_chunk_boundaries(monkeypatch):
         assert report_digest(run_claim_suites(instances=300, seed=seed)) == digest
 
 
-def drop_history_row(stabilise):
+def drop_history_row(run):
     """Forget the state at time 1; the window keeps its length by
     repeating its last row."""
-
-    def broken(tree, xi0, keep_history=False):
-        res = stabilise(tree, xi0, keep_history=keep_history)
-        if res.history is not None:
-            del res.history[1]
-            res.history.append(res.history[-1])
-        return res
-
-    return broken
+    hist = run.hist
+    return run._replace(hist=np.concatenate([hist[:1], hist[2:], hist[-1:]]))
 
 
-def one_step_late(stabilise):
-    """Report tau and every first and last flip one step late."""
-
-    def late(flips):
-        return np.where(flips >= 0, flips + 1, flips)
-
-    def broken(tree, xi0, keep_history=False):
-        res = stabilise(tree, xi0, keep_history=keep_history)
-        return dataclasses.replace(
-            res,
-            tau=res.tau + 1,
-            first_flip=late(res.first_flip),
-            last_flip=late(res.last_flip),
-        )
-
-    return broken
+def one_step_late(run):
+    """Report tau and every last flip one step late."""
+    last = run.last_flip
+    return run._replace(tau=run.tau + 1, last_flip=np.where(last >= 0, last + 1, last))
 
 
 @pytest.mark.parametrize(
@@ -342,10 +322,13 @@ def one_step_late(stabilise):
                 "weak_value_maintenance": (
                     14, "n=22 v=9 t1=3 t2=7 xi0=--+--+++-+-++-++++----"
                 ),
+                # a tau = 0 window becomes (xi_0, xi_0, xi_0): its settled
+                # pair, read from the rows, swaps only if xi_0 is fixed
+                "tau_within_budget": (14, "n=6 tau=0 xi0=-++-++"),
                 "flip_has_cause": (158, "n=14 v=0 t=1 xi0=++---++++-++-+"),
                 "counterexample_replay": (25, "kind=1 v=7 xi0=+----++-++"),
             },
-            "216159cff614307c95a9a8c6256bee76af44eece18f1d3c825fa53cc2e78bb09",
+            "9eb7b12be4b5dbf66b9b63a63e70f4ed937d605031edddbab5c237bf2e133fc8",
         ),
         (
             one_step_late,
@@ -358,13 +341,11 @@ def one_step_late(stabilise):
     ],
 )
 def test_claim_reports_under_a_broken_engine(monkeypatch, breakage, failing, digest):
-    # the suites run every trajectory through one seam; break each result
+    # the suites run every trajectory through one seam; break each run
     each = majlab.claims._stabilise_each
 
     def broken(hosts, xi0s):
-        results = iter(each(hosts, xi0s))
-        one = breakage(lambda tree, xi0, keep_history=False: next(results))
-        return [one(tree, xi0) for tree, xi0 in zip(hosts, xi0s)]
+        return [breakage(run) for run in each(hosts, xi0s)]
 
     monkeypatch.setattr(majlab.claims, "_stabilise_each", broken)
     reports = run_claim_suites(instances=200, seed=5)

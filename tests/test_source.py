@@ -161,8 +161,9 @@ def test_subtrees_and_light_cones_are_walked_in_one_loop():
 
 
 def test_claims_steps_trajectories_through_one_seam():
-    # every sampled trajectory runs in one forest per chunk, and weak
-    # verdicts come from the recorded history, not a re-run of the host
+    # every sampled trajectory runs in one forest per chunk and is read
+    # through views of that run, not a per-instance result; weak verdicts
+    # come from the recorded history, not a re-run of the host
     path = Path(majlab.__file__).parent / "claims.py"
     calls = []
 
@@ -186,6 +187,7 @@ def test_claims_steps_trajectories_through_one_seam():
     assert not [scope for name, scope in calls if name == "is_weakly_t_stable"]
     callers = [scope for name, scope in calls if name == "stabilise"]
     assert callers == ["_stabilise_each"], f"stabilise called from {callers}"
+    assert "StabilisationResult" not in set().union(*map(_names, ast.walk(tree)))
 
 
 def _imported_names(module: str) -> set[str]:
