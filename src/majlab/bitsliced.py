@@ -19,10 +19,15 @@ numpy array, laid out by the host's levels: leaves copy their parent's
 word, and every other vertex runs the counter on a slice of whole levels
 at once, so 64 trajectories on a host of millions of vertices step
 together (E. Biham, "A fast new DES implementation in software", FSE 1997).
-With k even, level h - 1 of the host repeats with period two from time 0
-and the leaves from time 1, so only the first step updates the whole
-host: the later ones update levels 0 to h - 2, with level h - 1 a fixed
-boundary, and a flag per lane says whether the leaves delay tau to 1.
+
+Both engines update a PASSIVE vertex on the first step only.  Its leaves
+copy it, so it repeats with period two from time 0 whatever the other
+opinions are (Goles & Olivos, 1980).  ``BatchRun`` finds these vertices
+in its neighbour lists and, from the second step on, keeps their columns
+of state t - 1 as they are.  In ``PackedHost`` with k even they are level
+h - 1, and the leaves repeat from time 1: the later steps update levels 0
+to h - 2, with level h - 1 a fixed boundary, and a flag per lane says
+whether the leaves delay tau to 1.
 """
 
 from __future__ import annotations
@@ -82,9 +87,23 @@ def adjacency_lists(host) -> list[list[int]]:
     return [flat[offsets[v] : offsets[v + 1]] for v in range(host.n)]
 
 
-def batch_step(adj: list[list[int]], cols: list[int], mask: int) -> list[int]:
-    new = [0] * len(adj)
-    for v, nb in enumerate(adj):
+def batch_step(
+    adj: list[list[int]],
+    cols: list[int],
+    mask: int,
+    prev: list[int] | None = None,
+    moving: list[int] | None = None,
+) -> list[int]:
+    """The majority update of state ``cols`` on the graph of neighbour
+    lists ``adj``.  Given ``prev``, the state before ``cols``, only the
+    vertices ``moving`` are updated: every other one keeps its entry of
+    ``prev``, the same int object."""
+    if prev is None:
+        new, moving = [0] * len(adj), range(len(adj))
+    else:
+        new = list(prev)
+    for v in moving:
+        nb = adj[v]
         if len(nb) == 1:
             new[v] = cols[nb[0]]
         elif len(nb) == 3:
@@ -122,6 +141,14 @@ class BatchRun:
     without building any; with no column bits outside ``mask`` it is
     ``undecided != 0``.  The run aborts if the state still changes past
     the period-two budget, which would mean the engine is wrong.
+
+    A vertex u whose neighbour list is [v] copies v.  If more than half
+    of v's neighbours copy v, they hold x_{t-1}(v) at time t, so
+    x_{t+1}(v) = x_{t-1}(v) for t >= 1 (on a host: v is PASSIVE; a pinned
+    vertex, whose list is itself, is constant).  Only the first step
+    updates such a vertex; the later ones update the vertices ``moving``
+    and hold the others' columns of state t - 1, the same int objects,
+    which the comparisons then skip.
     """
 
     def __init__(self, host, cols0: list[int], mask: int):
@@ -145,6 +172,11 @@ class BatchRun:
         self.window: list[list[int]] = [list(cols0)]
         self.changing = True
         self.limit = limit
+        copies = [0] * self.n
+        for nb in adj:
+            if len(nb) == 1:
+                copies[nb[0]] += 1
+        self.moving = [v for v, nb in enumerate(adj) if 2 * copies[v] <= len(nb)]
 
     @property
     def cols(self) -> list[int]:
@@ -154,7 +186,8 @@ class BatchRun:
     def undecided(self) -> int:
         if self.t < 2:
             return self.mask
-        return self.mask & reduce(or_, map(xor, self.window[-1], self.window[0]), 0)
+        pairs = zip(self.window[-1], self.window[0])
+        return self.mask & reduce(or_, [a ^ b for a, b in pairs if a is not b], 0)
 
     def flip_col(self, v: int) -> int:
         """Trajectories where v changed between steps t-2 and t."""
@@ -167,7 +200,8 @@ class BatchRun:
             raise InvariantViolationError(
                 f"batch not 2-periodic within {self.limit} steps"
             )
-        new = batch_step(self.adj, self.window[-1], self.mask)
+        prev = self.window[-2] if self.t else None  # the first step updates all
+        new = batch_step(self.adj, self.window[-1], self.mask, prev, self.moving)
         self.t += 1
         self.window.append(new)
         if len(self.window) > 3:

@@ -149,7 +149,7 @@ def _reconstruct_path(
     smallest vertex id wins.  ``down``/``up`` give the residual score of
     continuing into a neighbour, so the greedy choice is safe.
     """
-    cur = min(v for v in range(tree.n) if full[v] == target)
+    cur = full.index(target)  # the smallest vertex attaining it
     came = -1
     path = [cur]
     remaining = target

@@ -339,6 +339,7 @@ def one_step_late(run):
             "49d032f7dc73ac2f63f3767c4b8b12c5bf0a593a4a19c743a9d4bac64404de0c",
         ),
     ],
+    ids=["drop_history_row", "one_step_late"],  # a re-pin keeps the test's id
 )
 def test_claim_reports_under_a_broken_engine(monkeypatch, breakage, failing, digest):
     # the suites run every trajectory through one seam; break each run

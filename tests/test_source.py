@@ -249,3 +249,20 @@ def test_generated_trees_skip_the_generic_build():
         if isinstance(node, (ast.Attribute, ast.Name))
     } | _imported_names("treegen.py")
     assert not names & {"from_edges", "_bfs_tree", "_build_csr", "_child_csr", "_finish"}
+
+
+def test_bitsliced_has_one_majority_step_loop():
+    # BatchRun holds its passive vertices inside the one step loop,
+    # ``batch_step``, which it calls once a step: the hold is never a
+    # second, forked copy of the majority step
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+    def calls(node, name):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == name
+
+    def majority_loop(node):
+        return isinstance(node, loops) and any(calls(n, "bit_majority") for n in ast.walk(node))
+
+    assert _scopes(majority_loop) == ["batch_step"]
+    assert _scopes(lambda node: calls(node, "bit_majority")) == ["batch_step"]
+    assert _scopes(lambda node: calls(node, "batch_step")) == ["BatchRun.advance"]
