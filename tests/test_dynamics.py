@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from majlab.dynamics import (
     OpinionVector,
+    _opinion_bytes,
     is_stable_partition,
     is_t_stable,
     stabilise,
@@ -93,6 +94,32 @@ def test_opinion_random_is_seed_deterministic():
     assert a == b
     assert len(a) == 50
     assert a != c  # 2^-50 collision chance
+
+
+def bytes_opinion_draw(n, rng):
+    """The opinion draw through ``Generator.bytes`` at every n: ceil(n/8)
+    bytes, bit i of which, read little-endian, is vertex i's."""
+    return np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8)
+
+
+def test_opinion_draw_is_the_bytes_draw():
+    # every n from 0 to 40, across the 32-vertex boundary, between 0-2
+    # bounded draws: PCG64 serves those from a buffered half-word, which
+    # the opinion draw must leave as ``bytes`` leaves it
+    for seed in range(2000):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in range(41):
+            skip = int(got.integers(3))
+            assert skip == want.integers(3), (n, seed)
+            for _ in range(skip):
+                assert got.integers(1, 20) == want.integers(1, 20), (n, seed)
+            draw = bytes_opinion_draw(n, want)
+            assert _opinion_bytes(n, got).tobytes() == draw.tobytes(), (n, seed)
+            signs = np.unpackbits(bytes_opinion_draw(n, want), count=n, bitorder="little")
+            want_vector = (signs.view(np.int8) * 2 - 1).tobytes()
+            assert OpinionVector.random(n, got).to_signs().tobytes() == want_vector, (n, seed)
+        assert got.integers(1, 20) == want.integers(1, 20), seed
+        assert got.integers(2**63) == want.integers(2**63), seed
 
 
 def test_step_matches_naive_majority():
