@@ -260,7 +260,11 @@ def cmd_check_claims(args) -> int:
     from .claims import run_claim_suites
 
     seed = _resolved_seed(args)
-    names = args.suites.split(",") if args.suites else None
+    names = None if args.suites is None else args.suites.split(",")
+    if names is not None and "" in names:
+        raise MajlabError(
+            f"--suites entry {names.index('') + 1} of {args.suites!r} is empty"
+        )
     reports = run_claim_suites(names=names, instances=args.instances, seed=seed)
     for report in reports:
         print(report.summary_line())

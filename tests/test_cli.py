@@ -271,6 +271,20 @@ def test_check_claims_cli(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "suites,entry",
+    [("", 1), ("tau_within_budget,", 2), (",tau_within_budget", 1),
+     ("fixed_point_bracket,,tau_within_budget", 2)],
+)
+def test_check_claims_refuses_an_empty_suite_entry(suites, entry, tmp_path, capsys):
+    # an empty entry is a typo, not a request for every suite
+    out = tmp_path / "claims.json"
+    assert main(["check-claims", "--suites", suites, "--instances", "5", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"ERROR: --suites entry {entry} of {suites!r} is empty\n"
+
+
 @pytest.mark.parametrize("instances", ["0", "-3"])
 def test_check_claims_needs_an_instance(instances, capsys):
     assert main(["check-claims", "--instances", instances]) == 1
