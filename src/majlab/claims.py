@@ -138,14 +138,43 @@ def _sampled(**checks: Callable) -> dict[str, Suite]:
 
 # -- shared sampling helpers ------------------------------------------------
 
-_BINARY_HOSTS: dict[int, RootedTree] = {}
+# a class code as a plain int: numpy compares an int8 array with an int
+# about five times faster than with an IntEnum member
+_BALKY = int(VertexClass.BALKY)
+
+class _BinaryHost(NamedTuple):
+    """The binary host of one height, with what its checks read of it but
+    never change: the non-root inner vertices (``inner``), the non-root
+    vertices of height at least 2 (``tall``), and each non-root vertex's
+    ``_PinnedSubtree`` (``pinned[v]``, None at the root), which decides
+    its weak verdicts."""
+
+    tree: RootedTree
+    inner: list[int]
+    tall: list[int]
+    pinned: list[_PinnedSubtree | None]
+
+
+_BINARY_HOSTS: dict[int, _BinaryHost] = {}
+
+
+def _binary(h: int) -> _BinaryHost:
+    """The binary host of height h, built once per process."""
+    host = _BINARY_HOSTS.get(h)
+    if host is None:
+        tree = build_perfect_tree(2, h)
+        height = tree.height[1:]
+        host = _BINARY_HOSTS.setdefault(h, _BinaryHost(
+            tree,
+            (np.flatnonzero(height) + 1).tolist(),
+            (np.flatnonzero(height >= 2) + 1).tolist(),
+            [None] + [_PinnedSubtree(tree, v) for v in range(1, tree.n)],
+        ))
+    return host
 
 
 def _binary_host(h: int) -> RootedTree:
-    tree = _BINARY_HOSTS.get(h)
-    if tree is None:
-        tree = _BINARY_HOSTS.setdefault(h, build_perfect_tree(2, h))
-    return tree
+    return _binary(h).tree
 
 
 def _random_host(rng: np.random.Generator, low: int = 6, high: int = 18) -> RootedTree:
@@ -216,9 +245,9 @@ def _runs(asks: list[tuple[RootedTree, OpinionVector]]) -> list[_Run]:
     only ones where weak stability is defined."""
     hosts = [host for host, _ in asks]
     runs = _stabilise_each(hosts, [xi0 for _, xi0 in asks])
-    binary = {id(host) for host in _BINARY_HOSTS.values()}
-    for host in {id(host): host for host in hosts if id(host) in binary}.values():
-        members = [i for i, other in enumerate(hosts) if other is host]
+    binary = {id(host.tree): host for host in _BINARY_HOSTS.values()}
+    for host in {id(tree): binary[id(tree)] for tree in hosts if id(tree) in binary}.values():
+        members = [i for i, other in enumerate(hosts) if other is host.tree]
         table = _weak_table(host, np.concatenate([runs[i].hist for i in members]))
         ends = np.cumsum([len(runs[i].hist) for i in members])[:-1]
         for i, part in zip(members, np.split(table, ends)):
@@ -226,21 +255,16 @@ def _runs(asks: list[tuple[RootedTree, OpinionVector]]) -> list[_Run]:
     return runs
 
 
-def _weak_table(host: RootedTree, rows: np.ndarray) -> np.ndarray:
+def _weak_table(host: _BinaryHost, rows: np.ndarray) -> np.ndarray:
     """``table[s, v]``: whether v (not the root) is weakly 0-stable in the
     state ``rows[s]``.  The verdict depends on the state alone, so one
     canonical-extension batch per vertex decides every row at once."""
     cols, mask = pack_bit_rows((rows > 0).T), (1 << len(rows)) - 1
-    bits = [_weak_ok_bits(_PinnedSubtree(host, v), cols, mask) if v else 0 for v in range(host.n)]
+    bits = [_weak_ok_bits(sub, cols, mask) if sub else 0 for sub in host.pinned]
     size = (len(rows) + 7) // 8
     packed = np.frombuffer(b"".join(b.to_bytes(size, "little") for b in bits), np.uint8)
-    lanes = np.unpackbits(packed.reshape(host.n, size), axis=1, count=len(rows), bitorder="little")
+    lanes = np.unpackbits(packed.reshape(len(bits), size), axis=1, count=len(rows), bitorder="little")
     return lanes.T
-
-
-def _inner(tree: RootedTree) -> list[int]:
-    """Non-root, non-leaf vertices."""
-    return (np.flatnonzero(tree.height[1:]) + 1).tolist()
 
 
 def _tree_path(tree: RootedTree, a: int, b: int) -> list[int]:
@@ -282,7 +306,7 @@ def _balky_switch(rng: np.random.Generator):
     top = hist.shape[0] - 3
     # every (balky v, non-pendant u) edge in adjacency order, one column each
     vs = np.repeat(np.arange(tree.n), tree.degree)
-    keep = (classify_all(tree) == VertexClass.BALKY)[vs] & ~tree.pendant[tree.adj_flat]
+    keep = (classify_all(tree) == _BALKY)[vs] & ~tree.pendant[tree.adj_flat]
     vs, us = vs[keep], tree.adj_flat[keep]
     now = hist[: top + 1, vs]
     hyp = now == hist[1 : top + 2, us]
@@ -350,10 +374,10 @@ def _weak_stability(rng: np.random.Generator):
 def _weak_from_grandchild(rng: np.random.Generator):
     """A vertex sharing its time-t opinion with a weakly t-stable grandchild
     is itself weakly t-stable."""
-    tree = _binary_host(int(rng.integers(3, 5)))
+    host = _binary(int(rng.integers(3, 5)))
+    tree = host.tree
     xi0 = OpinionVector.random(tree.n, rng)
-    hosts = (np.flatnonzero(tree.height[1:] >= 2) + 1).tolist()
-    v = hosts[int(rng.integers(len(hosts)))]
+    v = host.tall[int(rng.integers(len(host.tall)))]
     grandkids = [
         int(g) for c in tree.children(v) for g in tree.children(int(c))
     ]
@@ -369,9 +393,9 @@ def _weak_from_grandchild(rng: np.random.Generator):
 def _weak_from_child(rng: np.random.Generator):
     """A vertex whose time-(t+1) opinion matches the time-t opinion of a
     weakly t-stable child is weakly (t+1)-stable."""
-    tree = _binary_host(int(rng.integers(2, 4)))
+    host = _binary(int(rng.integers(2, 4)))
+    tree, inner = host.tree, host.inner
     xi0 = OpinionVector.random(tree.n, rng)
-    inner = _inner(tree)
     v = inner[int(rng.integers(len(inner)))]
     kids = tree.children(v)
     u = int(kids[int(rng.integers(kids.size))])
@@ -426,9 +450,9 @@ def _opposed_path(rng: np.random.Generator):
     stability confine the path between them: at every even time from t on,
     each even interior vertex agrees with an even neighbour two steps away,
     and the far endpoint is weakly stable or stable."""
-    tree = _binary_host(int(rng.integers(2, 4)))
+    host = _binary(int(rng.integers(2, 4)))
+    tree, inner = host.tree, host.inner
     xi0 = OpinionVector.random(tree.n, rng)
-    inner = _inner(tree)
     pick = rng.choice(len(inner), size=2, replace=False)
     a, b = inner[int(pick[0])], inner[int(pick[1])]
     path = _tree_path(tree, a, b)
@@ -619,8 +643,8 @@ def _counterexample_replay(rng: np.random.Generator):
     """Every negative strong / (<=t) / 1-close verdict returns a certificate
     extension that, replayed through the plain simulator, exhibits the
     claimed failure."""
-    tree = _binary_host(2)
-    inner = _inner(tree)
+    host = _binary(2)
+    tree, inner = host.tree, host.inner
     xi0 = OpinionVector.random(tree.n, rng)
     kind = int(rng.integers(3))
     if kind == 0:
@@ -679,8 +703,8 @@ def _suite_strong_value_symmetry(
     subject's subtree first: strong stability reads only the subtree, so
     one mask per t serves every block."""
     del instances, rng
-    tree, v, width = _binary_host(3), 1, 16
-    sub = _PinnedSubtree(tree, v)
+    host, v, width = _binary(3), 1, 16
+    tree, sub = host.tree, host.pinned[v]
     ids = sub.ids
     var = ids + [u for u in range(tree.n) if u not in ids]  # vertex of each variable
     mask = (1 << (1 << width)) - 1

@@ -22,7 +22,9 @@ their first read.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import reduce
+from itertools import accumulate, chain
+from operator import and_
 
 import numpy as np
 
@@ -35,9 +37,9 @@ def random_odd_tree(n: int, rng: np.random.Generator) -> RootedTree:
     if n < 2 or n % 2 != 0:
         raise TooSmallError(f"odd-degree trees need even n >= 2, got {n}")
     parent, kids = [-1, 0], [[1], []]
-    for size in range(2, n, 2):  # vertices size and size + 1 join the tree
-        p = int(rng.integers(size))
-        parent += (p, p)
+    # one bounded draw per attached pair, in order, made in one call
+    for size, p in zip(range(2, n, 2), rng.integers(np.arange(2, n, 2)).tolist()):
+        parent += (p, p)  # vertices size and size + 1 join the tree
         kids[p] += (size, size + 1)
         kids += ([], [])
     order = [0]
@@ -45,15 +47,15 @@ def random_odd_tree(n: int, rng: np.random.Generator) -> RootedTree:
         order += kids[v]
     adj = [[p, *c] for p, c in zip(parent, kids)]
     adj[0] = kids[0]  # the root has no parent
-    degree = np.fromiter(map(len, adj), dtype=np.int32, count=n)
-    if not np.bitwise_and.reduce(degree) & 1:  # odd exactly when all are
-        v = int(np.argmin(degree & 1))
+    degree = [len(a) for a in adj]
+    if not reduce(and_, degree) & 1:  # odd exactly when all are
+        v = next(v for v, d in enumerate(degree) if not d & 1)
         raise InvariantViolationError(f"generated vertex {v} has even degree {degree[v]}")
     return RootedTree(
         n=n, root=0, parent=np.array(parent, dtype=np.int32),
-        order=np.array(order, dtype=np.int32), degree=degree,
+        order=np.array(order, dtype=np.int32), degree=np.array(degree, dtype=np.int32),
         adj_flat=np.fromiter(chain.from_iterable(adj), dtype=np.int32, count=2 * n - 2),
-        adj_offsets=np.append(0, np.cumsum(degree, dtype=np.int64)),
+        adj_offsets=np.array([0, *accumulate(degree)], dtype=np.int64),
     )
 
 

@@ -395,7 +395,11 @@ def pendant_neighbour_counts(host) -> np.ndarray:
 
 def classify_all(host) -> np.ndarray:
     """Class per vertex as an int8 array: 0 ACTIVE, 1 BALKY, 2 PASSIVE."""
-    counts = pendant_neighbour_counts(host)
+    return _classes(host, pendant_neighbour_counts(host))
+
+
+def _classes(host, counts: np.ndarray) -> np.ndarray:
+    """``classify_all`` given the pendant neighbour counts."""
     threshold = (host.degree.astype(np.int64) - 1) // 2
     codes = np.full(host.n, 1, dtype=np.int8)
     codes[counts < threshold] = 0

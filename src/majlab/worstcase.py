@@ -36,6 +36,7 @@ from .errors import (
 from .trees import (
     RootedTree,
     VertexClass,
+    _classes,
     classify_all,
     pendant_neighbour_counts,
 )
@@ -50,6 +51,10 @@ __all__ = [
 ]
 
 _NEG = -(1 << 30)  # effectively -inf for the integer DP
+
+# class codes as plain ints: numpy compares an int8 array with an int
+# about five times faster than with an IntEnum member
+_ACTIVE, _PASSIVE = int(VertexClass.ACTIVE), int(VertexClass.PASSIVE)
 
 BRUTE_FORCE_BUDGET = 1 << 24
 
@@ -80,11 +85,15 @@ class WorstCaseReport:
     per_vertex_bound: dict[int, int]
 
 
-def _terminal_scores(tree: RootedTree, codes: np.ndarray) -> np.ndarray:
-    """Score of the single-vertex path ending at v, or -inf if v cannot end one."""
-    touches = pendant_neighbour_counts(tree) > 0
-    scores = np.where(touches, 2, 1).astype(np.int64)
-    scores[codes == VertexClass.PASSIVE] = _NEG
+def _terminal_scores(
+    tree: RootedTree, codes: np.ndarray, counts: np.ndarray | None = None
+) -> np.ndarray:
+    """Score of the single-vertex path ending at v, or -inf if v cannot end
+    one; ``counts`` are the pendant neighbour counts, if already known."""
+    if counts is None:
+        counts = pendant_neighbour_counts(tree)
+    scores = np.where(counts > 0, 2, 1).astype(np.int64)
+    scores[codes == _PASSIVE] = _NEG
     return scores
 
 
@@ -180,7 +189,7 @@ def active_path_bounds(tree: RootedTree) -> dict[int, int]:
     vertices starting at v.  Non-active vertices are not listed (they
     settle within two steps regardless).
     """
-    return _active_bounds(tree, classify_all(tree) == VertexClass.ACTIVE)
+    return _active_bounds(tree, classify_all(tree) == _ACTIVE)
 
 
 def _active_bounds(tree: RootedTree, active: np.ndarray) -> dict[int, int]:
@@ -200,15 +209,18 @@ def worst_case_tau(tree: RootedTree) -> WorstCaseReport:
         raise TooSmallError(
             f"worst-case analysis needs at least 5 vertices, got {tree.n}"
         )
-    codes = classify_all(tree)
-    active = codes == VertexClass.ACTIVE
-    base = _terminal_scores(tree, codes)
+    # one pendant count serves the classes, the scores and the end's touch;
+    # the witness check below classifies the tree again, independently
+    counts = pendant_neighbour_counts(tree)
+    codes = _classes(tree, counts)
+    active = codes == _ACTIVE
+    base = _terminal_scores(tree, codes, counts)
     down, up, full = _path_scores(tree, active, base)
     tau = max(full)
     if tau < 1:
         raise InvariantViolationError(f"worst-case score {tau} is below 1")
     vertices = _reconstruct_path(tree, active, base, down, up, full, tau)
-    touches = bool(pendant_neighbour_counts(tree)[vertices[-1]])
+    touches = bool(counts[vertices[-1]])
     if tau != len(vertices) + (1 if touches else 0):
         raise InvariantViolationError(
             f"path of {len(vertices)} vertices does not score {tau}"
@@ -231,9 +243,9 @@ def _validate_candidate_path(tree: RootedTree, path: list[int]) -> None:
             raise BadPathError(f"vertices {a} and {b} are not adjacent")
     codes = classify_all(tree)
     for v in path[:-1]:
-        if codes[v] != VertexClass.ACTIVE:
+        if codes[v] != _ACTIVE:
             raise BadPathError(f"interior path vertex {v} is not active")
-    if codes[path[-1]] == VertexClass.PASSIVE:
+    if codes[path[-1]] == _PASSIVE:
         raise BadPathError(f"end vertex {path[-1]} is passive")
 
 

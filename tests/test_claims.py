@@ -5,6 +5,7 @@ weak verdicts decided from its history."""
 import numpy as np
 import pytest
 
+from majlab import claims
 from majlab.claims import (
     ALL_SUITES,
     STRUCTURAL_SUITES,
@@ -125,3 +126,32 @@ def test_weak_verdicts_match_the_public_decider():
                 assert run.weak(v, t) == want, (host.n, v, t, xi0.to_string())
                 checked += 1
     assert checked > 2000
+
+
+def test_weak_tables_reuse_each_binary_host_pinned_subtrees(monkeypatch):
+    # the pinned subtrees are built once per host and process, and a run
+    # never changes them: a second table on the same rows is the first
+    built = []
+
+    class Counted(claims._PinnedSubtree):
+        def __init__(self, tree, v, *args, **kwargs):
+            built.append((tree.n, v))
+            super().__init__(tree, v, *args, **kwargs)
+
+    monkeypatch.setattr(claims, "_BINARY_HOSTS", {})
+    monkeypatch.setattr(claims, "_PinnedSubtree", Counted)
+    rng = np.random.default_rng(5)
+    for h in (2, 3, 4):
+        host = claims._binary(h)
+        assert built == [(host.tree.n, v) for v in range(1, host.tree.n)]
+        built.clear()
+        xi0s = [OpinionVector.random(host.tree.n, rng) for _ in range(30)]
+        rows = np.concatenate([run.hist for run in _stabilise_each([host.tree] * 30, xi0s)])
+        first = claims._weak_table(host, rows)
+        assert np.array_equal(claims._weak_table(host, rows), first)
+        assert claims._binary(h) is host and _binary_host(h) is host.tree
+        assert not built
+        # and it is the table of subtrees built afresh
+        fresh = [None] + [Counted(host.tree, v) for v in range(1, host.tree.n)]
+        assert np.array_equal(claims._weak_table(host._replace(pinned=fresh), rows), first)
+        built.clear()

@@ -266,3 +266,17 @@ def test_bitsliced_has_one_majority_step_loop():
     assert _scopes(majority_loop) == ["batch_step"]
     assert _scopes(lambda node: calls(node, "bit_majority")) == ["batch_step"]
     assert _scopes(lambda node: calls(node, "batch_step")) == ["BatchRun.advance"]
+
+
+def test_class_codes_compare_with_plain_ints():
+    # numpy probes an IntEnum member's type for array methods on every
+    # comparison with an int8 array, so code arrays meet plain ints only
+    compared = [
+        f"{name}:{node.lineno}"
+        for name in ("worstcase.py", "claims.py")
+        for node in ast.walk(ast.parse((Path(majlab.__file__).parent / name).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare)
+        for side in [node.left, *node.comparators]
+        if ast.unparse(side).startswith("VertexClass.")
+    ]
+    assert not compared, compared

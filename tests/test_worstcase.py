@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import majlab.trees
+import majlab.worstcase
+
 from majlab.dynamics import OpinionVector, stabilise, step_budget
 from majlab.errors import BadPathError, BudgetExceededError, TooSmallError
 from majlab.treegen import random_even_size, random_odd_tree
@@ -12,6 +15,7 @@ from majlab.trees import (
     build_perfect_tree,
     _bfs_tree,
     classify_all,
+    pendant_neighbour_counts,
     reroot,
 )
 from majlab.worstcase import (
@@ -375,3 +379,23 @@ def test_witness_rejects_bad_paths():
 def test_brute_force_budget():
     with pytest.raises(BudgetExceededError):
         brute_force_tau(STAR6, budget=4)
+
+
+def test_worst_case_tau_counts_pendant_neighbours_twice(monkeypatch):
+    # once for its classes, scores and end, and once in the witness check,
+    # which classifies the tree on its own as an independent check
+    calls = []
+
+    def counted(host):
+        calls.append(host.n)
+        return pendant_neighbour_counts(host)
+
+    monkeypatch.setattr(majlab.trees, "pendant_neighbour_counts", counted)
+    monkeypatch.setattr(majlab.worstcase, "pendant_neighbour_counts", counted)
+    rng = np.random.default_rng(4)
+    for tree in [build_perfect_tree(4, 3)] + [
+        random_odd_tree(random_even_size(6, 20, rng), rng) for _ in range(20)
+    ]:
+        calls.clear()
+        worst_case_tau(tree)
+        assert calls == [tree.n, tree.n]
