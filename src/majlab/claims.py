@@ -142,6 +142,7 @@ def _sampled(**checks: Callable) -> dict[str, Suite]:
 # about five times faster than with an IntEnum member
 _BALKY = int(VertexClass.BALKY)
 
+
 class _BinaryHost(NamedTuple):
     """The binary host of one height, with what its checks read of it but
     never change: the non-root inner vertices (``inner``), the non-root
@@ -243,11 +244,12 @@ def _stabilise_each(hosts: list[RootedTree], xi0s: list[OpinionVector]) -> list[
 def _runs(asks: list[tuple[RootedTree, OpinionVector]]) -> list[_Run]:
     """Every (host, xi0) run, with weak verdicts on the binary hosts, the
     only ones where weak stability is defined."""
-    hosts = [host for host, _ in asks]
-    runs = _stabilise_each(hosts, [xi0 for _, xi0 in asks])
-    binary = {id(host.tree): host for host in _BINARY_HOSTS.values()}
-    for host in {id(tree): binary[id(tree)] for tree in hosts if id(tree) in binary}.values():
-        members = [i for i, other in enumerate(hosts) if other is host.tree]
+    trees = [tree for tree, _ in asks]
+    runs = _stabilise_each(trees, [xi0 for _, xi0 in asks])
+    for host in _BINARY_HOSTS.values():
+        members = [i for i, tree in enumerate(trees) if tree is host.tree]
+        if not members:
+            continue
         table = _weak_table(host, np.concatenate([runs[i].hist for i in members]))
         ends = np.cumsum([len(runs[i].hist) for i in members])[:-1]
         for i, part in zip(members, np.split(table, ends)):

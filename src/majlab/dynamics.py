@@ -45,11 +45,10 @@ def _opinion_bytes(n: int, rng: np.random.Generator) -> np.ndarray:
     """The draw behind a uniformly random opinion vector on n vertices:
     ceil(n/8) bytes, bit i of which, read little-endian, is vertex i's.
 
-    ``Generator.bytes(m)`` is the little-endian bytes of
-    ceil(m/4) uint32 draws, and one even when m = 0.  Up to 32 vertices
-    one scalar uint32 draw reads the same word, through the same buffered
-    half of PCG64's output that bounded draws share, for a fifth of the
-    call overhead."""
+    ``Generator.bytes(m)`` is the little-endian bytes of ceil(m/4) uint32
+    draws, one even when m = 0.  Up to 32 vertices, one scalar uint32
+    draw reads the same word, through the buffered half of PCG64's output
+    that bounded draws share, in about a third of the time."""
     size = (n + 7) // 8
     if n <= 32:
         word = int(rng.integers(1 << 32, dtype=np.uint32))
