@@ -32,7 +32,7 @@ whether the leaves delay tau to 1.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import islice
 from operator import or_, xor
 
@@ -45,18 +45,9 @@ from .trees import _perfect_level_starts
 
 def tt_column(i: int, m: int) -> int:
     """Truth-table column of variable i among m: bit j of the result is
-    bit i of j, for j in [0, 2^m).
-
-    A column of at most 2^19 bits is memoised, and the memo keeps the 64
-    most recently used, so it holds at most 4 MiB: a ``check-claims`` run
-    asks for under 100 distinct columns some 16,000 times, and one of
-    2^19 bits takes about 50 us to build."""
+    bit i of j, for j in [0, 2^m)."""
     if not (0 <= i < m):
         raise ValueError(f"variable index {i} out of range for m={m}")
-    return _memo_column(i, m) if m <= _MEMO_MAX_M else _column(i, m)
-
-
-def _column(i: int, m: int) -> int:
     block = ((1 << (1 << i)) - 1) << (1 << i)
     width = 1 << (i + 1)
     total = 1 << m
@@ -64,10 +55,6 @@ def _column(i: int, m: int) -> int:
         block |= block << width
         width <<= 1
     return block
-
-
-_MEMO_MAX_M = 19
-_memo_column = lru_cache(maxsize=64)(_column)
 
 
 def bit_majority(words: list[int], mask: int) -> int:

@@ -37,9 +37,9 @@ def random_odd_tree(n: int, rng: np.random.Generator) -> RootedTree:
     if n < 2 or n % 2 != 0:
         raise TooSmallError(f"odd-degree trees need even n >= 2, got {n}")
     parent, kids = [-1, 0], [[1], []]
-    # one bounded draw per attached pair, in order, made in one call
-    for size, p in zip(range(2, n, 2), rng.integers(np.arange(2, n, 2)).tolist()):
-        parent += (p, p)  # vertices size and size + 1 join the tree
+    for size in range(2, n, 2):  # vertices size and size + 1 join the tree
+        p = int(rng.integers(size))
+        parent += (p, p)
         kids[p] += (size, size + 1)
         kids += ([], [])
     order = [0]
