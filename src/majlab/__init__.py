@@ -14,7 +14,8 @@ __version__ = "0.1.0"
 
 # Each submodule and the public names it defines, which ``majlab.<name>``
 # and ``from majlab import <name>`` reach; every submodule is also reachable
-# as ``majlab.<submodule>``.
+# as ``majlab.<submodule>``.  This is the one list of public names: no
+# submodule sets ``__all__``.
 _EXPORTS = {
     "artifacts": (),
     "bitsliced": (),

@@ -40,7 +40,7 @@ import numpy as np
 
 from .dynamics import step_budget
 from .errors import InvariantViolationError
-from .trees import _perfect_level_starts
+from .trees import _indexable_level_starts
 
 
 def tt_column(i: int, m: int) -> int:
@@ -323,7 +323,7 @@ class PackedHost:
     """
 
     def __init__(self, k: int, h: int):
-        self._starts = _perfect_level_starts(k, h)
+        self._starts = _indexable_level_starts(k, h)
         self.n = self._starts[-1]
         self.budget = (self.n - 2) // 2  # step_budget: |E| = n - 1
         self.limit = self.budget + 2

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .bitsliced import BatchRun, pack_bit_rows, tt_column
-from .dynamics import OpinionVector, stabilise, step, step_budget
+from .dynamics import OpinionVector, _step_signs, stabilise, step_budget
 from .errors import MajlabError
 from .probe import _recursion_map, fixed_point_q
 from .stability import (
@@ -172,10 +172,6 @@ def _binary(h: int) -> _BinaryHost:
             [None] + [_PinnedSubtree(tree, v) for v in range(1, tree.n)],
         ))
     return host
-
-
-def _binary_host(h: int) -> RootedTree:
-    return _binary(h).tree
 
 
 def _random_host(rng: np.random.Generator, low: int = 6, high: int = 18) -> RootedTree:
@@ -343,7 +339,7 @@ def _active_deadline(rng: np.random.Generator):
 def _weak_value(rng: np.random.Generator):
     """If v is weakly t1-stable and its parent holds xi_{t1}(v) at every odd
     time strictly between t1 and t2 (same parity), then xi_{t2}(v) = xi_{t1}(v)."""
-    tree = _binary_host(int(rng.integers(2, 4)))
+    tree = _binary(int(rng.integers(2, 4))).tree
     xi0 = OpinionVector.random(tree.n, rng)
     v = int(rng.integers(1, tree.n))
     u = int(tree.parent[v])
@@ -360,7 +356,7 @@ def _weak_value(rng: np.random.Generator):
 def _weak_stability(rng: np.random.Generator):
     """If v is weakly t1-stable and keeps one opinion at every time of the
     same parity through t2, then v is weakly t2-stable."""
-    tree = _binary_host(int(rng.integers(2, 4)))
+    tree = _binary(int(rng.integers(2, 4))).tree
     xi0 = OpinionVector.random(tree.n, rng)
     v = int(rng.integers(1, tree.n))
     t1 = int(rng.integers(0, 4))
@@ -413,7 +409,7 @@ def _aligned_path(rng: np.random.Generator):
     """On a non-monotone even-length path whose even-position vertices share
     one time-t opinion and whose endpoints are weakly t-stable, every
     even-position vertex is t-stable."""
-    tree = _binary_host(int(rng.integers(2, 4)))
+    tree = _binary(int(rng.integers(2, 4))).tree
     xi0 = OpinionVector.random(tree.n, rng)
     pick = rng.choice(tree.n - 1, size=2, replace=False) + 1
     a, b = int(pick[0]), int(pick[1])
@@ -437,12 +433,12 @@ def _aligned_path(rng: np.random.Generator):
 _ONE_CLOSE_MEMO: dict[tuple[int, int, bytes], bool] = {}
 
 
-def _one_close_memo(tree: RootedTree, xi0: OpinionVector, v: int) -> bool:
+def _one_close_memo(host: _BinaryHost, xi0: OpinionVector, v: int) -> bool:
     # the verdict depends only on the restriction to the subtree of v
-    key = (tree.n, v, xi0.to_signs()[tree.subtree_mask(v)].tobytes())
+    key = (host.tree.n, v, xi0.to_signs()[host.pinned[v].ids].tobytes())
     hit = _ONE_CLOSE_MEMO.get(key)
     if hit is None:
-        hit = is_one_close_to_stability(tree, xi0, v).verdict
+        hit = is_one_close_to_stability(host.tree, xi0, v).verdict
         _ONE_CLOSE_MEMO[key] = hit
     return hit
 
@@ -478,8 +474,8 @@ def _opposed_path(rng: np.random.Generator):
         and opposed
         and run.weak(a, 0)
         and run.weak(b, 0)
-        and _one_close_memo(tree, xi0, a)
-        and _one_close_memo(tree, xi0, b)
+        and _one_close_memo(host, xi0, a)
+        and _one_close_memo(host, xi0, b)
     ):
         return _UNSATISFIED
     # beyond tau + 2 every quantity below repeats with period 2
@@ -508,11 +504,11 @@ def _tau_within_budget(rng: np.random.Generator):
     tree = _random_host(rng)
     xi0 = OpinionVector.random(tree.n, rng)
     (run,) = yield tree, [xi0]
-    settled, after = (OpinionVector.from_signs(row) for row in run.hist[-3:-1])
+    settled, after = run.hist[-3], run.hist[-2]
     ok = (
         run.tau <= step_budget(tree)
-        and step(tree, settled) == after
-        and step(tree, after) == settled
+        and np.array_equal(_step_signs(tree, settled), after)
+        and np.array_equal(_step_signs(tree, after), settled)
     )
     return True, ok, "" if ok else f"n={tree.n} tau={run.tau} xi0={xi0.to_string()}"
 
@@ -618,9 +614,10 @@ def weak_definition_sweep(max_height: int = 3, k_max: int = 9) -> ClaimReport:
 
     def outcomes():
         for h in range(1, max_height + 1):
-            tree = _binary_host(h)
+            host = _binary(h)
+            tree = host.tree
             for v in range(1, tree.n):
-                ids = np.flatnonzero(tree.subtree_mask(v)).tolist()
+                ids = host.pinned[v].ids
                 # every extension, whatever the count: the sweep is exhaustive by design
                 ext = _Extensions(tree, ids, 1 << tree.n)
                 for bits in range(1 << len(ids)):

@@ -69,16 +69,6 @@ from .stability import (
 )
 from .trees import _perfect_level_starts, build_perfect_tree
 
-__all__ = [
-    "ProbEstimate",
-    "FixedPointResult",
-    "McSummary",
-    "estimate_probability",
-    "le_t_positive_check",
-    "fixed_point_q",
-    "mc_tau",
-]
-
 
 @dataclass(frozen=True)
 class ProbEstimate:
@@ -324,6 +314,8 @@ def _probability(
     count = ok.bit_count()
     if rng is None:
         # each verdict stands for every assignment of the variables outside the cone
+        if m > np.iinfo(np.intp).max:
+            raise MemoryError(f"an exact count over 2^{m} assignments is too large to hold")
         count, width = count << m - len(cone), 1 << m
     return _estimate(count, width, method, seed, **meta)
 

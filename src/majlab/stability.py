@@ -47,16 +47,6 @@ from .dynamics import OpinionVector, _check_length, step_budget
 from .errors import BadHostError, BadTimeError, BadVertexError, BudgetExceededError
 from .trees import RootedTree, _walk
 
-__all__ = [
-    "StabilityVerdict",
-    "EXTENSION_BUDGET",
-    "is_weakly_t_stable",
-    "is_strongly_t_stable",
-    "is_le_t_stable",
-    "is_one_close_to_stability",
-    "strong_t_stable_extreme_runs",
-    "le_t_stable_extreme_runs",
-]
 
 EXTENSION_BUDGET = 1 << 20
 
@@ -80,20 +70,28 @@ class StabilityVerdict:
     checked: int
 
 
-def _check_vertex(tree: RootedTree, v: int, *, forbid_leaf: bool) -> None:
+def _check_query(
+    tree: RootedTree, xi0: OpinionVector, v: int, t: int | None,
+    *, leaf: bool, binary: bool, least: int | None,
+) -> None:
+    """Every decider's input checks, in one order: the vertex (never the
+    root, a leaf only if ``leaf``), the host (a binary tree whose root has
+    three children, if ``binary``), t (at least ``least``, unless that is
+    None) and the length of ``xi0``."""
     if not 0 <= v < tree.n:
         raise BadVertexError(f"vertex {v} out of range for {tree.n} vertices")
     if v == tree.root:
         raise BadVertexError("stability of the root is not defined")
-    if forbid_leaf and tree.is_leaf(v):
+    if not leaf and tree.is_leaf(v):
         raise BadVertexError(f"vertex {v} is a leaf")
-
-
-def _check_binary_host(tree: RootedTree) -> None:
-    kids = tree.degree - (tree.parent >= 0)
-    # 3 & ~2 is the one nonzero entry when every other vertex has 0 or 2
-    if kids[tree.root] != 3 or np.count_nonzero(kids & ~2) != 1:
-        raise BadHostError("host must be a binary tree whose root has three children")
+    if binary:
+        kids = tree.degree - (tree.parent >= 0)
+        # 3 & ~2 is the one nonzero entry when every other vertex has 0 or 2
+        if kids[tree.root] != 3 or np.count_nonzero(kids & ~2) != 1:
+            raise BadHostError("host must be a binary tree whose root has three children")
+    if least is not None and t < least:
+        raise BadTimeError(f"t must be >= {least}, got {t}")
+    _check_length(tree, xi0)
 
 
 def _columns(signs: np.ndarray) -> list[int]:
@@ -110,11 +108,7 @@ def is_weakly_t_stable(
     opinion is the most favourable extension, so running just that one
     trajectory decides the existential question exactly.
     """
-    _check_vertex(tree, v, forbid_leaf=False)
-    _check_binary_host(tree)
-    if t < 0:
-        raise BadTimeError(f"t must be non-negative, got {t}")
-    _check_length(tree, xi0)
+    _check_query(tree, xi0, v, t, leaf=True, binary=True, least=0)
     sub = _PinnedSubtree(tree, v, reach=max(t - 1, 0))
     state = xi0.to_signs()
     cols = _columns(state)
@@ -394,11 +388,7 @@ def is_strongly_t_stable(
     enumeration alone, so conclusive fast-path verdicts work on hosts far
     beyond enumerable size.
     """
-    _check_vertex(tree, v, forbid_leaf=True)
-    _check_binary_host(tree)
-    if t < 0:
-        raise BadTimeError(f"t must be non-negative, got {t}")
-    _check_length(tree, xi0)
+    _check_query(tree, xi0, v, t, leaf=False, binary=True, least=0)
     base = xi0.to_signs()
     sub = _PinnedSubtree(tree, v)
     low, high, pending = _extremes(sub, _columns(base), 1, t)
@@ -428,10 +418,7 @@ def is_le_t_stable(
 ) -> StabilityVerdict:
     """Decide (<= t)-stability: every extension keeps the opinion of ``v``
     constant over times of t's parity up to and including t."""
-    _check_vertex(tree, v, forbid_leaf=False)
-    if t < 2:
-        raise BadTimeError(f"(<=t)-stability needs t >= 2, got {t}")
-    _check_length(tree, xi0)
+    _check_query(tree, xi0, v, t, leaf=True, binary=False, least=2)
     ids = _walk(tree, v, int(tree.parent[v]))[0]
     ext = _Extensions(tree, ids, budget)
     pattern = pack_bit_rows([xi0.to_signs()[ids] > 0])[0]
@@ -452,9 +439,7 @@ def is_one_close_to_stability(
     with respect to the extension's trajectory.  Extensions that never
     flip satisfy the condition vacuously.
     """
-    _check_vertex(tree, v, forbid_leaf=True)
-    _check_binary_host(tree)
-    _check_length(tree, xi0)
+    _check_query(tree, xi0, v, None, leaf=False, binary=True, least=None)
     sub = _PinnedSubtree(tree, v)
     ext = _Extensions(tree, sub.ids, budget)
     pattern = pack_bit_rows([xi0.to_signs()[sub.ids] > 0])[0]
@@ -473,11 +458,7 @@ def strong_t_stable_extreme_runs(
     extension is pinned in between), and None when the extremes settle at
     opposite opinions, which they alone cannot decide.
     """
-    _check_vertex(tree, v, forbid_leaf=True)
-    _check_binary_host(tree)
-    if t < 0:
-        raise BadTimeError(f"t must be non-negative, got {t}")
-    _check_length(tree, xi0)
+    _check_query(tree, xi0, v, t, leaf=False, binary=True, least=0)
     sub = _PinnedSubtree(tree, v)
     low, high, pending = _extremes(sub, _columns(xi0.to_signs()), 1, t)
     return None if pending else not (low | high)
@@ -491,9 +472,8 @@ def le_t_stable_extreme_runs(
     For even t the time-0 opinion of ``v`` is shared by all extensions,
     so constancy of both extreme trajectories pins every other one.
     """
-    _check_vertex(tree, v, forbid_leaf=False)
-    if t < 2 or t & 1:
-        raise BadTimeError(f"extreme-run (<=t)-stability needs even t >= 2, got {t}")
-    _check_length(tree, xi0)
+    _check_query(tree, xi0, v, t, leaf=True, binary=False, least=2)
+    if t & 1:
+        raise BadTimeError(f"extreme-run (<=t)-stability needs an even t, got {t}")
     sub = _PinnedSubtree(tree, v, depth=t)
     return _le_t_ok_bits(sub, _columns(xi0.to_signs()), 1, t) == 1

@@ -346,6 +346,16 @@ def _perfect_level_starts(k: int, h: int) -> list[int]:
     return starts
 
 
+def _indexable_level_starts(k: int, h: int) -> list[int]:
+    """``_perfect_level_starts`` of a host that numpy can index at 16 bytes
+    a vertex, what its edge arrays or two word-engine states take; a
+    larger one is refused before anything is allocated."""
+    starts = _perfect_level_starts(k, h)
+    if starts[-1] * 16 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a perfect host of n={starts[-1]} vertices is too large to index")
+    return starts
+
+
 def build_perfect_tree(k: int, h: int) -> RootedTree:
     """Perfect tree of branching factor k and height h.
 
@@ -353,7 +363,7 @@ def build_perfect_tree(k: int, h: int) -> RootedTree:
     every internal degree is k + 1 (odd exactly when k is even) and all
     leaves sit at depth h.  Vertex count: 1 + (k + 1) (k^h - 1) / (k - 1).
     """
-    starts = _perfect_level_starts(k, h)
+    starts = _indexable_level_starts(k, h)
     n = starts[-1]
     parent = np.full(n, -1, dtype=np.int32)
     parent[1 : starts[2]] = 0

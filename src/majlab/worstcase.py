@@ -41,14 +41,6 @@ from .trees import (
     pendant_neighbour_counts,
 )
 
-__all__ = [
-    "CandidatePath",
-    "WorstCaseReport",
-    "active_path_bounds",
-    "brute_force_tau",
-    "worst_case_tau",
-    "worst_case_witness",
-]
 
 _NEG = -(1 << 30)  # effectively -inf for the integer DP
 
@@ -85,13 +77,9 @@ class WorstCaseReport:
     per_vertex_bound: dict[int, int]
 
 
-def _terminal_scores(
-    tree: RootedTree, codes: np.ndarray, counts: np.ndarray | None = None
-) -> np.ndarray:
+def _terminal_scores(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Score of the single-vertex path ending at v, or -inf if v cannot end
-    one; ``counts`` are the pendant neighbour counts, if already known."""
-    if counts is None:
-        counts = pendant_neighbour_counts(tree)
+    one, given the class codes and the pendant neighbour counts."""
     scores = np.where(counts > 0, 2, 1).astype(np.int64)
     scores[codes == _PASSIVE] = _NEG
     return scores
@@ -214,7 +202,7 @@ def worst_case_tau(tree: RootedTree) -> WorstCaseReport:
     counts = pendant_neighbour_counts(tree)
     codes = _classes(tree, counts)
     active = codes == _ACTIVE
-    base = _terminal_scores(tree, codes, counts)
+    base = _terminal_scores(codes, counts)
     down, up, full = _path_scores(tree, active, base)
     tau = max(full)
     if tau < 1:

@@ -9,7 +9,6 @@ from majlab import claims
 from majlab.claims import (
     ALL_SUITES,
     STRUCTURAL_SUITES,
-    _binary_host,
     _runs,
     _stabilise_each,
     run_claim_suites,
@@ -116,7 +115,7 @@ def test_weak_verdicts_match_the_public_decider():
     rng = np.random.default_rng(3)
     asks = [
         (host, OpinionVector.random(host.n, rng))
-        for host in [_binary_host(2), _binary_host(3)] * 20
+        for host in [claims._binary(2).tree, claims._binary(3).tree] * 20
     ]
     checked = 0
     for (host, xi0), run in zip(asks, _runs(asks)):
@@ -149,7 +148,7 @@ def test_weak_tables_reuse_each_binary_host_pinned_subtrees(monkeypatch):
         rows = np.concatenate([run.hist for run in _stabilise_each([host.tree] * 30, xi0s)])
         first = claims._weak_table(host, rows)
         assert np.array_equal(claims._weak_table(host, rows), first)
-        assert claims._binary(h) is host and _binary_host(h) is host.tree
+        assert claims._binary(h) is host
         assert not built
         # and it is the table of subtrees built afresh
         fresh = [None] + [Counted(host.tree, v) for v in range(1, host.tree.n)]

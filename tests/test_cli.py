@@ -251,6 +251,39 @@ def test_running_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, 
     assert captured.out == "" and not out.exists()
 
 
+# hosts whose vertex count, at 16 bytes a vertex, is past numpy's index
+# range: refused before anything is allocated
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--k", "2", "--h", "61"],
+        ["gen", "--k", "2", "--h", "70"],
+        ["mc-tau", "--k", "2", "--h", "61", "--trials", "1"],
+        ["mc-tau", "--k", "4", "--h", "32", "--trials", "1"],
+        ["prob", "--target", "strong", "--height", "61", "--t", "0", "--method", "mc",
+         "--trials", "1"],
+        # (<= t) builds only its cone, but its exact count is over 2^(2^71 - 1)
+        ["prob", "--target", "le_t", "--height", "70", "--t", "2"],
+    ],
+    ids=["gen-h61", "gen-h70", "mc-tau-k2-h61", "mc-tau-k4-h32", "prob-strong-h61",
+         "prob-le_t-exact-h70"],
+)
+def test_hosts_too_large_to_index_are_one_error_line(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*argv, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("OUT_OF_MEMORY: "), err
+    assert "too large" in err[0]
+    assert captured.out == "" and not out.exists()
+
+
+def test_le_t_samples_a_cone_of_a_host_too_large_to_index(tmp_path):
+    payload = run_json(["prob", "--target", "le_t", "--height", "70", "--t", "2",
+                        "--method", "mc", "--trials", "100"], tmp_path)
+    assert payload["result"]["trials"] == 100
+
+
 def test_check_claims_cli(tmp_path, capsys):
     out = tmp_path / "claims.json"
     code = main(["check-claims", "--suites", "fixed_point_bracket,tau_within_budget",

@@ -348,9 +348,15 @@ def test_estimate_validation_errors():
         estimate_probability("strong", 2, 0, k=4)
     with pytest.raises(BudgetExceededError):
         estimate_probability("strong", 4, 0, method="exact")
-    # a leaf subject is never strongly stable, but the question is well posed
+    # a leaf subject (height 0) is a well-posed question: it copies its
+    # parent, the root, whose three leaf neighbours all copy the root and
+    # so re-vote the root's earlier opinion, so the leaf is strongly
+    # t-stable from t = 1 on; at t = 0 the extension opposite to its
+    # opinion flips it at time 2
     leaf = estimate_probability("strong", 0, 0)
     assert (leaf.count, leaf.denominator) == (0, 2)
+    leaf = estimate_probability("strong", 0, 1)
+    assert (leaf.count, leaf.denominator) == (2, 2)
 
 
 @pytest.mark.parametrize("method", ["mc", "auto"])

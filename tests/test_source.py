@@ -212,7 +212,7 @@ def test_extensions_are_laid_out_in_one_place():
     assert callers == ["_Extensions.__init__"], callers
     deleted = {"_extension_batch", "_extension_vector", "_enumerated_verdict", "_enumerated_flips"}
     deciders = {
-        name for name in majlab.stability.__all__ if name.startswith("is_") or name.endswith("_runs")
+        name for name in majlab._EXPORTS["stability"] if name.startswith("is_") or name.endswith("_runs")
     }
     assert not (_imported_names("probe.py") | _imported_names("claims.py")) & deleted
     assert not _imported_names("probe.py") & deciders
@@ -280,3 +280,23 @@ def test_class_codes_compare_with_plain_ints():
         if ast.unparse(side).startswith("VertexClass.")
     ]
     assert not compared, compared
+
+
+def test_each_fact_is_stated_once():
+    # ``majlab._EXPORTS`` is the one list of public names, and claims reads
+    # a binary host's subtrees from its record, not from a fresh walk or a
+    # tree-only accessor
+    package = Path(majlab.__file__).parent
+    assigned = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(target, ast.Name) and target.id == "__all__"
+    ]
+    assert not assigned, f"__all__ assigned in {assigned}"
+    claims = ast.parse((package / "claims.py").read_text(encoding="utf-8"))
+    spelled = set().union(*map(_names, ast.walk(claims)))
+    assert not spelled & {"subtree_mask", "_binary_host"}

@@ -16,6 +16,7 @@ from majlab.errors import (
     BadTimeError,
     BadVertexError,
     BudgetExceededError,
+    LengthMismatchError,
 )
 from majlab.stability import (
     _PinnedSubtree,
@@ -286,6 +287,36 @@ def test_vertex_and_time_preconditions():
         is_weakly_t_stable(HOST, xi0, 1, -1)
     with pytest.raises(BadTimeError):
         is_le_t_stable(HOST, xi0, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "decide,least,binary",
+    [
+        (is_weakly_t_stable, 0, True),
+        (is_strongly_t_stable, 0, True),
+        (strong_t_stable_extreme_runs, 0, True),
+        (is_one_close_to_stability, None, True),
+        (is_le_t_stable, 2, False),
+        (le_t_stable_extreme_runs, 2, False),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_each_decider_checks_vertex_host_time_then_length(decide, least, binary):
+    # one check per query, in one order: each input below breaks every
+    # later check too, and only the first broken one is reported
+    short = OpinionVector.filled(HOST.n - 1, 1)
+    time = () if least is None else (least - 1,)
+    wide = reroot(HOST, 7) if binary else HOST  # a root of one child
+    with pytest.raises(BadVertexError, match="root"):
+        decide(wide, short, wide.root, *time)
+    if binary:
+        with pytest.raises(BadHostError):
+            decide(wide, short, 1, *time)
+    if least is not None:
+        with pytest.raises(BadTimeError, match=f"^t must be >= {least}, got {least - 1}$"):
+            decide(HOST, short, 1, least - 1)
+    with pytest.raises(LengthMismatchError):
+        decide(HOST, short, 1, *(() if least is None else (least,)))
 
 
 def test_binary_host_restriction():

@@ -183,7 +183,8 @@ def test_path_scores_match_a_literal_candidate_path_oracle(random_suite, exhaust
         paths = candidate_paths(tree)
         codes = classify_all(tree)
         active = codes == VertexClass.ACTIVE
-        full = _path_scores(tree, active, _terminal_scores(tree, codes))[2]
+        base = _terminal_scores(codes, pendant_neighbour_counts(tree))
+        full = _path_scores(tree, active, base)[2]
         best = [_NEG] * tree.n
         for path, score in paths:
             best[path[0]] = max(best[path[0]], score)
@@ -244,7 +245,8 @@ def test_path_scores_match_the_child_list_sweep(random_suite, exhaustive_suite):
     for tree in exhaustive_suite + random_suite + perfect + rerooted:
         codes = classify_all(tree)
         active = codes == VertexClass.ACTIVE
-        for base in (_terminal_scores(tree, codes), active.astype(np.int64)):
+        terminal = _terminal_scores(codes, pendant_neighbour_counts(tree))
+        for base in (terminal, active.astype(np.int64)):
             want = child_list_path_scores(tree, active, base)
             assert _path_scores(tree, active, base) == want
 
