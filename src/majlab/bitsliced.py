@@ -14,11 +14,13 @@ Two engines apply this.  ``BatchRun`` holds one Python integer per vertex,
 so a batch has any width: this is what makes 2^20-scale exhaustive
 enumerations (brute-force tau, extension quantifiers, exact probabilities)
 cheap, a full sweep being a few hundred bignum operations.
-``PackedHost`` holds one uint64 word per vertex of a perfect host in a
-numpy array, laid out by the host's levels: leaves copy their parent's
-word, and every other vertex runs the counter on a slice of whole levels
-at once, so 64 trajectories on a host of millions of vertices step
+``PackedHost`` holds one word per vertex of a perfect host in a numpy
+array, laid out by the host's levels: leaves copy their parent's word,
+and every other vertex runs the counter on a slice of whole levels at
+once, so up to 64 trajectories on a host of millions of vertices step
 together (E. Biham, "A fast new DES implementation in software", FSE 1997).
+A word of m trajectories is W bits wide, the narrowest of 8, 16, 32 and 64
+with W >= m, so a run holds two states of n W / 8 bytes each.
 
 Both engines update a PASSIVE vertex on the first step only.  Its leaves
 copy it, so it repeats with period two from time 0 whatever the other
@@ -224,52 +226,73 @@ def batch_max_tau(host, cols0: list[int], mask: int) -> tuple[int, int]:
     return run.t - 2, lowest_bit_index(survivors)
 
 
-# -- the uint64 word engine ---------------------------------------------------
+# -- the word engine ----------------------------------------------------------
 
-LANES = 64  # trajectories per uint64 word
+LANES = 64  # trajectories per word at the widest, uint64
 
-# Vertices per slice of an internal level: the slice's scratch rows stay in
+# A word of m lanes runs on the first of these that holds m bits.
+_WORD_DTYPES = tuple(np.dtype(f"uint{w}") for w in (8, 16, 32, 64))
+
+# Bytes per slice of an internal level: the slice's scratch rows stay in
 # cache however large the host is.
-_SLICE = 1 << 14
+_SLICE = 1 << 17
 
-# Words per slice of the lane transposition (64 x 1024 words = 512 KiB).
-_TRANSPOSE_SLICE = 1 << 10
+# Bytes per slice of the lane transposition (64 x 1024 uint64 words).
+_TRANSPOSE_SLICE = 1 << 19
 
 # Masks of the 64 x 64 bit-matrix transposition: rows k and k + s swap the
-# s-bit blocks that the mask leaves out of row k and keeps in row k + s.
-_TRANSPOSE_ROUNDS = tuple(
-    (s, np.uint64(m))
-    for s, m in (
-        (32, 0x00000000FFFFFFFF),
-        (16, 0x0000FFFF0000FFFF),
-        (8, 0x00FF00FF00FF00FF),
-        (4, 0x0F0F0F0F0F0F0F0F),
-        (2, 0x3333333333333333),
-        (1, 0x5555555555555555),
+# s-bit blocks that the mask leaves out of row k and keeps in row k + s.  A
+# W-bit word runs the rounds with s < W, its masks cut to W bits, each shift
+# and mask a scalar of the word's own dtype.
+_TRANSPOSE_ROUNDS = {
+    dt: tuple(
+        (s, dt.type(s), dt.type(m & np.iinfo(dt).max))
+        for s, m in (
+            (32, 0x00000000FFFFFFFF),
+            (16, 0x0000FFFF0000FFFF),
+            (8, 0x00FF00FF00FF00FF),
+            (4, 0x0F0F0F0F0F0F0F0F),
+            (2, 0x3333333333333333),
+            (1, 0x5555555555555555),
+        )
+        if s < 8 * dt.itemsize
     )
-)
+    for dt in _WORD_DTYPES
+}
+
+
+def _word_dtype(lanes: int) -> np.dtype:
+    """The narrowest word dtype of at least ``lanes`` bits."""
+    return next(dt for dt in _WORD_DTYPES if 8 * dt.itemsize >= lanes)
 
 
 def _transpose_lanes(lanes: np.ndarray, out: np.ndarray) -> None:
     """Bit v of lane row j, read little-endian, to bit j of ``out[v]``.
 
-    ``lanes`` is a (64, 8 w) uint8 matrix and ``out`` a word array of
-    length 64 w.  Each 64 x 64 bit block is transposed in place by six
-    rounds of masked block swaps (Hacker's Delight, section 7-3), all
-    blocks of a slice at once.
+    ``out`` is an array of W w words of W bits and ``lanes`` a
+    (W, W w / 8) uint8 matrix.  Each W x W bit block is transposed in
+    place by log2 W rounds of masked block swaps (Hacker's Delight,
+    section 7-3), all blocks of a slice at once, with one spare half
+    block for the swaps.
     """
-    words = lanes.view("<u8")
-    blocks = out.reshape(-1, LANES)
-    for w0 in range(0, words.shape[1], _TRANSPOSE_SLICE):
-        block = np.array(words[:, w0 : w0 + _TRANSPOSE_SLICE], dtype=np.uint64)
+    dt = out.dtype
+    bits = 8 * dt.itemsize
+    words = lanes.view(dt.newbyteorder("<"))
+    blocks = out.reshape(-1, bits)
+    step = min(max(1, _TRANSPOSE_SLICE // (bits * dt.itemsize)), words.shape[1])
+    spare = np.empty(bits // 2 * step, dtype=dt)
+    for w0 in range(0, words.shape[1], step):
+        block = np.array(words[:, w0 : w0 + step], dtype=dt)
         width = block.shape[1]
-        for s, mask in _TRANSPOSE_ROUNDS:
-            pairs = block.reshape(LANES // (2 * s), 2, s, width)
+        for s, shift, mask in _TRANSPOSE_ROUNDS[dt]:
+            pairs = block.reshape(bits // (2 * s), 2, s, width)
             low, high = pairs[:, 0], pairs[:, 1]
-            swap = (low >> np.uint64(s)) ^ high
+            swap = spare[: low.size].reshape(low.shape)
+            np.right_shift(low, shift, out=swap)
+            swap ^= high
             swap &= mask
             high ^= swap
-            swap <<= np.uint64(s)
+            swap <<= shift
             low ^= swap
         blocks[w0 : w0 + width] = block.T
 
@@ -310,9 +333,9 @@ def _majority(inputs, out, scratch) -> None:
 
 class PackedHost:
     """The perfect host of branching factor k and height h, laid out for the
-    uint64 word engine: 64 trajectories a word.
+    word engine: a word of W lanes per vertex, W = 8, 16, 32 or 64.
 
-    A state is one uint64 word per vertex, bit j carrying lane j's opinion
+    A state is one W-bit word per vertex, bit j carrying lane j's opinion
     (1 <=> +1), in the ids of ``build_perfect_tree(k, h)``: level by level,
     each vertex's children contiguous.  Level d, reshaped to (parents, row),
     reads level d - 1 as a broadcast column, and level d + 1, reshaped to
@@ -328,16 +351,19 @@ class PackedHost:
         self.budget = (self.n - 2) // 2  # step_budget: |E| = n - 1
         self.limit = self.budget + 2
         # a slice is whole rows of one parent's children, at least one row
-        self._rows = max(1, _SLICE // k)
-        width = max(self._rows * k, k + 1)
+        rows = {dt: max(1, _SLICE // (k * dt.itemsize)) for dt in _WORD_DTYPES}
+        size = max(max(r * k, k + 1) * dt.itemsize for dt, r in rows.items())
         # a counter of k + 1 inputs: (k + 1).bit_length() rows, a carry, a spare
-        self._scratch = np.empty(((k + 1).bit_length() + 2, width), dtype=np.uint64)
+        scratch = np.empty(((k + 1).bit_length() + 2, -(-size // 8)), dtype=np.uint64)
+        # per word dtype: parents per slice, and the scratch rows in that dtype
+        self._slices = {dt: (r, scratch.view(dt)) for dt, r in rows.items()}
 
     def _step_levels(self, state, below, out, levels: int) -> None:
         """The majority update of levels 0 to ``levels`` - 1, into ``out``.
         Each level reads its parents and children in ``state``, but the last
         one reads its children in ``below``."""
         s = self._starts
+        chunk, scratch = self._slices[out.dtype]
         for d in range(levels):  # the root, then each lower level
             parents = s[d] - s[d - 1] if d else 1
             rows = out[s[d] : s[d + 1]].reshape(parents, -1)
@@ -346,12 +372,13 @@ class PackedHost:
             inputs = [kids[..., i] for i in range(kids.shape[2])]
             if d:  # and the parent, as a broadcast column
                 inputs.append(state[s[d - 1] : s[d]].reshape(parents, 1))
-            for a in range(0, parents, self._rows):
-                part = slice(a, a + self._rows)
-                _majority([x[part] for x in inputs], rows[part], self._scratch)
+            for a in range(0, parents, chunk):
+                part = slice(a, a + chunk)
+                _majority([x[part] for x in inputs], rows[part], scratch)
 
     def step(self, state: np.ndarray, out: np.ndarray) -> None:
-        """One synchronous majority update of every lane, into ``out``."""
+        """One synchronous majority update of every lane, into ``out``, a
+        word array of ``state``'s dtype."""
         s = self._starts
         h = len(s) - 2
         self._step_levels(state, state[s[h] :], out, h)
@@ -359,30 +386,42 @@ class PackedHost:
         parents = s[h] - s[h - 1]
         out[s[h] :].reshape(parents, -1)[:] = state[s[h - 1] : s[h]].reshape(parents, 1)
 
-    def taus(self, rows) -> list[int]:
-        """Stabilisation time of each row's opinions, 64 rows to a word.
+    def taus(self, rows, count: int | None = None) -> list[int]:
+        """Stabilisation time of each of the ``count`` rows' opinions, by
+        default ``len(rows)``.
 
         Each row holds ceil(n / 8) bytes whose bit v, read little-endian,
         is set iff vertex v holds +1 at time 0: the layout that
-        ``OpinionVector.random`` draws.  Rows are consumed as they come,
-        so at most one word of them is held at a time.  The run holds two
-        states of the whole host, 2n words, and nothing else of size n.
+        ``OpinionVector.random`` draws.  Rows run 64 to a word, and a word
+        of m rows runs on the narrowest W-bit words with W >= m.  Rows are
+        consumed as they come, so at most one is held beside the word's
+        lanes.  The run holds two states of the whole host, 2n words of
+        the first word's width, which a narrower last word views, and
+        nothing else of size n.
         """
+        if count is None:
+            count = len(rows)
         rows = iter(rows)
-        words = (self.n + LANES - 1) // LANES
-        x0, x1 = np.empty((2, words * LANES), dtype=np.uint64)
+        size = -(-self.n // LANES) * LANES * _word_dtype(min(count, LANES)).itemsize
+        x0, x1 = np.empty((2, size), dtype=np.uint8)
         taus: list[int] = []
-        while True:
+        for a in range(0, count, LANES):
+            width = min(count - a, LANES)
+            dt = _word_dtype(width)
+            bits = 8 * dt.itemsize
+            words = -(-self.n // bits) * bits
             # x1 is free until the first step: it holds the lanes meanwhile
-            lanes = x1.view(np.uint8).reshape(LANES, 8 * words)
-            lanes[:] = 0
-            width = 0
-            for width, row in enumerate(islice(rows, LANES), 1):
-                lanes[width - 1, : (self.n + 7) // 8] = row
-            if not width:
-                return taus
-            _transpose_lanes(lanes, x0)
-            taus += self._run(x0[: self.n], x1[: self.n], width)
+            lanes = x1[: words * dt.itemsize].reshape(bits, -1)
+            got = 0
+            for got, row in enumerate(islice(rows, width), 1):
+                lanes[got - 1, : (self.n + 7) // 8] = row
+            if got < width:
+                raise ValueError(f"{count} rows announced, {a + got} given")
+            lanes[width:] = 0
+            state = x0[: words * dt.itemsize].view(dt)
+            _transpose_lanes(lanes, state)
+            taus += self._run(state[: self.n], x1.view(dt)[: self.n], width)
+        return taus
 
     def _run(self, x0: np.ndarray, x1: np.ndarray, width: int) -> list[int]:
         """The tau of each of the first ``width`` lanes of state ``x0``, the
@@ -434,10 +473,11 @@ class PackedHost:
         parents = s[h] - s[h - 1]
         leaves = x0[s[h] :].reshape(parents, -1)
         above = x1[s[h - 1] : s[h]].reshape(parents, 1)
+        chunk, scratch = self._slices[x0.dtype]
         flags = 0
-        for a in range(0, parents, self._rows):
-            part = leaves[a : a + self._rows]
-            diff = self._scratch[0, : part.size].reshape(part.shape)
-            np.bitwise_xor(part, above[a : a + self._rows], out=diff)
+        for a in range(0, parents, chunk):
+            part = leaves[a : a + chunk]
+            diff = scratch[0, : part.size].reshape(part.shape)
+            np.bitwise_xor(part, above[a : a + chunk], out=diff)
             flags |= int(np.bitwise_or.reduce(diff, axis=None))
         return flags

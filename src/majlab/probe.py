@@ -37,8 +37,9 @@ the budget allows and are otherwise scored unstable and reported as
 ``fixed_point_q`` locates the fixed point of the one-level recursion
 for the probability that a vertex fails to be weakly stable, and
 ``mc_tau`` samples stabilisation times of uniformly random opinions on
-perfect hosts with reproducible per-trial seeds, 64 trials to a word of
-the uint64 word engine.
+perfect hosts with reproducible per-trial seeds on the word engine, up to
+64 trials to a word, each word W bits wide, the narrowest of 8, 16, 32 and
+64 that holds its trials.
 """
 
 from __future__ import annotations
@@ -423,8 +424,11 @@ def _batch_taus(packed: PackedHost, seed: int, start: int, stop: int) -> list[in
     """Taus of trials ``start`` to ``stop``, each trial's opinions drawn as
     ``OpinionVector.random`` draws them from the trial's own generator."""
     return packed.taus(
-        _opinion_bytes(packed.n, np.random.default_rng(_trial_sequence(seed, i)))
-        for i in range(start, stop)
+        (
+            _opinion_bytes(packed.n, np.random.default_rng(_trial_sequence(seed, i)))
+            for i in range(start, stop)
+        ),
+        stop - start,
     )
 
 
@@ -446,9 +450,10 @@ def mc_tau(
 
     Trial ``i`` draws its opinions from a generator seeded by spawning
     ``seed`` with key ``(i,)``; results are therefore independent of the
-    worker count and reproducible trial by trial.  Trials run 64 to a
-    uint64 word on the word engine; ``workers`` processes, at most one per
-    word of trials, share the words.
+    worker count and reproducible trial by trial.  Trials run 64 to a word
+    on the word engine, a word of m trials on the narrowest W-bit words
+    with W >= m; ``workers`` processes, at most one per word of trials,
+    share the words.
     """
     if trials < 1:
         raise MajlabError(f"trials must be positive, got {trials}")

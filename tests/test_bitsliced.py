@@ -1,6 +1,7 @@
 """Bit-sliced batch engines against the scalar reference engine."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,3 +280,78 @@ def test_packed_run_aborts_at_the_step_budget(monkeypatch):
     with pytest.raises(InvariantViolationError, match="3 lanes"):
         PackedHost(2, 3).taus(rows)
     assert len(calls) == step_budget(tree) + 2
+
+
+WIDTHS = (8, 16, 32, 64)
+
+
+def test_transpose_lanes_matches_unpackbits_at_every_width(slices):
+    # rows carry random bits past n, which land in words past n
+    rng = np.random.default_rng(10)
+    for n in (1, 7, 8, 9, 63, 64, 65, 200, 1000):
+        for bits in WIDTHS:
+            dt = np.dtype(f"uint{bits}")
+            words = -(-n // bits) * bits
+            lanes = rng.integers(0, 256, size=(bits, words // 8), dtype=np.uint8)
+            bits_of_v = np.unpackbits(lanes, axis=1, bitorder="little").T.copy()
+            want = np.packbits(bits_of_v, axis=1, bitorder="little")
+            out = np.empty(words, dtype=dt)
+            bitsliced._transpose_lanes(lanes.copy(), out)
+            assert out.dtype == dt
+            assert (out == want.view(dt.newbyteorder("<")).ravel()).all(), (n, bits)
+
+
+def test_packed_step_on_narrow_words_is_the_low_lanes_of_uint64(slices):
+    rng = np.random.default_rng(11)
+    for k, h in WORD_HOSTS:
+        packed = PackedHost(k, h)
+        words = rng.integers(0, 2**64, size=packed.n, dtype=np.uint64)
+        wide = np.empty_like(words)
+        packed.step(words, wide)
+        for bits in WIDTHS[:-1]:
+            dt = np.dtype(f"uint{bits}")
+            narrow = np.empty(packed.n, dtype=dt)
+            packed.step(words.astype(dt), narrow)  # astype keeps the low bits
+            assert narrow.dtype == dt
+            assert (narrow == wide.astype(dt)).all(), (k, h, bits)
+
+
+@pytest.mark.parametrize("k,h", WORD_HOSTS + [(2, 12), (4, 7), (6, 5), (8, 4)])
+def test_taus_do_not_depend_on_the_word_width(k, h, monkeypatch):
+    """The same rows fed in words of any number of lanes give the taus of
+    the int8 engine, row by row; slices of 1 KiB cut the larger hosts'
+    levels and transpositions into parts at every width."""
+    monkeypatch.setattr(bitsliced, "_SLICE", 1 << 10)
+    monkeypatch.setattr(bitsliced, "_TRANSPOSE_SLICE", 1 << 10)
+    tree = build_perfect_tree(k, h)
+    rng = np.random.default_rng(12)
+    rows = rng.integers(0, 256, size=(LANES + 1, (tree.n + 7) // 8), dtype=np.uint8)
+    want = [stabilise(tree, row_to_signs(row, tree.n)).tau for row in rows]
+    packed = PackedHost(k, h)
+    assert packed.taus(rows) == want  # a word of 64 lanes, then one of a single lane
+    for m in (1, 8, 9, 16, 17, 32, 33, 64):
+        got = [t for a in range(0, len(rows), m) for t in packed.taus(rows[a : a + m])]
+        assert got == want, (k, h, m)
+    with pytest.raises(ValueError, match="66 rows announced, 65 given"):
+        packed.taus(rows, LANES + 2)
+
+
+@pytest.mark.parametrize("trials,bits", [(64, 64), (8, 8)])
+def test_packed_taus_stream_their_rows(trials, bits):
+    """``taus`` holds two states of words as wide as its first word's lanes,
+    and at most one row beside the lane matrix, which lives in a state."""
+    packed = PackedHost(2, 14)
+    row_bytes = (packed.n + 7) // 8
+    rng = np.random.default_rng(13)
+    rows = (rng.integers(0, 256, size=row_bytes, dtype=np.uint8) for _ in range(trials))
+    state = -(-packed.n // LANES) * LANES * bits // 8
+    # the transposition's block of the lane matrix, which fills one state's
+    # bytes, and its spare half block
+    scratch = 2 * min(state, bitsliced._TRANSPOSE_SLICE)
+    tracemalloc.start()
+    try:
+        packed.taus(rows, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * state + scratch + 2 * row_bytes, (peak, state, scratch, row_bytes)
