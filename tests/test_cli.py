@@ -428,7 +428,28 @@ def test_usage_errors_exit_two(capsys):
 # to any key, its order or its value shows here, not only between re-runs.
 
 GOLDEN_HOST = ["--tree", "host.txt"]  # gen --k 2 --h 3, written in the cwd
+GOLDEN_HOST_K4 = ["--tree", "host-k4.txt"]  # gen --k 4 --h 4, written in the cwd
 GOLDEN = {
+    "simulate": (
+        ["simulate", *GOLDEN_HOST, "--seed", "4"],
+        "7cc18c76e51275ad3b0330ddab48e0f0bda2bda646f0f8d2f3000c3415ad7a08",
+    ),
+    "simulate-trace": (  # the trace path is not configuration: the same digest
+        ["simulate", *GOLDEN_HOST, "--seed", "4", "--trace", "trace.txt"],
+        "7cc18c76e51275ad3b0330ddab48e0f0bda2bda646f0f8d2f3000c3415ad7a08",
+    ),
+    "worst-case": (
+        ["worst-case", *GOLDEN_HOST],
+        "b2ce1296a0f5173f95dd4c08d0ff58d1a1f534c05f24c737ad3b3acb81953379",
+    ),
+    "worst-case-k4-h4": (
+        ["worst-case", *GOLDEN_HOST_K4],
+        "45f586acb83f8b1746b816b8c8b42a7016e262a1843b5cefb04c689c34d11730",
+    ),
+    "brute-force": (
+        ["brute-force", *GOLDEN_HOST],
+        "d8c8ec15fa0132fed06df68c30da90f30b31641f2db0fbea1e340da15fc5de12",
+    ),
     "prob-weak-exact": (
         ["prob", "--target", "weak", "--height", "2", "--t", "0", "--method", "exact"],
         "7d628df7c11f684e915e7911ab4e8a3fa46e13920fc3047fdd64f9e9d28266b9",
@@ -490,6 +511,7 @@ GOLDEN = {
 def _pinned_digest(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     save_tree(build_perfect_tree(2, 3), tmp_path / "host.txt")
+    save_tree(build_perfect_tree(4, 4), tmp_path / "host-k4.txt")
     assert main([*argv, "-o", "out.json"]) == 0
     lines = (tmp_path / "out.json").read_text(encoding="utf-8").splitlines(keepends=True)
     kept = [line for line in lines if not line.lstrip().startswith('"generated_at"')]
@@ -501,6 +523,14 @@ def _pinned_digest(argv, tmp_path, monkeypatch):
 def test_artifact_matches_its_golden_digest(name, tmp_path, monkeypatch):
     argv, digest = GOLDEN[name]
     assert _pinned_digest(argv, tmp_path, monkeypatch) == digest
+
+
+def test_simulate_trace_matches_its_golden_digest(tmp_path, monkeypatch):
+    _pinned_digest(GOLDEN["simulate-trace"][0], tmp_path, monkeypatch)
+    trace = (tmp_path / "trace.txt").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == (
+        "a9b61d1e5026950250151a04466d2b940d4e470e80d5a5450f2e2b3317f7eeee"
+    )
 
 
 @pytest.mark.parametrize(
