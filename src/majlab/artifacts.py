@@ -16,6 +16,8 @@ import math
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dynamics import OpinionVector
 from .errors import MajlabError, OpinionFormatError
@@ -44,6 +46,24 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(half)
 
 
+def _int_texts(arr: np.ndarray):
+    """``_decimal`` of each value of a 1-D integer array.  When the values
+    span fewer integers than there are values, each distinct value's text
+    is made once and looked up by ``value - min``."""
+    lo, hi = int(arr.min()), int(arr.max())
+    if hi - lo >= arr.size:
+        return map(_decimal, arr.tolist())
+    table = np.array([_decimal(v) for v in range(lo, hi + 1)], dtype=object)
+    # int64 and uint64 hold every signed and unsigned value exactly
+    wide = arr.astype(np.uint64 if arr.dtype.kind == "u" else np.int64, copy=False)
+    return table[wide - wide.dtype.type(lo)].tolist()
+
+
+def _int_lines(texts, pad: str, inner: str) -> str:
+    """A non-empty JSON array of integer texts, one per line."""
+    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{pad}]"
+
+
 def _emit(obj, indent: int, out: list[str]) -> None:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -63,6 +83,10 @@ def _emit(obj, indent: int, out: list[str]) -> None:
         if not obj:
             out.append("{}")
             return
+        if set(map(type, obj)) == {str} and set(map(type, obj.values())) == {int}:
+            items = (f"{inner}{json.dumps(k)}: {_decimal(v)}" for k, v in obj.items())
+            out.append("{\n" + ",\n".join(items) + f"\n{pad}}}")
+            return
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
@@ -75,8 +99,8 @@ def _emit(obj, indent: int, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
-        if all(type(value) is int for value in obj):  # bool is not int: it emits below
-            out.append(f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{pad}]")
+        if set(map(type, obj)) == {int}:  # bool is not int: it emits below
+            out.append(_int_lines(map(_decimal, obj), pad, inner))
             return
         out.append("[\n")
         for i, value in enumerate(obj):
@@ -84,6 +108,8 @@ def _emit(obj, indent: int, out: list[str]) -> None:
             _emit(value, indent + 1, out)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
+    elif type(obj) is np.ndarray and obj.ndim == 1 and obj.dtype.kind in "iu":
+        out.append(_int_lines(_int_texts(obj), pad, inner) if obj.size else "[]")
     else:
         raise MajlabError(f"cannot serialize {type(obj).__name__} value {obj!r}")
 

@@ -117,8 +117,8 @@ def cmd_simulate(args) -> int:
         "steps_executed": res.steps_executed,
         "stable_even": res.stable_even.to_string(),
         "stable_odd": res.stable_odd.to_string(),
-        "first_flip": res.first_flip.tolist(),
-        "last_flip": res.last_flip.tolist(),
+        "first_flip": res.first_flip,
+        "last_flip": res.last_flip,
     }
     _write_text(args.output, dumps_json(envelope("simulate", cfg, seed, result)))
     return 0

@@ -44,6 +44,7 @@ perfect hosts with reproducible per-trial seeds on the word engine, up to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -117,23 +118,41 @@ class McSummary:
     trial_seeds: list[int] = field(repr=False)
 
     def stats(self) -> dict:
+        """Summary statistics; the median and quantiles are those of
+        ``np.median`` and ``np.quantile``, read from the sorted taus (those
+        numpy functions load ``numpy.ma``, about 10 ms a process)."""
         taus = np.asarray(self.taus, dtype=np.int64)
         hist = {str(int(v)): int(c) for v, c in zip(*np.unique(taus, return_counts=True))}
         ratios = taus / self.diameter
+        ordered = sorted(self.taus)
+        # np.median is the mean of the middle one or two values
+        middle = ordered[(len(ordered) - 1) // 2 : len(ordered) // 2 + 1]
         return {
             "mean": float(taus.mean()),
             "std": float(taus.std()),
             "min": int(taus.min()),
             "max": int(taus.max()),
-            "median": float(np.median(taus)),
+            "median": sum(map(float, middle)) / len(middle),
             "quantiles": {
-                str(p): float(np.quantile(taus, p / 100)) for p in (5, 25, 75, 95)
+                str(p): _linear_quantile(ordered, p / 100) for p in (5, 25, 75, 95)
             },
             "histogram": hist,
             "ratio_mean": float(ratios.mean()),
-            "ratio_median": float(np.median(ratios)),
+            "ratio_median": sum(t / self.diameter for t in middle) / len(middle),
             "ratio_max": float(ratios.max()),
         }
+
+
+def _linear_quantile(ordered: list[int], q: float) -> float:
+    """``np.quantile(ordered, q)`` by numpy's default ``linear`` rule: at
+    virtual index (n - 1)·q, between the neighbours a <= b with fraction g,
+    a + (b - a)·g, or b - (b - a)·(1 - g) when g >= 0.5."""
+    pos = (len(ordered) - 1) * q
+    i = math.floor(pos)
+    if i >= len(ordered) - 1:
+        return float(ordered[-1])
+    a, b, g = ordered[i], ordered[i + 1], pos - i
+    return float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
 
 
 def _sampler(method: str, trials: int, seed: int) -> np.random.Generator | None:

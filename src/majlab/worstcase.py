@@ -12,8 +12,14 @@ exactly the maximum score.
 ``worst_case_tau`` evaluates that maximum with two linear-time passes
 over the parent pointers (down scores from the leaves, then up scores
 from the root, which also finish each vertex's best path) and
-reconstructs the lexicographically smallest maximising path.  The same
-sweep, scoring 1 per active vertex, gives ``active_path_bounds``.
+reconstructs the lexicographically smallest maximising path.  The passes
+visit only the active region: the active vertices and their children.
+A path continues only through active vertices, so any other vertex
+scores its one-vertex path, and on a perfect host, whose active vertices
+sit on the top levels, the leaves are never visited.  The same sweep,
+scoring 1 per active vertex and visiting the active vertices alone,
+gives ``active_path_bounds``.  One call turns each of the tree's arrays
+into a Python list at most once, shared by the sweeps and the witness.
 ``worst_case_witness`` builds an initial opinion vector that attains the
 score of a given candidate path, and ``brute_force_tau`` provides the
 independent exhaustive check used to validate both.
@@ -25,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitsliced import batch_max_tau, tt_column
 from .dynamics import OpinionVector
 from .errors import (
     BadPathError,
@@ -44,9 +49,11 @@ from .trees import (
 
 _NEG = -(1 << 30)  # effectively -inf for the integer DP
 
-# class codes as plain ints: numpy compares an int8 array with an int
-# about five times faster than with an IntEnum member
-_ACTIVE, _PASSIVE = int(VertexClass.ACTIVE), int(VertexClass.PASSIVE)
+# numpy scalars of the arrays' own dtypes: numpy combines an array with one
+# about twice as fast as with a Python int, and an int about five times as
+# fast as an IntEnum member.  Class codes are int8, pendant counts int64.
+_ACTIVE, _PASSIVE = np.int8(VertexClass.ACTIVE), np.int8(VertexClass.PASSIVE)
+_ONE = np.int64(1)
 
 BRUTE_FORCE_BUDGET = 1 << 24
 
@@ -80,13 +87,27 @@ class WorstCaseReport:
 def _terminal_scores(codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Score of the single-vertex path ending at v, or -inf if v cannot end
     one, given the class codes and the pendant neighbour counts."""
-    scores = np.where(counts > 0, 2, 1).astype(np.int64)
+    scores = np.minimum(counts, _ONE)
+    scores += _ONE
     scores[codes == _PASSIVE] = _NEG
     return scores
 
 
+def _active_region(tree: RootedTree, active: np.ndarray) -> list[int]:
+    """The active region: the active vertices and their children, in BFS order."""
+    near = active[tree.parent]  # the root reads vertex -1: cleared below
+    near[tree.root] = False
+    near |= active
+    return tree.order[near[tree.order]].tolist()
+
+
 def _path_scores(
-    tree: RootedTree, active: np.ndarray, base: np.ndarray, order: list[int] | None = None
+    tree: RootedTree,
+    active: np.ndarray,
+    base: np.ndarray,
+    order: list[int] | None = None,
+    par: list[int] | None = None,
+    act: list[bool] | None = None,
 ) -> tuple[list[int], list[int], list[int]]:
     """Best path scores by direction, over paths whose vertices are all
     active except possibly the last.
@@ -99,35 +120,49 @@ def _path_scores(
     root): the best path from parent(c) that avoids c's subtree; and with
     it ``full``: the best path from v in any direction.
 
-    ``order`` lists the swept vertices in BFS order, by default all of
-    them; a vertex left out keeps ``base`` as its ``down`` and ``full``.
+    ``order`` lists the swept vertices in BFS order, by default the active
+    region (``_active_region``).  A vertex left out keeps ``base`` as its
+    ``down`` and ``full`` and ``base[parent]`` as its ``up``, which is
+    what a sweep of every vertex gives it when neither it nor its parent
+    is active: on a perfect (4, 8) host that skips the 81,920 leaves.
+    ``par`` and ``act`` are ``tree.parent`` and ``active`` as lists, for a
+    caller that already holds them.
     """
     if order is None:
-        order = tree.order.tolist()
-    par = tree.parent.tolist()
-    active, base = active.tolist(), base.tolist()
+        order = _active_region(tree, active)
+    par = tree.parent.tolist() if par is None else par
+    active = active.tolist() if act is None else act
+    up = base[tree.parent]  # the root reads vertex -1: set below
+    up[tree.root] = _NEG
+    up, base = up.tolist(), base.tolist()
     down = base[:]
     # each vertex's top two child scores give its best child but one in
     # O(1); a top tie gives best2 == best1.  Slot n takes the root's fold,
     # whose parent is -1.
+    # The maxima below are spelled as comparisons: a call to max() costs
+    # more than the rest of a vertex's step.
     best1, best2 = [_NEG] * (tree.n + 1), [_NEG] * (tree.n + 1)
     for v in reversed(order):
-        if active[v]:
-            down[v] = max(base[v], 1 + best1[v])
-        p, d = par[v], down[v]
+        d = down[v]
+        if active[v] and best1[v] >= d:  # down = max(base, 1 + best1)
+            d = down[v] = 1 + best1[v]
+        p = par[v]
         if d > best1[p]:
             best1[p], best2[p] = d, best1[p]
         elif d > best2[p]:
             best2[p] = d
-    up, full = [_NEG] * tree.n, down[:]
+    full = down[:]
     for u in order:
         p = par[u]
         if p < 0:
             continue
-        other = best2[p] if down[u] == best1[p] else best1[p]
-        up[u] = max(base[p], 1 + max(up[p], other)) if active[p] else base[p]
-        if active[u]:
-            full[u] = max(down[u], 1 + up[u])
+        if active[p]:  # up = max(base[p], 1 + max(up[p], best child of p but u))
+            s = best2[p] if down[u] == best1[p] else best1[p]
+            if up[p] > s:
+                s = up[p]
+            up[u] = s + 1 if s >= base[p] else base[p]
+        if active[u] and up[u] >= down[u]:  # full = max(down, 1 + up)
+            full[u] = 1 + up[u]
     return down, up, full
 
 
@@ -139,6 +174,7 @@ def _reconstruct_path(
     up: list[int],
     full: list[int],
     target: int,
+    par: list[int],
 ) -> list[int]:
     """Lexicographically smallest vertex sequence attaining ``target``.
 
@@ -154,11 +190,10 @@ def _reconstruct_path(
         if not active[cur]:
             raise InvariantViolationError(f"path continues through inactive {cur}")
         nxt = -1
-        for x in tree.neighbours(cur):
-            x = int(x)
+        for x in tree.neighbours(cur).tolist():
             if x == came:
                 continue
-            residual = down[x] if tree.parent[x] == cur else up[cur]
+            residual = down[x] if par[x] == cur else up[cur]
             if residual == remaining - 1:
                 nxt = x
                 break
@@ -180,15 +215,21 @@ def active_path_bounds(tree: RootedTree) -> dict[int, int]:
     return _active_bounds(tree, classify_all(tree) == _ACTIVE)
 
 
-def _active_bounds(tree: RootedTree, active: np.ndarray) -> dict[int, int]:
-    """``active_path_bounds`` given the tree's active mask.
+def _active_bounds(
+    tree: RootedTree,
+    active: np.ndarray,
+    par: list[int] | None = None,
+    act: list[bool] | None = None,
+) -> dict[int, int]:
+    """``active_path_bounds`` given the tree's active mask (and, as for
+    ``_path_scores``, optionally the parent and active lists).
 
     A non-active vertex scores 0, below an active vertex's floor of 1, so
     L(v) depends on the active subforest alone, and only it is swept.
     """
     order = tree.order[active[tree.order]].tolist()
-    full = _path_scores(tree, active, active.astype(np.int64), order)[2]
-    return {v: full[v] for v in np.flatnonzero(active).tolist()}
+    full = _path_scores(tree, active, active.astype(np.int64), order, par, act)[2]
+    return {v: full[v] for v in active.nonzero()[0].tolist()}
 
 
 def worst_case_tau(tree: RootedTree) -> WorstCaseReport:
@@ -203,22 +244,25 @@ def worst_case_tau(tree: RootedTree) -> WorstCaseReport:
     codes = _classes(tree, counts)
     active = codes == _ACTIVE
     base = _terminal_scores(codes, counts)
-    down, up, full = _path_scores(tree, active, base)
+    # each array becomes a list once, shared by both sweeps and the witness
+    par, act = tree.parent.tolist(), active.tolist()
+    down, up, full = _path_scores(tree, active, base, None, par, act)
     tau = max(full)
     if tau < 1:
         raise InvariantViolationError(f"worst-case score {tau} is below 1")
-    vertices = _reconstruct_path(tree, active, base, down, up, full, tau)
+    vertices = _reconstruct_path(tree, active, base, down, up, full, tau, par)
+    del down, up, full  # n-long lists: free them before the next sweep
     touches = bool(counts[vertices[-1]])
     if tau != len(vertices) + (1 if touches else 0):
         raise InvariantViolationError(
             f"path of {len(vertices)} vertices does not score {tau}"
         )
     argmax = CandidatePath(tuple(vertices), tau, touches)
-    witness = worst_case_witness(tree, list(argmax.vertices))
-    return WorstCaseReport(tau, argmax, witness, _active_bounds(tree, active))
+    witness = _witness(tree, vertices, par)
+    return WorstCaseReport(tau, argmax, witness, _active_bounds(tree, active, par, act))
 
 
-def _validate_candidate_path(tree: RootedTree, path: list[int]) -> None:
+def _validate_candidate_path(tree: RootedTree, path: list[int], par: list[int]) -> None:
     if len(path) == 0:
         raise BadPathError("candidate path is empty")
     if len(set(path)) != len(path):
@@ -227,7 +271,7 @@ def _validate_candidate_path(tree: RootedTree, path: list[int]) -> None:
         if not 0 <= v < tree.n:
             raise BadPathError(f"vertex {v} out of range")
     for a, b in zip(path, path[1:]):
-        if b not in tree.neighbours(a):
+        if par[a] != b and par[b] != a:  # a tree's edges join children to parents
             raise BadPathError(f"vertices {a} and {b} are not adjacent")
     codes = classify_all(tree)
     for v in path[:-1]:
@@ -245,9 +289,15 @@ def worst_case_witness(tree: RootedTree, path: list[int]) -> OpinionVector:
     recipe hands exactly half of its non-path subtrees a negative block,
     so the lone positive parent edge decides, one step too late.
     """
-    _validate_candidate_path(tree, path)
+    return _witness(tree, path, tree.parent.tolist())
+
+
+def _witness(tree: RootedTree, path: list[int], par: list[int]) -> OpinionVector:
+    """``worst_case_witness`` given ``tree.parent`` as a list, which it
+    leaves unchanged."""
+    _validate_candidate_path(tree, path, par)
     # rooted at the path's end: only the end-to-root chain changes parents
-    parent = tree.parent.tolist()
+    parent = par[:]
     chain = [path[-1]]
     while parent[chain[-1]] >= 0:
         chain.append(parent[chain[-1]])
@@ -257,7 +307,7 @@ def worst_case_witness(tree: RootedTree, path: list[int]) -> OpinionVector:
     def children(v: int) -> list[int]:
         return [u for u in tree.neighbours(v).tolist() if u != parent[v]]
 
-    pendant = tree.pendant.tolist()
+    degree = tree.degree.tolist()
     # 0 marks a vertex that takes the opinion its parent hands down
     signs = [0] * tree.n
     for v in path:
@@ -268,18 +318,18 @@ def worst_case_witness(tree: RootedTree, path: list[int]) -> OpinionVector:
         signs[c] = 1
     for i in range(1, len(path)):
         v = path[i]
-        need = (tree.degree[v] - 1) // 2
+        need = (degree[v] - 1) // 2
         negatives = 0
         for c in children(v):
             if signs[c]:  # the path's previous vertex
                 continue
-            if pendant[c]:
+            if degree[c] == 1:  # pendant
                 signs[c] = 1
                 continue
             # children are id-sorted, so the first `need` non-pendant ones
             signs[c] = -1 if negatives < need else 1
             negatives += signs[c] == -1
-        if negatives != need and not pendant[v]:
+        if negatives != need and degree[v] != 1:
             raise InvariantViolationError(
                 f"path vertex {v} got {negatives} negative subtrees, needs {need}"
             )
@@ -287,7 +337,7 @@ def worst_case_witness(tree: RootedTree, path: list[int]) -> OpinionVector:
         if not signs[v]:
             p = parent[v]
             signs[v] = -1 if parent[p] == first else signs[p]
-    return OpinionVector.from_signs(signs)
+    return OpinionVector(np.array(signs, dtype=np.int8))  # all +1 or -1 by now
 
 
 def brute_force_tau(
@@ -304,6 +354,8 @@ def brute_force_tau(
         raise BudgetExceededError(
             f"2^{tree.n} assignments exceed the enumeration budget {budget}"
         )
+    from .bitsliced import batch_max_tau, tt_column  # worst_case_tau runs without it
+
     m = tree.n - 1
     low = min(m, _BRUTE_FORCE_BLOCK_BITS)
     mask = (1 << (1 << low)) - 1

@@ -15,7 +15,8 @@ from majlab.cli import main
 SRC = str(Path(majlab.__file__).parents[1])
 
 # Runs one command in-process and prints, as the last line of stderr, the
-# majlab modules loaded by then; stdout is left to the command.
+# majlab modules loaded by then, and numpy.ma if it is; stdout is left to
+# the command.
 RUN_AND_LIST = """\
 import json, sys
 import majlab.cli
@@ -23,7 +24,8 @@ try:
     code = majlab.cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("majlab."))), file=sys.stderr)
+loaded = (m for m in sys.modules if m.startswith("majlab.") or m == "numpy.ma")
+print(json.dumps(sorted(loaded)), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -48,7 +50,8 @@ def workdir(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize(
+# each command with the engine modules it must not load
+COMMANDS = pytest.mark.parametrize(
     "argv,left_out",
     [
         (["gen", "--k", "2", "--h", "2", "-o", "gen.txt"], ENGINES),
@@ -65,10 +68,19 @@ def workdir(tmp_path_factory):
     ],
     ids=["gen", "simulate", "worst-case", "prob-exact", "prob-mc", "mc-tau"],
 )
+
+
+@COMMANDS
 def test_a_command_loads_only_what_it_runs(argv, left_out, workdir):
     loaded = loaded_modules(argv, workdir)
     assert not loaded & left_out, sorted(loaded & left_out)
     assert (workdir / argv[-1]).is_file()
+
+
+@COMMANDS
+def test_no_command_loads_numpy_ma(argv, left_out, workdir):
+    # numpy.ma takes about 10 ms to import; np.median and np.quantile load it
+    assert "numpy.ma" not in loaded_modules(argv, workdir)
 
 
 @pytest.mark.parametrize(

@@ -423,6 +423,25 @@ def test_mc_tau_is_worker_invariant_and_seeded():
     )
 
 
+def test_mc_tau_stats_are_numpys_median_and_quantiles():
+    # stats() reads them from the sorted taus, by numpy's linear rule
+    rng = np.random.default_rng(27)
+    for _ in range(1500):
+        n = int(rng.integers(1, 301))
+        high = int(rng.choice([1, 2, 5, 40, 10**6]))  # small highs give ties
+        taus = [int(v) for v in rng.integers(0, high, n, endpoint=True)]
+        diameter = int(rng.integers(1, 61))
+        summary = probe.McSummary(2, 3, 22, diameter, 9, n, 0, 1, taus, list(range(n)))
+        stats = summary.stats()
+        assert stats["median"] == float(np.median(taus))
+        assert stats["ratio_median"] == float(np.median(np.array(taus) / diameter))
+        for p in (5, 25, 75, 95):
+            assert stats["quantiles"][str(p)] == float(np.quantile(taus, p / 100))
+        ordered = sorted(taus)
+        want = np.quantile(taus, np.arange(101) / 100).tolist()
+        assert [probe._linear_quantile(ordered, p / 100) for p in range(101)] == want
+
+
 def test_mc_tau_trials_are_the_scalar_runs_of_their_seeds():
     host = build_perfect_tree(2, 4)
     summary = mc_tau(2, 4, trials=70, seed=3)

@@ -401,3 +401,57 @@ def test_worst_case_tau_counts_pendant_neighbours_twice(monkeypatch):
         calls.clear()
         worst_case_tau(tree)
         assert calls == [tree.n, tree.n]
+
+
+def test_sweeps_skip_the_inactive_fringe(monkeypatch):
+    # on a perfect (4, 8) host levels 0-6 are active (6,826 vertices): the
+    # path-score sweep reads the active vertices and their children, levels
+    # 0-7 (27,306), and the bound sweep the active ones; neither reads the
+    # 81,920 leaves
+    tree = build_perfect_tree(4, 8)
+    assert tree.n == 109_226
+    read = []
+
+    class Reads(list):
+        def __getitem__(self, v):
+            read[-1].add(v)
+            return list.__getitem__(self, v)
+
+    path_scores = majlab.worstcase._path_scores
+
+    def counted(tree, active, base, order=None, par=None, act=None):
+        read.append(set())
+        act = Reads(active.tolist() if act is None else act)
+        return path_scores(tree, active, base, order, par, act)
+
+    monkeypatch.setattr(majlab.worstcase, "_path_scores", counted)
+    report = worst_case_tau(tree)
+    assert [len(vertices) for vertices in read] == [27_306, 6_826]
+    assert report.tau == 13  # level 6 to the root and back down to level 6
+    codes = classify_all(tree)
+    active = codes == VertexClass.ACTIVE
+    counted(tree, active, _terminal_scores(codes, pendant_neighbour_counts(tree)))
+    assert len(read[-1]) == 27_306
+
+
+def test_worst_case_tau_lists_each_tree_array_once(monkeypatch):
+    # the sweeps, the path and the witness share one list per array
+    listed = []
+
+    class Counted(np.ndarray):
+        def tolist(self):
+            listed.append(getattr(self, "name", None))
+            return np.asarray(self).tolist()
+
+    rng = np.random.default_rng(6)
+    trees = [build_perfect_tree(4, 3), caterpillar(20)]
+    trees += [random_odd_tree(random_even_size(6, 40, rng), rng) for _ in range(20)]
+    for tree in trees:
+        for name in ("parent", "order", "degree"):
+            array = getattr(tree, name).view(Counted)
+            array.name = name
+            setattr(tree, name, array)
+        listed.clear()
+        report = worst_case_tau(tree)
+        assert sorted(filter(None, listed)) == ["degree", "order", "parent"], listed
+        assert report.witness == worst_case_witness(tree, list(report.argmax.vertices))
