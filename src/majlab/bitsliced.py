@@ -13,7 +13,13 @@ independent of the number of trajectories:
 Two engines apply this.  ``BatchRun`` holds one Python integer per vertex,
 so a batch has any width: this is what makes 2^20-scale exhaustive
 enumerations (brute-force tau, extension quantifiers, exact probabilities)
-cheap, a full sweep being a few hundred bignum operations.
+cheap, a full sweep being a few hundred bignum operations.  Its one
+constructor takes neighbour lists, a start column per vertex, the lane
+mask and the graph's step budget.  Runs are built in two layouts:
+``_Extensions``, whose lanes are every assignment of the vertices that a
+pattern leaves free (brute-force tau, the extension quantifiers, the
+claims sweeps), and ``stability._PinnedSubtree``, a pinned light cone.
+
 ``PackedHost`` holds one word per vertex of a perfect host in a numpy
 array, laid out by the host's levels: leaves copy their parent's word,
 and every other vertex runs the counter on a slice of whole levels at
@@ -40,9 +46,9 @@ from operator import or_, xor
 
 import numpy as np
 
-from .dynamics import step_budget
-from .errors import InvariantViolationError
-from .trees import _indexable_level_starts
+from .dynamics import OpinionVector, step_budget
+from .errors import BudgetExceededError, InvariantViolationError
+from .trees import RootedTree, _indexable_level_starts
 
 
 def tt_column(i: int, m: int) -> int:
@@ -131,8 +137,8 @@ def lowest_bit_index(x: int) -> int:
 
 
 class BatchRun:
-    """Lock-step batch with the same three-state stabilisation window as
-    ``stabilise``.
+    """Lock-step batch from ``cols0`` on the graph of neighbour lists
+    ``adj``, with the same three-state stabilisation window as ``stabilise``.
 
     ``undecided`` holds the trajectories that have not yet produced a step
     s with xi_{s+2} = xi_s; it can only shrink.  Stepping is deterministic,
@@ -141,8 +147,8 @@ class BatchRun:
     built only when read.  ``changing`` says whether the whole state t
     differs from state t - 2 (true before step 2), which compares columns
     without building any; with no column bits outside ``mask`` it is
-    ``undecided != 0``.  The run aborts if the state still changes past
-    the period-two budget, which would mean the engine is wrong.
+    ``undecided != 0``.  The run aborts if the state still changes after
+    the graph's step budget + 2 steps, which would mean the engine is wrong.
 
     A vertex u whose neighbour list is [v] copies v.  If more than half
     of v's neighbours copy v, they hold x_{t-1}(v) at time t, so
@@ -153,18 +159,7 @@ class BatchRun:
     which the comparisons then skip.
     """
 
-    def __init__(self, host, cols0: list[int], mask: int):
-        self._begin(adjacency_lists(host), cols0, mask, step_budget(host) + 2)
-
-    @classmethod
-    def over(cls, adj: list[list[int]], cols0: list[int], mask: int, limit: int):
-        """A run on the graph given by its neighbour lists ``adj``, which
-        aborts once a trajectory is undecided after ``limit`` steps."""
-        run = cls.__new__(cls)
-        run._begin(adj, cols0, mask, limit)
-        return run
-
-    def _begin(self, adj, cols0: list[int], mask: int, limit: int) -> None:
+    def __init__(self, adj: list[list[int]], cols0: list[int], mask: int, budget: int):
         if len(cols0) != len(adj):
             raise ValueError("one column per vertex required")
         self.adj = adj
@@ -173,7 +168,7 @@ class BatchRun:
         self.t = 0
         self.window: list[list[int]] = [list(cols0)]
         self.changing = True
-        self.limit = limit
+        self.limit = budget + 2
         copies = [0] * self.n
         for nb in adj:
             if len(nb) == 1:
@@ -212,9 +207,9 @@ class BatchRun:
             self.changing = new != self.window[0]  # compares, builds no int
 
 
-def batch_max_tau(host, cols0: list[int], mask: int) -> tuple[int, int]:
-    """Largest tau over the batch plus the lowest bit index attaining it."""
-    run = BatchRun(host, cols0, mask)
+def batch_max_tau(run: BatchRun) -> tuple[int, int]:
+    """Largest tau over the lanes of ``run``, from its start, plus the
+    lowest lane attaining it."""
     survivors = undecided = run.undecided
     while undecided:
         survivors = undecided
@@ -224,6 +219,49 @@ def batch_max_tau(host, cols0: list[int], mask: int) -> tuple[int, int]:
         # Width-0 masks are rejected upstream; undecided empties at t >= 2.
         raise InvariantViolationError("batch ended before the first check")
     return run.t - 2, lowest_bit_index(survivors)
+
+
+def _bits(x: int, k: int) -> np.ndarray:
+    """Bits 0 to k - 1 of ``x``, as a uint8 array."""
+    raw = np.frombuffer(x.to_bytes(-(-k // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=k, bitorder="little")
+
+
+class _Extensions:
+    """Every extension of a pattern on the vertices ``ids`` to the rest of
+    the host, as the lanes of one run: lane i sets the outside vertex
+    ``free[i]`` (ascending) from its bit i.  A pattern is an int whose bit
+    i is the opinion of ``ids[i]``.  The outside's columns, the host's
+    neighbour lists and its step budget are built once, for every
+    pattern, and ``budget`` caps the lanes of a run."""
+
+    def __init__(self, tree: RootedTree, ids: list[int], budget: int):
+        m = tree.n - len(ids)
+        if 1 << m > budget:
+            raise BudgetExceededError(
+                f"2^{m} extensions exceed the enumeration budget {budget}"
+            )
+        inside = set(ids)
+        self.ids, self.free = ids, [u for u in range(tree.n) if u not in inside]
+        self.width = 1 << m
+        self.mask = (1 << self.width) - 1
+        self.cols = [0] * tree.n
+        for i, u in enumerate(self.free):
+            self.cols[u] = tt_column(i, m)
+        self.adj, self.steps = adjacency_lists(tree), step_budget(tree)
+
+    def run(self, pattern: int) -> BatchRun:
+        """Every extension of ``pattern``; the run copies its start."""
+        for u, bit in zip(self.ids, _bits(pattern, len(self.ids)).tolist()):
+            self.cols[u] = self.mask if bit else 0
+        return BatchRun(self.adj, self.cols, self.mask, self.steps)
+
+    def vector(self, pattern: int, lane: int) -> OpinionVector:
+        """The opinion vector of ``lane`` in the run of ``pattern``."""
+        bits = np.empty(len(self.cols), dtype=np.int8)
+        bits[self.ids] = _bits(pattern, len(self.ids))
+        bits[self.free] = _bits(lane, len(self.free))
+        return OpinionVector(2 * bits - 1)
 
 
 # -- the word engine ----------------------------------------------------------

@@ -50,7 +50,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .bitsliced import LANES, PackedHost, pack_bit_rows, tt_column
+from .bitsliced import LANES, PackedHost, _Extensions, pack_bit_rows, tt_column
 from .dynamics import TARGETS, _opinion_bytes
 from .errors import (
     BadHostError,
@@ -61,7 +61,6 @@ from .errors import (
 )
 from .stability import (
     EXTENSION_BUDGET,
-    _Extensions,
     _PinnedSubtree,
     _le_t_ok_bits,
     _one_close_violations,

@@ -21,8 +21,8 @@ extensions bound every other one pointwise at every time, which decides
 extremes that are both t-stable but settle the vertex at opposite
 parity-t opinions pin nothing in between, and only then does the
 decision fall back to enumerating all extensions, the lanes of one
-bit-sliced run laid out once per subject (``_Extensions``), subject to a
-budget.
+bit-sliced run laid out once per subject (``bitsliced._Extensions``),
+subject to a budget.
 
 Each predicate has one implementation: the private layer below decides
 it for a batch of patterns on ``BatchRun``, one bit per pattern, for the
@@ -42,9 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitsliced import BatchRun, adjacency_lists, lowest_bit_index, pack_bit_rows, tt_column
+from .bitsliced import BatchRun, _Extensions, lowest_bit_index, pack_bit_rows
 from .dynamics import OpinionVector, _check_length, step_budget
-from .errors import BadHostError, BadTimeError, BadVertexError, BudgetExceededError
+from .errors import BadHostError, BadTimeError, BadVertexError
 from .trees import RootedTree, _walk
 
 
@@ -156,55 +156,14 @@ def _changed_by(run: BatchRun, v: int, t: int) -> int:
     return changed
 
 
-def _bits(x: int, k: int) -> np.ndarray:
-    """Bits 0 to k - 1 of ``x``, as a uint8 array."""
-    raw = np.frombuffer(x.to_bytes(-(-k // 8), "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=k, bitorder="little")
-
-
-class _Extensions:
-    """Every extension of a pattern on the subtree ``ids`` (subject first)
-    to the rest of the host, as the lanes of one run: lane i sets the
-    outside vertex ``free[i]`` (ascending) from its bit i.  A pattern is
-    an int whose bit i is the opinion of ``ids[i]``.  The outside's
-    columns, the host's neighbour lists and the abort bound are built
-    once, for every pattern."""
-
-    def __init__(self, tree: RootedTree, ids: list[int], budget: int):
-        m = tree.n - len(ids)
-        if 1 << m > budget:
-            raise BudgetExceededError(
-                f"2^{m} extensions exceed the enumeration budget {budget}"
-            )
-        inside = set(ids)
-        self.ids, self.free = ids, [u for u in range(tree.n) if u not in inside]
-        self.width = 1 << m
-        self.mask = (1 << self.width) - 1
-        self.cols = [0] * tree.n
-        for i, u in enumerate(self.free):
-            self.cols[u] = tt_column(i, m)
-        self.adj, self.limit = adjacency_lists(tree), step_budget(tree) + 2
-
-    def run(self, pattern: int) -> BatchRun:
-        """Every extension of ``pattern``; the run copies its start."""
-        for u, bit in zip(self.ids, _bits(pattern, len(self.ids)).tolist()):
-            self.cols[u] = self.mask if bit else 0
-        return BatchRun.over(self.adj, self.cols, self.mask, self.limit)
-
-    def verdict(
-        self, kind: str, t: int | None, violations: int, pattern: int, checked: int
-    ) -> StabilityVerdict:
-        """Verdict of a universal query over every extension of ``pattern``,
-        lane i of ``violations`` standing for extension i: it holds when no
-        lane is set, and the lowest set lane is the counterexample."""
-        cert = None
-        if violations:
-            bits = np.empty(len(self.cols), dtype=np.int8)
-            bits[self.ids] = _bits(pattern, len(self.ids))
-            bits[self.free] = _bits(lowest_bit_index(violations), len(self.free))
-            cert = OpinionVector(2 * bits - 1)
-        v = self.ids[0]
-        return StabilityVerdict(kind, v, t, not violations, "brute-force", cert, checked)
+def _verdict(
+    ext: _Extensions, kind: str, t: int | None, violations: int, pattern: int, checked: int
+) -> StabilityVerdict:
+    """Verdict of a universal query over every extension of ``pattern``,
+    lane i of ``violations`` standing for extension i: it holds when no
+    lane is set, and the lowest set lane is the counterexample."""
+    cert = ext.vector(pattern, lowest_bit_index(violations)) if violations else None
+    return StabilityVerdict(kind, ext.ids[0], t, not violations, "brute-force", cert, checked)
 
 
 def _one_close_violations(run: BatchRun, sub: _PinnedSubtree) -> int:
@@ -258,7 +217,7 @@ class _PinnedSubtree:
             outside, ball = _walk(tree, p, v, reach, first=len(ids), back=0)
             adj += ball
         self.tree, self.ids, self.outside, self.adj = tree, ids, outside, adj
-        self.limit = step_budget(tree) + 2
+        self.steps = step_budget(tree)
 
     def run(self, cols: list[int], mask: int, fill: int | None = None) -> BatchRun:
         """``cols`` (one per host vertex) on the subtree, and outside it
@@ -268,7 +227,7 @@ class _PinnedSubtree:
             start += [cols[u] for u in self.outside]
         else:
             start += [fill] * len(self.outside)
-        return BatchRun.over(self.adj, start, mask, self.limit)
+        return BatchRun(self.adj, start, mask, self.steps)
 
     def extension(self, signs: np.ndarray, fill: int) -> OpinionVector:
         """``signs`` on the subtree, ``fill`` outside: the extension that a
@@ -406,7 +365,7 @@ def is_strongly_t_stable(
     ext = _Extensions(tree, sub.ids, budget)
     pattern = pack_bit_rows([base[sub.ids] > 0])[0]
     flips = _late_flips(ext.run(pattern), v, t)
-    return ext.verdict("strong", t, flips, pattern, 2 + ext.width)
+    return _verdict(ext, "strong", t, flips, pattern, 2 + ext.width)
 
 
 def is_le_t_stable(
@@ -423,7 +382,7 @@ def is_le_t_stable(
     ext = _Extensions(tree, ids, budget)
     pattern = pack_bit_rows([xi0.to_signs()[ids] > 0])[0]
     changed = _changed_by(ext.run(pattern), v, t)
-    return ext.verdict("le_t", t, changed, pattern, ext.width)
+    return _verdict(ext, "le_t", t, changed, pattern, ext.width)
 
 
 def is_one_close_to_stability(
@@ -444,7 +403,7 @@ def is_one_close_to_stability(
     ext = _Extensions(tree, sub.ids, budget)
     pattern = pack_bit_rows([xi0.to_signs()[sub.ids] > 0])[0]
     violations = _one_close_violations(ext.run(pattern), sub)
-    return ext.verdict("one_close", None, violations, pattern, ext.width)
+    return _verdict(ext, "one_close", None, violations, pattern, ext.width)
 
 
 def strong_t_stable_extreme_runs(

@@ -354,19 +354,16 @@ def brute_force_tau(
         raise BudgetExceededError(
             f"2^{tree.n} assignments exceed the enumeration budget {budget}"
         )
-    from .bitsliced import batch_max_tau, tt_column  # worst_case_tau runs without it
+    from .bitsliced import _Extensions, batch_max_tau  # worst_case_tau runs without it
 
-    m = tree.n - 1
-    low = min(m, _BRUTE_FORCE_BLOCK_BITS)
-    mask = (1 << (1 << low)) - 1
-    low_cols = [tt_column(i, low) for i in range(low)]
-    tau, index = -1, 0
-    # Block b holds the indices b * 2^low + j: the low variables are the
-    # truth-table columns, each high variable is constant across the block.
-    for block in range(1 << (m - low)):
-        high_cols = [mask if block >> i & 1 else 0 for i in range(m - low)]
-        block_tau, j = batch_max_tau(tree, [mask, *low_cols, *high_cols], mask)
+    low = min(tree.n - 1, _BRUTE_FORCE_BLOCK_BITS)
+    # The lanes are vertices 1 to low, and an odd pattern sets vertex 0 to
+    # +1 and the rest from its bits 1 up: lane j of pattern 2b + 1 is the
+    # vector whose vertex v >= 1 is +1 where bit v - 1 of b * 2^low + j is.
+    ext = _Extensions(tree, [0, *range(low + 1, tree.n)], budget)
+    tau, pattern, lane = -1, 0, 0
+    for p in range(1, 1 << (tree.n - low), 2):
+        block_tau, j = batch_max_tau(ext.run(p))
         if block_tau > tau:
-            tau, index = block_tau, block << low | j
-    # vertex 0 is +1; vertex v >= 1 is +1 exactly where bit v - 1 of index is set
-    return tau, OpinionVector.from_signs([1] + [index >> i & 1 for i in range(m)])
+            tau, pattern, lane = block_tau, p, j
+    return tau, ext.vector(pattern, lane)

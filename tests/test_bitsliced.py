@@ -101,7 +101,7 @@ def test_batch_run_tracks_every_trajectory():
     mask = (1 << width) - 1
     runs = [stabilise(tree, xi, keep_history=True) for xi in vectors]
 
-    batch = BatchRun(tree, cols0, mask)
+    batch = BatchRun(adjacency_lists(tree), cols0, mask, step_budget(tree))
     assert batch.t == 0
     for v in range(tree.n):
         assert batch.flip_col(v) == 0  # no flips before two steps exist
@@ -124,7 +124,8 @@ def test_batch_run_undecided_shrinks_to_zero():
     width = 64
     vectors = [OpinionVector.random(tree.n, rng) for _ in range(width)]
     mat = np.stack([xi.to_signs() for xi in vectors], axis=1)
-    batch = BatchRun(tree, pack_bit_rows((mat > 0).astype(np.uint8)), (1 << width) - 1)
+    cols0 = pack_bit_rows((mat > 0).astype(np.uint8))
+    batch = BatchRun(adjacency_lists(tree), cols0, (1 << width) - 1, step_budget(tree))
     seen = [batch.undecided]
     while batch.undecided:
         batch.advance()
@@ -139,7 +140,8 @@ def test_batch_max_tau_matches_per_trajectory_maximum():
         tree = random_odd_tree(random_even_size(6, 12, rng), rng)
         width = 1 << tree.n
         cols0 = [tt_column(v, tree.n) for v in range(tree.n)]
-        tau, argmax = batch_max_tau(tree, cols0, (1 << width) - 1)
+        run = BatchRun(adjacency_lists(tree), cols0, (1 << width) - 1, step_budget(tree))
+        tau, argmax = batch_max_tau(run)
         best = -1
         first = None
         for j in range(width):

@@ -154,3 +154,21 @@ def test_weak_tables_reuse_each_binary_host_pinned_subtrees(monkeypatch):
         fresh = [None] + [Counted(host.tree, v) for v in range(1, host.tree.n)]
         assert np.array_equal(claims._weak_table(host._replace(pinned=fresh), rows), first)
         built.clear()
+
+
+def test_strong_value_symmetry_counts(monkeypatch):
+    # over all 2^22 vectors of the height-3 binary host, the strong ones at
+    # vertex 1 split evenly by its time-t opinion, in these numbers
+    seen = []
+    tally = claims._tally
+
+    def recorded(name, outcomes):
+        outcomes = list(outcomes)
+        seen.extend(example for _, _, example in outcomes)
+        return tally(name, outcomes)
+
+    monkeypatch.setattr(claims, "_tally", recorded)
+    (report,) = run_claim_suites(["strong_value_symmetry"], instances=1)
+    assert report.passed and report.instances == 4
+    counts = [1_179_648, 1_048_576, 1_310_720, 2_097_152]
+    assert seen == [f"t={t} +1:{c} -1:{c}" for t, c in enumerate(counts)]

@@ -1,5 +1,5 @@
-"""The extension layer of ``stability``: one layout of a subject's
-extensions, run for every subtree pattern.
+"""The extension layer, ``bitsliced._Extensions``: one layout of a
+subject's extensions, run for every subtree pattern.
 
 The oracle is the per-pattern layout that the layer replaced: one batch
 of every extension of a full opinion vector, rebuilt for each pattern,
@@ -11,13 +11,12 @@ import pytest
 
 import majlab.probe as probe
 import majlab.stability as stability
-from majlab.bitsliced import lowest_bit_index, tt_column
+from majlab.bitsliced import _Extensions, lowest_bit_index, tt_column
 from majlab.dynamics import OpinionVector
 from majlab.errors import BudgetExceededError
 from majlab.probe import estimate_probability
 from majlab.stability import (
     EXTENSION_BUDGET,
-    _Extensions,
     _PinnedSubtree,
     is_one_close_to_stability,
 )
@@ -87,11 +86,11 @@ def test_extensions_match_the_per_pattern_layout(exhaustive_suite):
             lane = int(rng.integers(ext.width))
             above = int.from_bytes(rng.bytes(ext.width // 8 + 1), "little")
             violations = ((above << lane) | 1 << lane) & ext.mask
-            got = ext.verdict("strong", 2, violations, p, 7)
+            got = stability._verdict(ext, "strong", 2, violations, p, 7)
             want = oracle_extension_vector(bases[p], ext.free, lowest_bit_index(violations))
             assert got.certificate == want
             assert (got.verdict, got.method, got.checked) == (False, "brute-force", 7)
-        assert ext.verdict("le_t", 2, 0, 0, 1).certificate is None
+        assert stability._verdict(ext, "le_t", 2, 0, 0, 1).certificate is None
     assert cases > 1_000
 
 

@@ -20,8 +20,9 @@ from operator import or_, xor
 import numpy as np
 import pytest
 
-from majlab.bitsliced import BatchRun, batch_step
-from majlab.stability import EXTENSION_BUDGET, _Extensions, _PinnedSubtree
+from majlab.bitsliced import BatchRun, _Extensions, adjacency_lists, batch_step
+from majlab.dynamics import step_budget
+from majlab.stability import EXTENSION_BUDGET, _PinnedSubtree
 from majlab.treegen import random_even_size, random_odd_tree
 from majlab.trees import VertexClass, build_perfect_tree, classify_all
 
@@ -60,7 +61,9 @@ BINARY_HOSTS = [build_perfect_tree(2, h) for h in (2, 3, 4)]
 def test_host_runs_match_full_steps(width):
     rng = np.random.default_rng(width)
     for tree in [*random_trees(width, 20), *BINARY_HOSTS]:
-        assert_matches_full_steps(BatchRun(tree, random_cols(rng, tree.n, width), (1 << width) - 1))
+        cols = random_cols(rng, tree.n, width)
+        run = BatchRun(adjacency_lists(tree), cols, (1 << width) - 1, step_budget(tree))
+        assert_matches_full_steps(run)
 
 
 def pinned_runs(tree, rng, width):
@@ -98,7 +101,8 @@ def test_host_runs_hold_exactly_the_passive_vertices(exhaustive_suite):
     rng = np.random.default_rng(27)
     hosts = [random_odd_tree(2, rng), *exhaustive_suite, *random_trees(28, 40), *BINARY_HOSTS]
     for tree in hosts:
-        run = BatchRun(tree, random_cols(rng, tree.n, 64), (1 << 64) - 1)
+        cols = random_cols(rng, tree.n, 64)
+        run = BatchRun(adjacency_lists(tree), cols, (1 << 64) - 1, step_budget(tree))
         passive = np.flatnonzero(classify_all(tree) == VertexClass.PASSIVE).tolist()
         assert sorted(set(range(tree.n)) - set(run.moving)) == passive
         run.advance()

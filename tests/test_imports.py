@@ -65,8 +65,16 @@ COMMANDS = pytest.mark.parametrize(
          {"claims", "worstcase", "treegen"}),
         (["mc-tau", "--k", "2", "--h", "3", "--trials", "4", "-o", "mc.json"],
          {"claims", "worstcase", "treegen"}),
+        (["brute-force", "--tree", "tree.txt", "-o", "bf.json"],
+         {"claims", "probe", "stability", "treegen"}),
+        (["stability", "--tree", "tree.txt", "--kind", "strong", "--vertex", "1", "--t", "2",
+          "-o", "stability.json"],
+         {"claims", "probe", "worstcase", "treegen"}),
+        (["fixed-point", "-o", "fp.json"], {"claims", "worstcase", "treegen"}),
+        (["check-claims", "--instances", "1", "-o", "claims.json"], set()),
     ],
-    ids=["gen", "simulate", "worst-case", "prob-exact", "prob-mc", "mc-tau"],
+    ids=["gen", "simulate", "worst-case", "prob-exact", "prob-mc", "mc-tau", "brute-force",
+         "stability", "fixed-point", "check-claims"],
 )
 
 

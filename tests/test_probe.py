@@ -27,7 +27,7 @@ from majlab.probe import (
     mc_tau,
     trial_seed,
 )
-from majlab.bitsliced import BatchRun, pack_bit_rows, tt_column
+from majlab.bitsliced import BatchRun, adjacency_lists, pack_bit_rows, tt_column
 from majlab.stability import (
     EXTENSION_BUDGET,
     _PinnedSubtree,
@@ -138,7 +138,7 @@ def host_wide_count(target, height, t, k, trials, seed):
     mask = (1 << width) - 1
     sub = _PinnedSubtree(host, v)
     if target == "weak":
-        run = BatchRun(host, cols, mask)
+        run = BatchRun(adjacency_lists(host), cols, mask, step_budget(host))
         while run.t < t and run.undecided:
             run.advance()
         if (run.t ^ t) & 1:
@@ -193,22 +193,18 @@ def test_probes_pack_and_step_only_the_light_cone(monkeypatch, target, t, rows, 
     # children and their four; le_t at t = 4: the subtree's top five
     # levels, plus the pinned root
     packed, runs = [], []
-    over = BatchRun.over.__func__
+    init = BatchRun.__init__
 
     def pack(bits):
         packed.extend(bits)
         return pack_bit_rows(bits)
 
-    def refuse(*args):
-        raise AssertionError("a host-wide run")
-
-    def counted_over(cls, adj, *args):
+    def counted(self, adj, *args):
         runs.append(len(adj))
-        return over(cls, adj, *args)
+        init(self, adj, *args)
 
     monkeypatch.setattr(probe, "pack_bit_rows", pack)
-    monkeypatch.setattr(BatchRun, "__init__", refuse)
-    monkeypatch.setattr(BatchRun, "over", classmethod(counted_over))
+    monkeypatch.setattr(BatchRun, "__init__", counted)
     est = estimate_probability(target, 8, t, method="mc", trials=1000, seed=11)
     assert est.trials == 1000
     assert len(packed) == rows

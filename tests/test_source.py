@@ -207,7 +207,7 @@ def test_extensions_are_laid_out_in_one_place():
     # public decider
     callers = _scopes(
         lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "tt_column",
-        "stability.py",
+        "bitsliced.py",
     )
     assert callers == ["_Extensions.__init__"], callers
     deleted = {"_extension_batch", "_extension_vector", "_enumerated_verdict", "_enumerated_flips"}
@@ -216,6 +216,22 @@ def test_extensions_are_laid_out_in_one_place():
     }
     assert not (_imported_names("probe.py") | _imported_names("claims.py")) & deleted
     assert not _imported_names("probe.py") & deciders
+
+
+
+def test_runs_are_built_in_two_layouts():
+    # one BatchRun constructor, called by the two layouts alone: every
+    # exhaustive enumeration (brute force included) lays its lanes out
+    # through ``_Extensions``, and truth-table columns come from it and
+    # from the probes' exhaustive pattern columns
+    def called(name):
+        return lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == name
+
+    assert sorted(_scopes(called("BatchRun"))) == ["_Extensions.run", "_PinnedSubtree.run"]
+    assert sorted(_scopes(called("tt_column"))) == ["_Extensions.__init__", "_pattern_cols"]
+    assert not _scopes(
+        lambda node: isinstance(node, ast.FunctionDef) and node.name in {"over", "_begin"}
+    )
 
 
 def test_cli_writes_result_types_without_restating_them():
@@ -300,3 +316,13 @@ def test_each_fact_is_stated_once():
     claims = ast.parse((package / "claims.py").read_text(encoding="utf-8"))
     spelled = set().union(*map(_names, ast.walk(claims)))
     assert not spelled & {"subtree_mask", "_binary_host"}
+
+
+def test_sources_parse_as_python_3_10():
+    # Python 3.10 is the floor: no ``except*``, ``type`` alias or PEP 695
+    # generic, which 3.11 and later would parse
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(path for top in ("src", "tests", "perfbench") for path in (root / top).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

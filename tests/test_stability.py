@@ -9,8 +9,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from majlab.bitsliced import BatchRun
-from majlab.dynamics import OpinionVector, _step_signs, stabilise
+from majlab.bitsliced import BatchRun, adjacency_lists
+from majlab.dynamics import OpinionVector, _step_signs, stabilise, step_budget
 from majlab.errors import (
     BadHostError,
     BadTimeError,
@@ -339,7 +339,8 @@ def assert_pinned_runs_match_the_host(tree, v, cols, mask, fill):
     """The compact run of ``_PinnedSubtree`` against the whole host with
     every outside vertex set to ``fill``, step by step to the end."""
     inside = tree.subtree_mask(v)
-    full = BatchRun(tree, [c if inside[u] else fill for u, c in enumerate(cols)], mask)
+    start = [c if inside[u] else fill for u, c in enumerate(cols)]
+    full = BatchRun(adjacency_lists(tree), start, mask, step_budget(tree))
     sub = _PinnedSubtree(tree, v)
     run = sub.run(cols, mask, fill)
     assert sub.ids[0] == v and sorted(sub.ids) == np.flatnonzero(inside).tolist()
@@ -391,16 +392,19 @@ def test_light_cones_match_full_host_runs_up_to_their_horizon(exhaustive_suite, 
             filled = [c if u in inside else fill for u, c in enumerate(cols)]
             graph = nx.Graph(tree.edges())
             dist = nx.single_source_shortest_path_length(graph, p) if p >= 0 else {}
+            adj, budget = adjacency_lists(tree), step_budget(tree)
             cases = []  # (full run, cone run, watched positions, horizon)
             for reach in (0, 1, 2):
                 sub = _PinnedSubtree(tree, v, reach=reach)
                 near = [u for u, d in dist.items() if d <= reach and u not in inside]
                 assert sorted(sub.outside) == sorted(near)
                 assert sub.outside[:1] == ([p] if p >= 0 else [])
-                cases.append((BatchRun(tree, cols, mask), sub.run(cols, mask), sub.ids, reach + 1))
+                full = BatchRun(adj, cols, mask, budget)
+                cases.append((full, sub.run(cols, mask), sub.ids, reach + 1))
             for depth in (1, 2, 3):
                 sub = _PinnedSubtree(tree, v, depth=depth)
-                cases.append((BatchRun(tree, filled, mask), sub.run(cols, mask, fill), [v], depth))
+                full = BatchRun(adj, filled, mask, budget)
+                cases.append((full, sub.run(cols, mask, fill), [v], depth))
             for full, run, watched, horizon in cases:
                 for _ in range(horizon):
                     full.advance()

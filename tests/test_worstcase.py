@@ -6,6 +6,7 @@ import pytest
 import majlab.trees
 import majlab.worstcase
 
+from majlab.bitsliced import BatchRun, adjacency_lists, batch_max_tau, tt_column
 from majlab.dynamics import OpinionVector, stabilise, step_budget
 from majlab.errors import BadPathError, BudgetExceededError, TooSmallError
 from majlab.treegen import random_even_size, random_odd_tree
@@ -455,3 +456,35 @@ def test_worst_case_tau_lists_each_tree_array_once(monkeypatch):
         report = worst_case_tau(tree)
         assert sorted(filter(None, listed)) == ["degree", "order", "parent"], listed
         assert report.witness == worst_case_witness(tree, list(report.argmax.vertices))
+
+
+def block_enumeration_tau(tree, block_bits=16):
+    """Brute force as the per-block layout computed it before it ran on
+    ``_Extensions``: vertex 0 at +1, the low variables truth-table columns
+    of 2^16-lane blocks and the high ones constant across a block, the
+    argmax decoded from its index."""
+    m = tree.n - 1
+    low = min(m, block_bits)
+    mask = (1 << (1 << low)) - 1
+    low_cols = [tt_column(i, low) for i in range(low)]
+    adj, budget = adjacency_lists(tree), step_budget(tree)
+    tau, index = -1, 0
+    for block in range(1 << (m - low)):
+        high_cols = [mask if block >> i & 1 else 0 for i in range(m - low)]
+        run = BatchRun(adj, [mask, *low_cols, *high_cols], mask, budget)
+        block_tau, j = batch_max_tau(run)
+        if block_tau > tau:
+            tau, index = block_tau, block << low | j
+    return tau, OpinionVector.from_signs([1] + [index >> i & 1 for i in range(m)])
+
+
+def test_brute_force_matches_the_block_enumeration(exhaustive_suite):
+    rng = np.random.default_rng(20261020)
+    trees = [*exhaustive_suite]
+    trees += [random_odd_tree(random_even_size(6, 20, rng), rng) for _ in range(100)]
+    trees.append(random_odd_tree(24, rng))
+    for tree in trees:
+        tau, xi = brute_force_tau(tree)
+        want_tau, want_xi = block_enumeration_tau(tree)
+        assert (tau, xi.to_string()) == (want_tau, want_xi.to_string()), tree.n
+    assert trees[-1].n == 24
