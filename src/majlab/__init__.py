@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # submodule sets ``__all__``.
 _EXPORTS = {
     "artifacts": (),
-    "bitsliced": (),
+    "bitsliced": ("EXTENSION_BUDGET",),
     "claims": (
         "ALL_SUITES", "ClaimReport", "STRUCTURAL_SUITES", "run_claim_suites",
         "weak_definition_sweep",
@@ -39,9 +39,9 @@ _EXPORTS = {
         "fixed_point_q", "le_t_positive_check", "mc_tau", "trial_seed",
     ),
     "stability": (
-        "EXTENSION_BUDGET", "StabilityVerdict", "is_le_t_stable",
-        "is_one_close_to_stability", "is_strongly_t_stable", "is_weakly_t_stable",
-        "le_t_stable_extreme_runs", "strong_t_stable_extreme_runs",
+        "StabilityVerdict", "is_le_t_stable", "is_one_close_to_stability",
+        "is_strongly_t_stable", "is_weakly_t_stable", "le_t_stable_extreme_runs",
+        "strong_t_stable_extreme_runs",
     ),
     "treegen": ("random_even_size", "random_odd_tree"),
     "trees": (

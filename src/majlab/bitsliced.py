@@ -227,6 +227,10 @@ def _bits(x: int, k: int) -> np.ndarray:
     return np.unpackbits(raw, count=k, bitorder="little")
 
 
+# the default cap on the lanes of one extension enumeration
+EXTENSION_BUDGET = 1 << 20
+
+
 class _Extensions:
     """Every extension of a pattern on the vertices ``ids`` to the rest of
     the host, as the lanes of one run: lane i sets the outside vertex

@@ -13,7 +13,9 @@ The checks then judge their instances in order and the outcomes are
 tallied into a ``ClaimReport``: the satisfied count, so a healthy run is
 visibly non-vacuous, and the strings of the first few violations.
 Exhaustive or analytic suites ignore the sampling budget and feed the
-same tally from a fixed sequence of outcomes.
+same tally from a fixed sequence of outcomes.  Each suite draws from a
+substream of its own, so the selected suites run on forked workers, one
+suite a task, and report the same for any worker count.
 
 ``STRUCTURAL_SUITES`` hold conditional facts about the dynamics itself:
 the switch rule for balky vertices, flip deadlines for active ones, and
@@ -36,7 +38,7 @@ import numpy as np
 from .bitsliced import BatchRun, _Extensions, pack_bit_rows
 from .dynamics import OpinionVector, _step_signs, stabilise, step_budget
 from .errors import MajlabError
-from .probe import _pattern_cols, _recursion_map, fixed_point_q
+from .probe import _fork_map, _pattern_cols, _recursion_map, _usable_cpus, fixed_point_q
 from .stability import (
     EXTENSION_BUDGET,
     _PinnedSubtree,
@@ -763,29 +765,44 @@ ENGINE_SUITES: dict[str, Suite] = {
 ALL_SUITES: dict[str, Suite] = {**STRUCTURAL_SUITES, **ENGINE_SUITES}
 
 
+def _run_suite(job: tuple[str, int, int]) -> ClaimReport:
+    """The report of a ``(name, instances, seed)`` job, drawn from the
+    substream keyed by the suite's registry position."""
+    name, instances, seed = job
+    key = (list(ALL_SUITES).index(name),)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    return ALL_SUITES[name](instances, rng)
+
+
 def run_claim_suites(
     names: list[str] | None = None,
     instances: int = 1000,
     seed: int = 0,
+    workers: int | None = None,
 ) -> list[ClaimReport]:
     """Run the selected suites with per-suite deterministic substreams.
 
     Substreams are keyed by the suite's registry position, so a suite's
-    draws do not depend on which other suites run alongside it.
+    draws do not depend on which other suites run alongside it, nor on
+    which process runs it.  The suites run on ``workers`` forked
+    processes (default: the usable CPUs), at most one per suite; one
+    worker or one suite runs in this process.  The reports are the same
+    for every worker count.
     """
     if instances < 1:
         raise MajlabError(f"instances must be positive, got {instances}")
+    if workers is None:
+        workers = _usable_cpus()
+    if workers < 1:
+        raise MajlabError(f"workers must be positive, got {workers}")
     selected = list(ALL_SUITES) if names is None else list(names)
     unknown = sorted(set(selected) - set(ALL_SUITES))
     if unknown:
         raise MajlabError(
             f"unknown suites: {', '.join(unknown)}; known suites: {', '.join(ALL_SUITES)}"
         )
-    position = {name: i for i, name in enumerate(ALL_SUITES)}
-    reports = []
-    for name in selected:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(position[name],))
-        )
-        reports.append(ALL_SUITES[name](instances, rng))
-    return reports
+    jobs = [(name, instances, seed) for name in selected]
+    processes = min(workers, len(jobs))
+    if processes <= 1:
+        return [_run_suite(job) for job in jobs]
+    return _fork_map(_run_suite, jobs, processes)

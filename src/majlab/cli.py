@@ -193,8 +193,8 @@ def cmd_stability(args) -> int:
 
 
 def cmd_prob(args) -> int:
+    from .bitsliced import EXTENSION_BUDGET
     from .probe import _probability
-    from .stability import EXTENSION_BUDGET
 
     if args.budget is None:
         args.budget = EXTENSION_BUDGET
@@ -265,7 +265,9 @@ def cmd_check_claims(args) -> int:
         raise MajlabError(
             f"--suites entry {names.index('') + 1} of {args.suites!r} is empty"
         )
-    reports = run_claim_suites(names=names, instances=args.instances, seed=seed)
+    reports = run_claim_suites(
+        names=names, instances=args.instances, seed=seed, workers=args.workers
+    )
     for report in reports:
         print(report.summary_line())
     if args.output:
@@ -385,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suites", help="comma-separated suite names (default: all)")
     p.add_argument("--instances", type=int, default=1000)
     add_seed(p)
+    p.add_argument("--workers", type=int, help="worker processes (default: the usable CPUs)")
     add_output(p)
     p.set_defaults(handler=cmd_check_claims)
 

@@ -39,18 +39,21 @@ for the probability that a vertex fails to be weakly stable, and
 ``mc_tau`` samples stabilisation times of uniformly random opinions on
 perfect hosts with reproducible per-trial seeds on the word engine, up to
 64 trials to a word, each word W bits wide, the narrowest of 8, 16, 32 and
-64 that holds its trials.
+64 that holds its trials.  ``_fork_map`` is the package's one process
+pool, which ``mc_tau`` and ``claims.run_claim_suites`` share.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import groupby
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .bitsliced import LANES, PackedHost, _Extensions, pack_bit_rows, tt_column
+from .bitsliced import EXTENSION_BUDGET, LANES, PackedHost, _Extensions, pack_bit_rows, tt_column
 from .dynamics import TARGETS, _opinion_bytes
 from .errors import (
     BadHostError,
@@ -59,16 +62,10 @@ from .errors import (
     BudgetExceededError,
     MajlabError,
 )
-from .stability import (
-    EXTENSION_BUDGET,
-    _PinnedSubtree,
-    _le_t_ok_bits,
-    _one_close_violations,
-    _step_subtree,
-    _strong_ok_bits,
-    _weak_ok_bits,
-)
 from .trees import _perfect_level_starts, build_perfect_tree
+
+if TYPE_CHECKING:
+    from .stability import _PinnedSubtree
 
 
 @dataclass(frozen=True)
@@ -263,6 +260,15 @@ def _probability(
 ) -> ProbEstimate:
     """``estimate_probability``; a ``xi`` of +1 or -1 (le_t only) further
     asks for the subject's time-0 opinion to equal it."""
+    # imported here: mc-tau and fixed-point run no predicate
+    from .stability import (
+        _PinnedSubtree,
+        _le_t_ok_bits,
+        _step_subtree,
+        _strong_ok_bits,
+        _weak_ok_bits,
+    )
+
     if target not in TARGETS:
         raise MajlabError(f"unknown target {target!r}")
     t = _validate_t(target, t)
@@ -345,6 +351,8 @@ def _one_close_count(
     """(1-close patterns, patterns drawn) at the subject of ``sub``: every
     subtree pattern without ``rng``, ``trials`` uniform draws with it,
     each distinct one decided once over all its extensions."""
+    from .stability import _one_close_violations
+
     m = len(sub.ids)
     if rng is None:
         patterns = range(1 << m)
@@ -429,6 +437,28 @@ def fixed_point_q(
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_map(fn: Callable, jobs: list, processes: int) -> list:
+    """``[fn(job) for job in jobs]``, run on a pool of ``processes`` forked
+    workers and returned in the order of ``jobs``.  A forked worker starts
+    with the parent's modules and their state, so only the jobs and the
+    results cross between processes, and ``fn`` is sent by name."""
+    # imported here: the pool modules cost every CLI process's start-up
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(
+        max_workers=processes, mp_context=get_context("fork")
+    ) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def _trial_sequence(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(index,))
 
@@ -483,14 +513,7 @@ def mc_tau(
     if processes == 1:
         taus = _batch_taus(packed, seed, 0, trials)
     else:
-        # imported here: the pool modules cost every CLI process's start-up
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        with ProcessPoolExecutor(
-            max_workers=processes, mp_context=get_context("fork")
-        ) as pool:
-            taus = [t for part in pool.map(_job_taus, jobs) for t in part]
+        taus = [t for part in _fork_map(_job_taus, jobs, processes) for t in part]
     return McSummary(
         k=k,
         h=h,

@@ -42,13 +42,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitsliced import BatchRun, _Extensions, lowest_bit_index, pack_bit_rows
+from .bitsliced import (
+    EXTENSION_BUDGET,
+    BatchRun,
+    _Extensions,
+    lowest_bit_index,
+    pack_bit_rows,
+)
 from .dynamics import OpinionVector, _check_length, step_budget
 from .errors import BadHostError, BadTimeError, BadVertexError
 from .trees import RootedTree, _walk
-
-
-EXTENSION_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)

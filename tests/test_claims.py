@@ -2,6 +2,8 @@
 forest run that every sampled suite steps its instances through, and the
 weak verdicts decided from its history."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from majlab import claims
 from majlab.claims import (
     ALL_SUITES,
     STRUCTURAL_SUITES,
+    _CHUNK,
     _runs,
     _stabilise_each,
     run_claim_suites,
@@ -48,6 +51,57 @@ def test_single_suite_selection_and_determinism():
         again[0].satisfied,
         again[0].violations,
     )
+
+
+@pytest.mark.parametrize("instances", [1, _CHUNK + 1])
+@pytest.mark.parametrize("seed", [3, 8])
+def test_reports_do_not_depend_on_the_worker_count(seed, instances):
+    alone = run_claim_suites(instances=instances, seed=seed, workers=1)
+    assert [r.name for r in alone] == list(ALL_SUITES)
+    for workers in (2, 3):
+        assert run_claim_suites(instances=instances, seed=seed, workers=workers) == alone
+    # a selection comes back in the order it was asked for
+    names = list(ALL_SUITES)[::-3]
+    picked = run_claim_suites(names, instances=instances, seed=seed, workers=2)
+    assert picked == [alone[list(ALL_SUITES).index(name)] for name in names]
+
+
+@pytest.mark.parametrize(
+    "names,workers,processes",
+    [
+        (None, 1, None),
+        (None, 2, 2),
+        (None, 40, len(ALL_SUITES)),
+        (["tau_within_budget"], 4, None),
+        (["fixed_point_bracket", "tau_within_budget"], 5, 2),
+        ([], 3, None),
+    ],
+)
+def test_claims_fork_at_most_one_process_per_suite(monkeypatch, names, workers, processes):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, mp_context):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    reports = run_claim_suites(names, instances=2, seed=5, workers=workers)
+    assert pools == ([] if processes is None else [processes])
+    assert reports == run_claim_suites(names, instances=2, seed=5, workers=1)
+
+
+def test_workers_must_be_positive():
+    with pytest.raises(MajlabError, match="workers must be positive, got 0"):
+        run_claim_suites(instances=1, workers=0)
 
 
 def test_unknown_suite_is_rejected():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import majlab.cli
 from majlab.claims import ALL_SUITES
 from majlab.cli import main
 from majlab.dynamics import OpinionVector, stabilise
+from majlab.errors import InvariantViolationError
 from majlab.probe import estimate_probability, fixed_point_q
 from majlab.stability import is_strongly_t_stable
 from majlab.trees import RootedTree, build_perfect_tree, load_tree, save_tree
@@ -327,6 +329,33 @@ def test_check_claims_needs_an_instance(instances, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check-claims", "--instances", "1"], ["mc-tau", "--k", "2", "--h", "2", "--trials", "3"]],
+)
+def test_workers_must_be_positive(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--workers", "0", "-o", str(out)]) == 1
+    assert capsys.readouterr() == ("", "ERROR: workers must be positive, got 0\n")
+    assert not out.exists()
+
+
+def test_an_error_in_a_claims_worker_is_one_error_line(monkeypatch, tmp_path, capsys):
+    def broken(instances, rng):
+        raise InvariantViolationError(f"raised in process {os.getpid()}")
+
+    monkeypatch.setitem(ALL_SUITES, "tau_within_budget", broken)
+    out = tmp_path / "claims.json"
+    argv = ["check-claims", "--suites", "fixed_point_bracket,tau_within_budget",
+            "--instances", "1", "--workers", "2", "-o", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("INVARIANT_VIOLATION: raised in process ")
+    assert line != f"INVARIANT_VIOLATION: raised in process {os.getpid()}"  # in a worker
+
+
 def test_domain_error_exits(tmp_path, tree_file, capsys):
     assert main(["simulate", "--tree", str(tmp_path / "missing.txt")]) == 1
     assert capsys.readouterr().err.startswith("IO_ERROR:")
@@ -504,6 +533,15 @@ GOLDEN = {
         ["mc-tau", "--k", "2", "--h", "5", "--trials", "70", "--seed", "2",
          "--workers", "3"],
         "9433763bd396dd442d1ffcb338f09074e4e598c31aed3a91c776c6193d8c66e4",
+    ),
+    # the digest of the run in one process, before suites ran in workers
+    "check-claims-workers-1": (
+        ["check-claims", "--instances", "130", "--seed", "3", "--workers", "1"],
+        "a765d248e505f672fe5a2f7aeaf63c95a664e748c8926c86ec51aba952c47ab0",
+    ),
+    "check-claims-workers-3": (
+        ["check-claims", "--instances", "130", "--seed", "3", "--workers", "3"],
+        "a765d248e505f672fe5a2f7aeaf63c95a664e748c8926c86ec51aba952c47ab0",
     ),
 }
 

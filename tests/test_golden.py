@@ -312,7 +312,8 @@ def one_step_late(run):
     return run._replace(tau=run.tau + 1, last_flip=np.where(last >= 0, last + 1, last))
 
 
-@pytest.mark.parametrize(
+# each breakage with the suites it fails, their first examples, and the digest
+BROKEN_ENGINES = pytest.mark.parametrize(
     "breakage,failing,digest",
     [
         (
@@ -341,6 +342,9 @@ def one_step_late(run):
     ],
     ids=["drop_history_row", "one_step_late"],  # a re-pin keeps the test's id
 )
+
+
+@BROKEN_ENGINES
 def test_claim_reports_under_a_broken_engine(monkeypatch, breakage, failing, digest):
     # the suites run every trajectory through one seam; break each run
     each = majlab.claims._stabilise_each
@@ -354,3 +358,11 @@ def test_claim_reports_under_a_broken_engine(monkeypatch, breakage, failing, dig
     assert caught == failing
     assert all(len(r.examples) == min(r.violations, 5) for r in reports)
     assert report_digest(reports) == digest
+
+
+@BROKEN_ENGINES
+def test_claim_reports_under_a_broken_engine_in_workers(monkeypatch, breakage, failing, digest):
+    # two forked workers run the engine that the parent patched, and send
+    # back the same reports, violation examples included
+    monkeypatch.setattr(majlab.claims, "_usable_cpus", lambda: 2)
+    test_claim_reports_under_a_broken_engine(monkeypatch, breakage, failing, digest)

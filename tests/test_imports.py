@@ -15,8 +15,8 @@ from majlab.cli import main
 SRC = str(Path(majlab.__file__).parents[1])
 
 # Runs one command in-process and prints, as the last line of stderr, the
-# majlab modules loaded by then, and numpy.ma if it is; stdout is left to
-# the command.
+# majlab modules loaded by then, and numpy.ma and the pool modules if they
+# are; stdout is left to the command.
 RUN_AND_LIST = """\
 import json, sys
 import majlab.cli
@@ -24,12 +24,14 @@ try:
     code = majlab.cli.main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-loaded = (m for m in sys.modules if m.startswith("majlab.") or m == "numpy.ma")
+listed = {"numpy.ma", "concurrent.futures", "multiprocessing"}
+loaded = (m for m in sys.modules if m.startswith("majlab.") or m in listed)
 print(json.dumps(sorted(loaded)), file=sys.stderr)
 sys.exit(code)
 """
 
 ENGINES = {"claims", "probe", "stability", "worstcase", "treegen", "bitsliced"}
+POOL = {"concurrent.futures", "multiprocessing"}
 
 
 def loaded_modules(argv, cwd) -> set[str]:
@@ -64,13 +66,13 @@ COMMANDS = pytest.mark.parametrize(
           "--trials", "200", "-o", "prob-mc.json"],
          {"claims", "worstcase", "treegen"}),
         (["mc-tau", "--k", "2", "--h", "3", "--trials", "4", "-o", "mc.json"],
-         {"claims", "worstcase", "treegen"}),
+         {"claims", "stability", "worstcase", "treegen"}),
         (["brute-force", "--tree", "tree.txt", "-o", "bf.json"],
          {"claims", "probe", "stability", "treegen"}),
         (["stability", "--tree", "tree.txt", "--kind", "strong", "--vertex", "1", "--t", "2",
           "-o", "stability.json"],
          {"claims", "probe", "worstcase", "treegen"}),
-        (["fixed-point", "-o", "fp.json"], {"claims", "worstcase", "treegen"}),
+        (["fixed-point", "-o", "fp.json"], {"claims", "stability", "worstcase", "treegen"}),
         (["check-claims", "--instances", "1", "-o", "claims.json"], set()),
     ],
     ids=["gen", "simulate", "worst-case", "prob-exact", "prob-mc", "mc-tau", "brute-force",
@@ -89,6 +91,22 @@ def test_a_command_loads_only_what_it_runs(argv, left_out, workdir):
 def test_no_command_loads_numpy_ma(argv, left_out, workdir):
     # numpy.ma takes about 10 ms to import; np.median and np.quantile load it
     assert "numpy.ma" not in loaded_modules(argv, workdir)
+
+
+@pytest.mark.parametrize(
+    "argv,pool",
+    [
+        (["check-claims", "--instances", "1", "--workers", "1", "-o", "claims-1.json"], False),
+        (["check-claims", "--instances", "1", "--suites", "tau_within_budget",
+          "-o", "claims-one.json"], False),
+        (["check-claims", "--instances", "1", "--workers", "2", "-o", "claims-2.json"], True),
+    ],
+    ids=["one-worker", "one-suite", "two-workers"],
+)
+def test_claims_load_the_pool_modules_only_to_fork(argv, pool, workdir):
+    # one worker, or one suite, runs in the CLI's own process
+    assert loaded_modules(argv, workdir) & POOL == (POOL if pool else set())
+    assert (workdir / argv[-1]).is_file()
 
 
 @pytest.mark.parametrize(

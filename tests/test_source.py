@@ -234,6 +234,12 @@ def test_runs_are_built_in_two_layouts():
     )
 
 
+def test_one_scope_forks_a_pool():
+    # mc-tau and check-claims fork their workers through one helper
+    found = _scopes(lambda node: "ProcessPoolExecutor" in _names(node))
+    assert set(found) == {"_fork_map"}, found
+
+
 def test_cli_writes_result_types_without_restating_them():
     # prob, stability and fixed-point write their result type's fields, so
     # no key that only a result type defines is spelled out in the CLI
