@@ -778,23 +778,17 @@ def run_claim_suites(
     names: list[str] | None = None,
     instances: int = 1000,
     seed: int = 0,
-    workers: int | None = None,
 ) -> list[ClaimReport]:
     """Run the selected suites with per-suite deterministic substreams.
 
     Substreams are keyed by the suite's registry position, so a suite's
     draws do not depend on which other suites run alongside it, nor on
-    which process runs it.  The suites run on ``workers`` forked
-    processes (default: the usable CPUs), at most one per suite; one
-    worker or one suite runs in this process.  The reports are the same
-    for every worker count.
+    which process runs it.  The suites run on forked processes, one per
+    usable CPU and at most one per suite; one usable CPU or one suite
+    runs in this process.  The reports are the same for every CPU count.
     """
     if instances < 1:
         raise MajlabError(f"instances must be positive, got {instances}")
-    if workers is None:
-        workers = _usable_cpus()
-    if workers < 1:
-        raise MajlabError(f"workers must be positive, got {workers}")
     selected = list(ALL_SUITES) if names is None else list(names)
     unknown = sorted(set(selected) - set(ALL_SUITES))
     if unknown:
@@ -802,7 +796,7 @@ def run_claim_suites(
             f"unknown suites: {', '.join(unknown)}; known suites: {', '.join(ALL_SUITES)}"
         )
     jobs = [(name, instances, seed) for name in selected]
-    processes = min(workers, len(jobs))
+    processes = min(_usable_cpus(), len(jobs))
     if processes <= 1:
         return [_run_suite(job) for job in jobs]
     return _fork_map(_run_suite, jobs, processes)

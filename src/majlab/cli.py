@@ -265,9 +265,7 @@ def cmd_check_claims(args) -> int:
         raise MajlabError(
             f"--suites entry {names.index('') + 1} of {args.suites!r} is empty"
         )
-    reports = run_claim_suites(
-        names=names, instances=args.instances, seed=seed, workers=args.workers
-    )
+    reports = run_claim_suites(names=names, instances=args.instances, seed=seed)
     for report in reports:
         print(report.summary_line())
     if args.output:
@@ -387,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suites", help="comma-separated suite names (default: all)")
     p.add_argument("--instances", type=int, default=1000)
     add_seed(p)
-    p.add_argument("--workers", type=int, help="worker processes (default: the usable CPUs)")
     add_output(p)
     p.set_defaults(handler=cmd_check_claims)
 

@@ -438,7 +438,9 @@ def fixed_point_q(
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):  # not on every platform
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -53,21 +53,28 @@ def test_single_suite_selection_and_determinism():
     )
 
 
+def on_cpus(monkeypatch, cpus):
+    """Make ``run_claim_suites`` see ``cpus`` usable CPUs."""
+    monkeypatch.setattr(claims, "_usable_cpus", lambda: cpus)
+
+
 @pytest.mark.parametrize("instances", [1, _CHUNK + 1])
 @pytest.mark.parametrize("seed", [3, 8])
-def test_reports_do_not_depend_on_the_worker_count(seed, instances):
-    alone = run_claim_suites(instances=instances, seed=seed, workers=1)
+def test_reports_do_not_depend_on_the_cpu_count(monkeypatch, seed, instances):
+    on_cpus(monkeypatch, 1)
+    alone = run_claim_suites(instances=instances, seed=seed)
     assert [r.name for r in alone] == list(ALL_SUITES)
-    for workers in (2, 3):
-        assert run_claim_suites(instances=instances, seed=seed, workers=workers) == alone
+    for cpus in (2, 3):
+        on_cpus(monkeypatch, cpus)
+        assert run_claim_suites(instances=instances, seed=seed) == alone
     # a selection comes back in the order it was asked for
     names = list(ALL_SUITES)[::-3]
-    picked = run_claim_suites(names, instances=instances, seed=seed, workers=2)
+    picked = run_claim_suites(names, instances=instances, seed=seed)
     assert picked == [alone[list(ALL_SUITES).index(name)] for name in names]
 
 
 @pytest.mark.parametrize(
-    "names,workers,processes",
+    "names,cpus,processes",
     [
         (None, 1, None),
         (None, 2, 2),
@@ -77,7 +84,7 @@ def test_reports_do_not_depend_on_the_worker_count(seed, instances):
         ([], 3, None),
     ],
 )
-def test_claims_fork_at_most_one_process_per_suite(monkeypatch, names, workers, processes):
+def test_claims_fork_at_most_one_process_per_suite(monkeypatch, names, cpus, processes):
     pools = []
 
     class InProcessPool:
@@ -94,14 +101,11 @@ def test_claims_fork_at_most_one_process_per_suite(monkeypatch, names, workers, 
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    reports = run_claim_suites(names, instances=2, seed=5, workers=workers)
+    on_cpus(monkeypatch, cpus)
+    reports = run_claim_suites(names, instances=2, seed=5)
     assert pools == ([] if processes is None else [processes])
-    assert reports == run_claim_suites(names, instances=2, seed=5, workers=1)
-
-
-def test_workers_must_be_positive():
-    with pytest.raises(MajlabError, match="workers must be positive, got 0"):
-        run_claim_suites(instances=1, workers=0)
+    on_cpus(monkeypatch, 1)
+    assert reports == run_claim_suites(names, instances=2, seed=5)
 
 
 def test_unknown_suite_is_rejected():

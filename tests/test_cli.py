@@ -329,13 +329,10 @@ def test_check_claims_needs_an_instance(instances, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["check-claims", "--instances", "1"], ["mc-tau", "--k", "2", "--h", "2", "--trials", "3"]],
-)
-def test_workers_must_be_positive(argv, tmp_path, capsys):
+def test_workers_must_be_positive(tmp_path, capsys):
     out = tmp_path / "out.json"
-    assert main([*argv, "--workers", "0", "-o", str(out)]) == 1
+    argv = ["mc-tau", "--k", "2", "--h", "2", "--trials", "3", "--workers", "0"]
+    assert main([*argv, "-o", str(out)]) == 1
     assert capsys.readouterr() == ("", "ERROR: workers must be positive, got 0\n")
     assert not out.exists()
 
@@ -345,9 +342,10 @@ def test_an_error_in_a_claims_worker_is_one_error_line(monkeypatch, tmp_path, ca
         raise InvariantViolationError(f"raised in process {os.getpid()}")
 
     monkeypatch.setitem(ALL_SUITES, "tau_within_budget", broken)
+    monkeypatch.setattr(majlab.claims, "_usable_cpus", lambda: 2)
     out = tmp_path / "claims.json"
     argv = ["check-claims", "--suites", "fixed_point_bracket,tau_within_budget",
-            "--instances", "1", "--workers", "2", "-o", str(out)]
+            "--instances", "1", "-o", str(out)]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
@@ -535,12 +533,8 @@ GOLDEN = {
         "9433763bd396dd442d1ffcb338f09074e4e598c31aed3a91c776c6193d8c66e4",
     ),
     # the digest of the run in one process, before suites ran in workers
-    "check-claims-workers-1": (
-        ["check-claims", "--instances", "130", "--seed", "3", "--workers", "1"],
-        "a765d248e505f672fe5a2f7aeaf63c95a664e748c8926c86ec51aba952c47ab0",
-    ),
-    "check-claims-workers-3": (
-        ["check-claims", "--instances", "130", "--seed", "3", "--workers", "3"],
+    "check-claims": (
+        ["check-claims", "--instances", "130", "--seed", "3"],
         "a765d248e505f672fe5a2f7aeaf63c95a664e748c8926c86ec51aba952c47ab0",
     ),
 }
@@ -560,6 +554,13 @@ def _pinned_digest(argv, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifact_matches_its_golden_digest(name, tmp_path, monkeypatch):
     argv, digest = GOLDEN[name]
+    assert _pinned_digest(argv, tmp_path, monkeypatch) == digest
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_check_claims_artifact_does_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypatch):
+    monkeypatch.setattr(majlab.claims, "_usable_cpus", lambda: cpus)
+    argv, digest = GOLDEN["check-claims"]
     assert _pinned_digest(argv, tmp_path, monkeypatch) == digest
 
 

@@ -34,12 +34,17 @@ ENGINES = {"claims", "probe", "stability", "worstcase", "treegen", "bitsliced"}
 POOL = {"concurrent.futures", "multiprocessing"}
 
 
-def loaded_modules(argv, cwd) -> set[str]:
+def one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def loaded_modules(argv, cwd, on_one_cpu=False) -> set[str]:
     env = {**os.environ, "PYTHONPATH": SRC}
     env.pop("MAJLAB_SEED", None)
     proc = subprocess.run(
         [sys.executable, "-c", RUN_AND_LIST, *argv],
         capture_output=True, text=True, cwd=cwd, env=env,
+        preexec_fn=one_cpu if on_one_cpu else None,
     )
     assert proc.returncode == 0, proc.stderr
     return {name.removeprefix("majlab.") for name in json.loads(proc.stderr.splitlines()[-1])}
@@ -93,19 +98,21 @@ def test_no_command_loads_numpy_ma(argv, left_out, workdir):
     assert "numpy.ma" not in loaded_modules(argv, workdir)
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="sets the CPU affinity")
 @pytest.mark.parametrize(
-    "argv,pool",
+    "argv,on_one_cpu,pool",
     [
-        (["check-claims", "--instances", "1", "--workers", "1", "-o", "claims-1.json"], False),
+        (["check-claims", "--instances", "1", "-o", "claims-1.json"], True, False),
         (["check-claims", "--instances", "1", "--suites", "tau_within_budget",
-          "-o", "claims-one.json"], False),
-        (["check-claims", "--instances", "1", "--workers", "2", "-o", "claims-2.json"], True),
+          "-o", "claims-one.json"], False, False),
+        (["check-claims", "--instances", "1", "-o", "claims-all.json"], False, True),
     ],
-    ids=["one-worker", "one-suite", "two-workers"],
+    ids=["one-cpu", "one-suite", "usable-cpus"],
 )
-def test_claims_load_the_pool_modules_only_to_fork(argv, pool, workdir):
-    # one worker, or one suite, runs in the CLI's own process
-    assert loaded_modules(argv, workdir) & POOL == (POOL if pool else set())
+def test_claims_load_the_pool_modules_only_to_fork(argv, on_one_cpu, pool, workdir):
+    # one usable CPU, or one suite, runs in the CLI's own process
+    forks = pool and len(os.sched_getaffinity(0)) > 1
+    assert loaded_modules(argv, workdir, on_one_cpu) & POOL == (POOL if forks else set())
     assert (workdir / argv[-1]).is_file()
 
 

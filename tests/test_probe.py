@@ -502,6 +502,13 @@ def test_cli_import_leaves_out_the_pool_modules():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_process_that_cannot_fork_uses_one_cpu(monkeypatch):
+    # check-claims then runs its suites in-process, as on Windows
+    assert probe._usable_cpus() >= 1
+    monkeypatch.delattr(os, "fork")
+    assert probe._usable_cpus() == 1
+
+
 def test_mc_tau_validation():
     with pytest.raises(MajlabError):
         mc_tau(2, 3, trials=0, seed=0)
