@@ -20,12 +20,13 @@ with the bit-sliced batch engine and count each verdict for all
 2^(m - cone) assignments of the other variables, returning dyadic
 fractions over 2^m; ``auto`` is exact when 2^cone fits the budget.
 Monte Carlo estimates pack sampled opinions into the same batches.
-Every sampled bit comes from one generator seeded with
-``SeedSequence(seed)``, variable row by variable row, and is read as the
-top bit of one byte of its uint64 stream, eight rows at a time, so no
-variables x trials byte matrix is held; blocks of rows outside the cone
-advance the stream without drawing it, and the draw stops after the
-cone's last row, so every estimate is that of the whole draw.
+Every sampled bit is the top bit of one byte of the uint64 stream of a
+generator seeded with ``SeedSequence(seed)``, variable row by variable
+row.  The trials run in spans of at most ``_MC_LANES``, each from a
+fresh generator that draws only its span's bytes of the cone's rows and
+skips the rest of the stream, and the span counts add up, so a probe
+holds O(cone x ``_MC_LANES``) bits whatever its trial count and every
+estimate is that of the whole draw.
 
 Universal predicates are evaluated through the two extreme extensions
 (see ``stability``), which decide (<= t)-stability outright and strong
@@ -48,7 +49,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -151,47 +151,68 @@ def _linear_quantile(ordered: list[int], q: float) -> float:
     return float(b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g)
 
 
-def _sampler(method: str, trials: int, seed: int) -> np.random.Generator | None:
-    """None for ``exact``; for ``mc`` the generator every draw comes from."""
+# Trials per span of a Monte Carlo batch: a probe holds its cone's columns
+# for one span at a time, so its memory does not grow with the trial count.
+_MC_LANES = 1 << 17
+
+
+def _spans(trials: int) -> list[tuple[int, int]]:
+    """Trials 0 to ``trials`` cut evenly into the fewest spans of at most
+    ``_MC_LANES``, as (start, stop) pairs."""
+    n = -(-trials // _MC_LANES)
+    return [(trials * i // n, trials * (i + 1) // n) for i in range(n)]
+
+
+def _sampler(method: str, trials: int, seed: int) -> np.random.SeedSequence | None:
+    """None for ``exact``; for ``mc`` the seed of every generator drawn from."""
     if method == "exact":
         return None
     if method != "mc":
         raise MajlabError(f"unknown method {method!r}")
     if trials < 1:
         raise MajlabError(f"trials must be positive, got {trials}")
-    return np.random.default_rng(np.random.SeedSequence(seed))
+    return np.random.SeedSequence(seed)
 
 
 def _pattern_cols(
-    m: int, rows: range | list[int], trials: int, rng: np.random.Generator | None
+    m: int,
+    rows: range | list[int],
+    trials: int,
+    rng: np.random.Generator | None,
+    lanes: tuple[int, int] | None = None,
 ) -> tuple[list[int], int]:
     """The columns of the opinion variables at positions ``rows`` (ascending)
     among m, and the batch width: every assignment of those variables once
-    without ``rng``, ``trials`` uniform draws of all m with it.
+    without ``rng``; with it, trials ``lanes`` = (a, b) of ``trials``
+    uniform draws of all m, every trial by default.
 
     The draws are those of ``rng.integers(0, 2, size=(m, trials),
-    dtype=np.uint8)``, row by row, without its m x trials byte matrix:
-    each of its bits is the top bit of one byte of the generator's uint64
-    stream, bytes read little-endian, so eight rows at a time come from
-    ``trials`` stream words.  A block of eight rows that holds none of
-    ``rows`` skips its words unread, a block that holds some is drawn
-    whole and only those rows are packed, and the draw stops after the
-    last block of ``rows``.
+    dtype=np.uint8)[:, a:b]``, row by row, without its m x trials byte
+    matrix: each of its bits is the top bit of one byte of the generator's
+    uint64 stream, bytes read little-endian, so row r's trials a to b are
+    bytes r·trials + a to r·trials + b of the stream.  Each row draws the
+    words that cover its bytes, the words up to the next row are skipped
+    unread, and the draw stops after the last row.  A row that begins in
+    the word the row before it ended in reuses that word, so the stream
+    never moves back.  ``rng`` is fresh, at the start of its stream.
     """
     if rng is None:
         return [tt_column(i, len(rows)) for i in range(len(rows))], 1 << len(rows)
-    draws, drawn = [], 0  # blocks of the stream passed so far
-    for block, group in groupby(rows, lambda r: r >> 3):
-        # every skipped block has eight rows: it ends before the last one
-        rng.bit_generator.advance((block - drawn) * trials)
-        first = 8 * block
-        size = min(8, m - first)
-        words = rng.integers(0, 2**64, size=-(-size * trials // 8), dtype=np.uint64)
+    a, b = lanes or (0, trials)
+    draws, passed, last = [], 0, None  # stream words passed, the last one drawn
+    for r in rows:
+        first, end = r * trials + a, r * trials + b  # the row's stream bytes
+        start, stop = first >> 3, -(-end // 8)  # the words that cover them
+        reused = start < passed  # the row begins in the last word drawn
+        if not reused:
+            rng.bit_generator.advance(start - passed)
+        words = rng.integers(0, 2**64, size=stop - start - reused, dtype=np.uint64)
+        if reused:
+            words = np.concatenate((last, words))
+        passed, last = stop, words[-1:]
         stream = words.astype("<u8", copy=False).view(np.uint8)
-        bits = (stream[: size * trials] >> 7).reshape(size, trials)
-        draws += pack_bit_rows([bits[r - first] for r in group])
-        drawn = block + 1
-    return draws, trials
+        draws += pack_bit_rows([stream[first - 8 * start : end - 8 * start] >> 7])
+    return draws, b - a
 
 
 def _estimate(
@@ -313,59 +334,74 @@ def _probability(
             f"exact evaluation needs 2^{len(cone)} patterns, over budget {budget}"
         )
     meta = {"target": target, "k": k, "height": height, "t": t}
-    rng = _sampler(method, trials, seed)
+    seq = _sampler(method, trials, seed)
     if target == "one_close":
-        count, width = _one_close_count(sub, trials, rng, budget)
+        count, width = _one_close_count(sub, trials, seq, budget)
         return _estimate(count, width, method, seed, **meta)
-    draws, width = _pattern_cols(m, rows, trials, rng)
-    cols = [0] * host.n
-    for u, col in zip(cone, draws):
-        cols[u] = col
-    del draws  # weak at t >= 1 replaces the subtree's columns: free them then
-    mask = (1 << width) - 1
-    if target == "weak":
-        if t:
-            _step_subtree(sub, cols, mask, t)
-        ok = _weak_ok_bits(sub, cols, mask)
-    elif target == "strong":
-        ok, pending = _strong_ok_bits(sub, cols, mask, t, budget)
-        if rng is not None:
-            meta["unresolved"] = pending.bit_count()
-    else:
-        ok = _le_t_ok_bits(sub, cols, mask, t)
-        if xi is not None:
-            ok &= cols[v] if xi > 0 else mask ^ cols[v]
-            meta["xi"] = xi
-    count = ok.bit_count()
-    if rng is None:
+    count = unresolved = 0
+    verdicts: dict[int, bool] = {}  # strong's enumerated patterns, over every span
+    for lanes in [None] if seq is None else _spans(trials):
+        # each span draws from the start of the seed's stream
+        rng = None if lanes is None else np.random.default_rng(seq)
+        draws, width = _pattern_cols(m, rows, trials, rng, lanes)
+        cols = [0] * host.n
+        for u, col in zip(cone, draws):
+            cols[u] = col
+        del draws  # weak at t >= 1 replaces the subtree's columns: free them then
+        mask = (1 << width) - 1
+        if target == "weak":
+            if t:
+                _step_subtree(sub, cols, mask, t)
+            ok = _weak_ok_bits(sub, cols, mask)
+        elif target == "strong":
+            ok, pending = _strong_ok_bits(sub, cols, mask, t, budget, verdicts)
+            unresolved += pending.bit_count()
+        else:
+            ok = _le_t_ok_bits(sub, cols, mask, t)
+            if xi is not None:
+                ok &= cols[v] if xi > 0 else mask ^ cols[v]
+        count += ok.bit_count()
+    if xi is not None:
+        meta["xi"] = xi
+    if seq is None:
         # each verdict stands for every assignment of the variables outside the cone
         if m > np.iinfo(np.intp).max:
             raise MemoryError(f"an exact count over 2^{m} assignments is too large to hold")
-        count, width = count << m - len(cone), 1 << m
-    return _estimate(count, width, method, seed, **meta)
+        return _estimate(count << m - len(cone), 1 << m, method, seed, **meta)
+    if target == "strong":
+        meta["unresolved"] = unresolved
+    return _estimate(count, trials, method, seed, **meta)
 
 
 def _one_close_count(
-    sub: _PinnedSubtree, trials: int, rng: np.random.Generator | None, budget: int
+    sub: _PinnedSubtree, trials: int, seq: np.random.SeedSequence | None, budget: int
 ) -> tuple[int, int]:
     """(1-close patterns, patterns drawn) at the subject of ``sub``: every
-    subtree pattern without ``rng``, ``trials`` uniform draws with it,
-    each distinct one decided once over all its extensions."""
+    subtree pattern without ``seq``, with it ``trials`` uniform draws from
+    one generator, a span of at most ``_MC_LANES`` at a time, each distinct
+    pattern decided once over all its extensions."""
     from .stability import _one_close_violations
 
     m = len(sub.ids)
-    if rng is None:
-        patterns = range(1 << m)
+    if seq is None:
+        spans = [range(1 << m)]
     else:
-        patterns = rng.integers(0, 1 << m, size=trials, dtype=np.uint64).tolist()
+        rng = np.random.default_rng(seq)
+        # the spans' draws continue one another: together they are one draw
+        spans = (
+            rng.integers(0, 1 << m, size=b - a, dtype=np.uint64).tolist()
+            for a, b in _spans(trials)
+        )
     ext = _Extensions(sub.tree, sub.ids, budget)
     verdicts: dict[int, bool] = {}
-    count = 0
-    for p in patterns:
-        if p not in verdicts:
-            verdicts[p] = not _one_close_violations(ext.run(p), sub)
-        count += verdicts[p]
-    return count, len(patterns)
+    count = drawn = 0
+    for patterns in spans:
+        for p in patterns:
+            if p not in verdicts:
+                verdicts[p] = not _one_close_violations(ext.run(p), sub)
+            count += verdicts[p]
+        drawn += len(patterns)
+    return count, drawn
 
 
 def le_t_positive_check(

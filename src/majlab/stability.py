@@ -288,7 +288,12 @@ def _extremes(
 
 
 def _strong_ok_bits(
-    sub: _PinnedSubtree, cols: list[int], mask: int, t: int, budget: int
+    sub: _PinnedSubtree,
+    cols: list[int],
+    mask: int,
+    t: int,
+    budget: int,
+    verdicts: dict[int, bool] | None = None,
 ) -> tuple[int, int]:
     """(stable bits, pending bits) for strong t-stability of each pattern
     at the subject of ``sub``, the subtree with its pinned parent.
@@ -298,20 +303,26 @@ def _strong_ok_bits(
     split by their subtree pattern, one subtree column at a time, and
     each pattern is re-decided once by enumerating its extensions, as
     ``is_strongly_t_stable`` does; they stay pending when 2^(outside)
-    exceeds the budget.
+    exceeds the budget.  ``verdicts`` maps each pattern enumerated so far
+    to its verdict, so calls that share it enumerate each pattern once.
     """
     low, high, pending = _extremes(sub, cols, mask, t)
     ok = mask & ~(low | high) & ~pending
     ids = sub.ids
     if not pending or 1 << (sub.tree.n - len(ids)) > budget:
         return ok, pending
-    ext = _Extensions(sub.tree, ids, budget)
+    ext = None
+    verdicts = {} if verdicts is None else verdicts
     # depth first, so only one group per subtree column is held at a time
     stack = [(pending, 0, 0)]  # (bits, their pattern on ids[:j], j)
     while stack:
         bits, key, j = stack.pop()
         if j == len(ids):
-            if not _late_flips(ext.run(key), ids[0], t):
+            if key not in verdicts:
+                if ext is None:
+                    ext = _Extensions(sub.tree, ids, budget)
+                verdicts[key] = not _late_flips(ext.run(key), ids[0], t)
+            if verdicts[key]:
                 ok |= bits
             continue
         on = bits & cols[ids[j]]

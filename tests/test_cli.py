@@ -495,6 +495,22 @@ GOLDEN = {
          "--method", "mc", "--xi", "-"],
         "6f6c288b20e8b965383714739545fdb5ba1ed7c5ce4bc0c56b7b11587ce17008",
     ),
+    # above one span's 2^17 trials: the digests of the draw before trials ran in spans
+    "prob-strong-mc-300k": (
+        ["prob", "--target", "strong", "--height", "4", "--t", "2", "--method", "mc",
+         "--trials", "300000", "--seed", "3"],
+        "0b6ac31a3db9f1dd99a299fa054fc86b97109880803f748a92cc8a849fe9a461",
+    ),
+    "prob-weak-mc-300k": (
+        ["prob", "--target", "weak", "--height", "5", "--t", "2", "--method", "mc",
+         "--trials", "300000", "--seed", "3"],
+        "3634c239c1807fc321add015fb6f01b5330b6968a974e8238a8f8041208d073a",
+    ),
+    "prob-le_t-k4-minus-mc-300k": (
+        ["prob", "--target", "le_t", "--k", "4", "--height", "3", "--t", "4",
+         "--method", "mc", "--trials", "300000", "--xi", "-"],
+        "ddb3fbb3450f406745e825d4ee3e3b7da36d66fab1785b6932fde323024dc4d2",
+    ),
     "prob-one_close": (
         ["prob", "--target", "one_close", "--height", "1"],
         "762f5ce56fa4ef12705d369f3cf781bfff65761fdb8e02330e56bf8ddb56e740",

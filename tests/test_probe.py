@@ -1,10 +1,12 @@
 """Probability estimation: frozen exact values, MC consistency, fixed point."""
 
 import concurrent.futures
+import dataclasses
 import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from majlab.probe import (
     mc_tau,
     trial_seed,
 )
-from majlab.bitsliced import BatchRun, adjacency_lists, pack_bit_rows, tt_column
+from majlab.bitsliced import BatchRun, _Extensions, adjacency_lists, pack_bit_rows, tt_column
 from majlab.stability import (
     EXTENSION_BUDGET,
     _PinnedSubtree,
@@ -116,6 +118,124 @@ def test_mc_pattern_columns_are_the_byte_matrix_draw(m, trials):
             draws, width = probe._pattern_cols(m, rows, trials, rng)
             assert width == trials
             assert draws == [want[r] for r in rows], list(rows)
+
+
+@pytest.mark.parametrize(
+    "m,trials",
+    [(1, 1), (3, 5), (7, 13), (9, 64), (11, 1001), (200, 999), (511, 2000)],
+)
+def test_mc_pattern_column_lanes_are_the_byte_matrix_columns(m, trials):
+    # spans that start and end off multiples of eight, single lanes at
+    # either end and inside, and every lane, over the row sets above
+    row_sets = (
+        range(m),
+        [r for r in range(m) if r // 8 % 3 == 1],
+        [r for r in range(m) if r % 19 in (0, 5, 6)],
+        range((m + 1) // 2),
+        [m - 1],
+    )
+    lanes = {(0, trials), (0, 1), (trials - 1, trials), (trials // 2, trials // 2 + 1),
+             (min(3, trials - 1), max(trials - 5, 4)), (trials // 3, 2 * trials // 3 + 1)}
+    lanes = sorted((a, b) for a, b in lanes if 0 <= a < b <= trials)
+    for seed in (0, 20261018):
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        want = pack_bit_rows(rng.integers(0, 2, size=(m, trials), dtype=np.uint8))
+        for rows, (a, b) in itertools.product(row_sets, lanes):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            draws, width = probe._pattern_cols(m, rows, trials, rng, (a, b))
+            assert width == b - a
+            assert draws == [want[r] >> a & (1 << b - a) - 1 for r in rows], (list(rows), a, b)
+
+
+def test_mc_spans_cut_the_trials_evenly(monkeypatch):
+    assert probe._spans(200_000) == [(0, 100_000), (100_000, 200_000)]
+    assert probe._spans(1) == [(0, 1)]
+    monkeypatch.setattr(probe, "_MC_LANES", 8)
+    for trials in (1, 8, 9, 13, 1001):
+        spans = probe._spans(trials)
+        assert [a for a, _ in spans[1:]] == [b for _, b in spans[:-1]]
+        assert spans[0][0] == 0 and spans[-1][1] == trials
+        widths = {b - a for a, b in spans}
+        assert max(widths) <= 8 and max(widths) - min(widths) <= 1
+        assert len(spans) == -(-trials // 8)
+
+
+SPAN_PROBES = [
+    ("strong", 2, 2, 2, None),  # pending patterns enumerated
+    ("strong", 3, 2, 2, None),  # pending patterns left unresolved
+    ("weak", 3, 0, 2, None),
+    ("weak", 3, 1, 2, None),
+    ("weak", 3, 3, 2, None),
+    ("le_t", 3, 2, 2, None),
+    ("le_t", 2, 4, 4, None),
+    ("le_t", 2, 2, 4, 1),
+    ("le_t", 3, 2, 2, -1),
+    ("one_close", 2, None, 2, None),
+]
+
+
+def _probe(target, height, t, k, xi, trials, seed):
+    if xi is not None:
+        return le_t_positive_check(k, t, xi, height=height, method="mc", trials=trials, seed=seed)
+    return estimate_probability(target, height, t, k=k, method="mc", trials=trials, seed=seed)
+
+
+@pytest.mark.parametrize("target,height,t,k,xi", SPAN_PROBES)
+def test_mc_estimates_do_not_depend_on_the_span(monkeypatch, target, height, t, k, xi):
+    for trials in (1, 13, 1001, 20_003):
+        want = dataclasses.asdict(_probe(target, height, t, k, xi, trials, 7))
+        for lanes in (8, 24, 1000):
+            monkeypatch.setattr(probe, "_MC_LANES", lanes)
+            got = dataclasses.asdict(_probe(target, height, t, k, xi, trials, 7))
+            assert got == want, (trials, lanes)
+        monkeypatch.undo()
+
+
+def test_strong_enumerates_each_pending_pattern_once_over_all_spans(monkeypatch):
+    runs, run = [], _Extensions.run
+
+    def counted(self, pattern):
+        runs.append(pattern)
+        return run(self, pattern)
+
+    monkeypatch.setattr(_Extensions, "run", counted)
+    one = estimate_probability("strong", 2, 2, method="mc", trials=20_003, seed=5)
+    once = list(runs)
+    assert once and len(set(once)) == len(once)
+    runs.clear()
+    monkeypatch.setattr(probe, "_MC_LANES", 64)
+    many = estimate_probability("strong", 2, 2, method="mc", trials=20_003, seed=5)
+    assert many == one
+    assert sorted(runs) == sorted(once)
+
+
+def test_one_close_span_draws_are_one_draw(monkeypatch):
+    # numpy does not document that bounded uint64 draws of consecutive
+    # sizes continue one another, below 2^32 too, where each value takes
+    # half a stream word; the 1-close probe draws its patterns so
+    for lanes in (1, 3, 8, 77):
+        monkeypatch.setattr(probe, "_MC_LANES", lanes)
+        spans = probe._spans(301)
+        for m, seed in itertools.product((1, 3, 7, 8, 15, 16, 31, 32, 33, 40, 63), range(50)):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            want = rng.integers(0, 1 << m, size=301, dtype=np.uint64)
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            got = [rng.integers(0, 1 << m, size=b - a, dtype=np.uint64) for a, b in spans]
+            assert np.array_equal(np.concatenate(got), want), (m, seed, lanes)
+
+
+def test_mc_peak_memory_does_not_grow_with_the_trials(monkeypatch):
+    # a probe holds one span of its cone's columns at a time
+    monkeypatch.setattr(probe, "_MC_LANES", 1 << 13, raising=False)
+    peaks = []
+    for trials in (1 << 13, 1 << 16):
+        tracemalloc.start()
+        try:
+            estimate_probability("strong", 8, 2, method="mc", trials=trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def host_wide_count(target, height, t, k, trials, seed):

@@ -234,6 +234,24 @@ def test_runs_are_built_in_two_layouts():
     )
 
 
+def test_stream_positions_are_reckoned_in_one_scope():
+    # the Monte Carlo probes read the generator's uint64 stream by position:
+    # only the pattern columns skip along it, and only they and the 1-close
+    # span draw take uint64 words from it
+    def advance(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).endswith("bit_generator.advance")
+
+    def uint64_draw(node):
+        return (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).endswith(".integers")
+            and any(ast.unparse(kw.value) == "np.uint64" for kw in node.keywords)
+        )
+
+    assert _scopes(advance) == ["_pattern_cols"]
+    assert sorted(_scopes(uint64_draw)) == ["_one_close_count", "_pattern_cols"]
+
+
 def test_one_scope_forks_a_pool():
     # mc-tau and check-claims fork their workers through one helper
     found = _scopes(lambda node: "ProcessPoolExecutor" in _names(node))
