@@ -120,13 +120,29 @@ def test_mc_pattern_columns_are_the_byte_matrix_draw(m, trials):
             assert draws == [want[r] for r in rows], list(rows)
 
 
+class _AdvanceLog:
+    """A generator that logs every ``bit_generator.advance`` delta: numpy
+    documents no negative one, so the stream must never step back."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.deltas = rng, self, []
+
+    def advance(self, delta):
+        self.deltas.append(delta)
+        self.rng.bit_generator.advance(delta)
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+
 @pytest.mark.parametrize(
     "m,trials",
     [(1, 1), (3, 5), (7, 13), (9, 64), (11, 1001), (200, 999), (511, 2000)],
 )
 def test_mc_pattern_column_lanes_are_the_byte_matrix_columns(m, trials):
-    # spans that start and end off multiples of eight, single lanes at
-    # either end and inside, and every lane, over the row sets above
+    # the whole-draw test's cases and row sets, cut to spans that start and
+    # end off multiples of eight, to single lanes at either end and inside,
+    # and to every lane
     row_sets = (
         range(m),
         [r for r in range(m) if r // 8 % 3 == 1],
@@ -141,8 +157,9 @@ def test_mc_pattern_column_lanes_are_the_byte_matrix_columns(m, trials):
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         want = pack_bit_rows(rng.integers(0, 2, size=(m, trials), dtype=np.uint8))
         for rows, (a, b) in itertools.product(row_sets, lanes):
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            rng = _AdvanceLog(np.random.default_rng(np.random.SeedSequence(seed)))
             draws, width = probe._pattern_cols(m, rows, trials, rng, (a, b))
+            assert min(rng.deltas, default=0) >= 0
             assert width == b - a
             assert draws == [want[r] >> a & (1 << b - a) - 1 for r in rows], (list(rows), a, b)
 
@@ -222,6 +239,14 @@ def test_one_close_span_draws_are_one_draw(monkeypatch):
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             got = [rng.integers(0, 1 << m, size=b - a, dtype=np.uint64) for a, b in spans]
             assert np.array_equal(np.concatenate(got), want), (m, seed, lanes)
+    # and the probe, in spans of 77, decides its patterns in the order of
+    # that one draw (at height 2 every pattern is 1-close, so the estimate
+    # cannot show it)
+    decided, run = [], _Extensions.run
+    monkeypatch.setattr(_Extensions, "run", lambda self, p: decided.append(p) or run(self, p))
+    estimate_probability("one_close", 2, method="mc", trials=301, seed=3)
+    want = np.random.default_rng(np.random.SeedSequence(3)).integers(0, 128, size=301, dtype=np.uint64)
+    assert decided == list(dict.fromkeys(want.tolist()))
 
 
 def test_mc_peak_memory_does_not_grow_with_the_trials(monkeypatch):
