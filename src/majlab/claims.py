@@ -783,9 +783,10 @@ def run_claim_suites(
 
     Substreams are keyed by the suite's registry position, so a suite's
     draws do not depend on which other suites run alongside it, nor on
-    which process runs it.  The suites run on forked processes, one per
-    usable CPU and at most one per suite; one usable CPU or one suite
-    runs in this process.  The reports are the same for every CPU count.
+    which process runs it.  The suites are dealt to one process per usable
+    CPU, at most one per suite, this one working the first share and the
+    others forked; one usable CPU or one suite runs in this process alone.
+    The reports are the same for every CPU count.
     """
     if instances < 1:
         raise MajlabError(f"instances must be positive, got {instances}")
@@ -795,8 +796,4 @@ def run_claim_suites(
         raise MajlabError(
             f"unknown suites: {', '.join(unknown)}; known suites: {', '.join(ALL_SUITES)}"
         )
-    jobs = [(name, instances, seed) for name in selected]
-    processes = min(_usable_cpus(), len(jobs))
-    if processes <= 1:
-        return [_run_suite(job) for job in jobs]
-    return _fork_map(_run_suite, jobs, processes)
+    return _fork_map(_run_suite, [(name, instances, seed) for name in selected], _usable_cpus())

@@ -26,7 +26,11 @@ row.  The trials run in spans of at most ``_MC_LANES``, each from a
 fresh generator that draws only its span's bytes of the cone's rows and
 skips the rest of the stream, and the span counts add up, so a probe
 holds O(cone x ``_MC_LANES``) bits whatever its trial count and every
-estimate is that of the whole draw.
+estimate is that of the whole draw.  The spans are dealt to one process
+per usable CPU, at most one per span, this one working the first share;
+strong's memo of enumerated patterns is each process's own.  Exact
+values, a single span and 1-closeness, whose spans continue one
+generator, run in this process.
 
 Universal predicates are evaluated through the two extreme extensions
 (see ``stability``), which decide (<= t)-stability outright and strong
@@ -41,13 +45,16 @@ for the probability that a vertex fails to be weakly stable, and
 perfect hosts with reproducible per-trial seeds on the word engine, up to
 64 trials to a word, each word W bits wide, the narrowest of 8, 16, 32 and
 64 that holds its trials.  ``_fork_map`` is the package's one process
-pool, which ``mc_tau`` and ``claims.run_claim_suites`` share.
+pool, on bare ``os.fork``, which the Monte Carlo probes, ``mc_tau`` and
+``claims.run_claim_suites`` share.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -338,9 +345,11 @@ def _probability(
     if target == "one_close":
         count, width = _one_close_count(sub, trials, seq, budget)
         return _estimate(count, width, method, seed, **meta)
-    count = unresolved = 0
-    verdicts: dict[int, bool] = {}  # strong's enumerated patterns, over every span
-    for lanes in [None] if seq is None else _spans(trials):
+    verdicts: dict[int, bool] = {}  # strong's enumerated patterns, over a process's spans
+
+    def span_counts(lanes: tuple[int, int] | None) -> tuple[int, int]:
+        """(count, unresolved) of the trials ``lanes``, of every pattern
+        without ``seq``."""
         # each span draws from the start of the seed's stream
         rng = None if lanes is None else np.random.default_rng(seq)
         draws, width = _pattern_cols(m, rows, trials, rng, lanes)
@@ -348,19 +357,23 @@ def _probability(
         for u, col in zip(cone, draws):
             cols[u] = col
         del draws  # weak at t >= 1 replaces the subtree's columns: free them then
-        mask = (1 << width) - 1
+        mask, pending = (1 << width) - 1, 0
         if target == "weak":
             if t:
                 _step_subtree(sub, cols, mask, t)
             ok = _weak_ok_bits(sub, cols, mask)
         elif target == "strong":
             ok, pending = _strong_ok_bits(sub, cols, mask, t, budget, verdicts)
-            unresolved += pending.bit_count()
         else:
             ok = _le_t_ok_bits(sub, cols, mask, t)
             if xi is not None:
                 ok &= cols[v] if xi > 0 else mask ^ cols[v]
-        count += ok.bit_count()
+        return ok.bit_count(), pending.bit_count()
+
+    # the spans are independent draws: they run on the usable CPUs
+    spans = [None] if seq is None else _spans(trials)
+    counts = _fork_map(span_counts, spans, _usable_cpus())
+    count, unresolved = map(sum, zip(*counts))
     if xi is not None:
         meta["xi"] = xi
     if seq is None:
@@ -483,18 +496,81 @@ def _usable_cpus() -> int:
 
 
 def _fork_map(fn: Callable, jobs: list, processes: int) -> list:
-    """``[fn(job) for job in jobs]``, run on a pool of ``processes`` forked
-    workers and returned in the order of ``jobs``.  A forked worker starts
-    with the parent's modules and their state, so only the jobs and the
-    results cross between processes, and ``fn`` is sent by name."""
-    # imported here: the pool modules cost every CLI process's start-up
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+    """``[fn(job) for job in jobs]`` on ``processes`` processes, at most one
+    per job: this one and forked children.  The jobs are dealt round-robin,
+    process i taking jobs i, i + processes, ..., and this process works the
+    first share; the results come back in the order of ``jobs``.  One
+    process forks nothing.
 
-    with ProcessPoolExecutor(
-        max_workers=processes, mp_context=get_context("fork")
-    ) as pool:
-        return list(pool.map(fn, jobs))
+    A child starts with the parent's modules and their state, ``fn`` and
+    its share included, so only its results cross, pickled, through a pipe
+    of its own.  It leaves by ``os._exit`` alone and so flushes none of the
+    parent's buffers.  An exception raised in a child is raised again here,
+    and a child that dies without sending its results is a ``MajlabError``
+    that names the signal or exit status.  Every child is reaped before
+    this returns or raises."""
+    processes = min(processes, len(jobs))
+    if processes <= 1:
+        return [fn(job) for job in jobs]
+    pids, reads = [], []  # the children, and the read ends of their pipes
+    try:
+        for i in range(1, processes):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work_share(fn, jobs[i::processes], write, reads)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        shares = [[fn(job) for job in jobs[::processes]]]
+        for read in reads:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()  # to the end of file, where the child has left
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if code < 0:
+                try:
+                    name = signal.Signals(-code).name
+                except ValueError:  # a real-time signal has no name
+                    name = f"signal {-code}"
+                raise MajlabError(f"a worker process was killed by {name}")
+            if code:
+                raise MajlabError(f"a worker process exited with status {code}")
+            done, result = pickle.loads(data)
+            if not done:
+                raise result
+            shares.append(result)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
+    results = [None] * len(jobs)
+    for i, share in enumerate(shares):
+        results[i::processes] = share
+    return results
+
+
+def _work_share(fn: Callable, share: list, write: int, reads: list[int]) -> None:
+    """In a forked child: send ``[fn(job) for job in share]``, or the
+    exception it raises, pickled through the pipe end ``write``, then leave
+    the process.  ``reads`` are the parent's ends of the children's pipes."""
+    status = 1
+    try:
+        for read in reads:
+            os.close(read)
+        try:
+            data = pickle.dumps((True, [fn(job) for job in share]), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _trial_sequence(seed: int, index: int) -> np.random.SeedSequence:
@@ -518,13 +594,6 @@ def _batch_taus(packed: PackedHost, seed: int, start: int, stop: int) -> list[in
     )
 
 
-def _job_taus(job: tuple[int, int, int, int, int]) -> list[int]:
-    """``_batch_taus`` of a ``(k, h, seed, start, stop)`` job, on a packed
-    host of its own: building one builds no tree."""
-    k, h, seed, start, stop = job
-    return _batch_taus(PackedHost(k, h), seed, start, stop)
-
-
 def mc_tau(
     k: int,
     h: int,
@@ -538,20 +607,20 @@ def mc_tau(
     ``seed`` with key ``(i,)``; results are therefore independent of the
     worker count and reproducible trial by trial.  Trials run 64 to a word
     on the word engine, a word of m trials on the narrowest W-bit words
-    with W >= m; ``workers`` processes, at most one per word of trials,
-    share the words.
+    with W >= m; ``workers`` processes, this one included and at most one
+    per word of trials, share the words.
     """
     if trials < 1:
         raise MajlabError(f"trials must be positive, got {trials}")
     if workers < 1:
         raise MajlabError(f"workers must be positive, got {workers}")
     packed = PackedHost(k, h)
-    jobs = [(k, h, seed, a, min(a + LANES, trials)) for a in range(0, trials, LANES)]
-    processes = min(workers, len(jobs))
-    if processes == 1:
+    jobs = [(a, min(a + LANES, trials)) for a in range(0, trials, LANES)]
+    if workers == 1:
         taus = _batch_taus(packed, seed, 0, trials)
     else:
-        taus = [t for part in _fork_map(_job_taus, jobs, processes) for t in part]
+        parts = _fork_map(lambda job: _batch_taus(packed, seed, *job), jobs, workers)
+        taus = [t for part in parts for t in part]
     return McSummary(
         k=k,
         h=h,

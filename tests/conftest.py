@@ -1,4 +1,7 @@
-"""Shared tree suites used by the unit and acceptance tests."""
+"""Shared tree suites used by the unit and acceptance tests, and a log of
+the processes that run a function."""
+
+import os
 
 import networkx as nx
 import numpy as np
@@ -33,3 +36,27 @@ def random_suite() -> list[RootedTree]:
     return [
         random_odd_tree(random_even_size(6, 20, rng), rng) for _ in range(200)
     ]
+
+
+class PidLog:
+    """The pids of the processes, forked children included, that call the
+    functions ``wrap`` returns: each call appends its pid to a file."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def wrap(self, fn):
+        def logged(*args, **kwargs):
+            with open(self.path, "a", encoding="ascii") as log:
+                log.write(f"{os.getpid()}\n")
+            return fn(*args, **kwargs)
+
+        return logged
+
+    def pids(self) -> set[int]:
+        return set(map(int, self.path.read_text().split())) if self.path.exists() else set()
+
+
+@pytest.fixture
+def pid_log(tmp_path) -> PidLog:
+    return PidLog(tmp_path / "pids.log")

@@ -2,7 +2,7 @@
 forest run that every sampled suite steps its instances through, and the
 weak verdicts decided from its history."""
 
-import concurrent.futures
+import os
 
 import numpy as np
 import pytest
@@ -84,26 +84,15 @@ def test_reports_do_not_depend_on_the_cpu_count(monkeypatch, seed, instances):
         ([], 3, None),
     ],
 )
-def test_claims_fork_at_most_one_process_per_suite(monkeypatch, names, cpus, processes):
-    pools = []
-
-    class InProcessPool:
-        def __init__(self, max_workers, mp_context):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+def test_claims_fork_at_most_one_process_per_suite(monkeypatch, pid_log, names, cpus, processes):
+    # the processes that run suites, this one included; None: this one alone
+    monkeypatch.setattr(claims, "_run_suite", pid_log.wrap(claims._run_suite))
     on_cpus(monkeypatch, cpus)
     reports = run_claim_suites(names, instances=2, seed=5)
-    assert pools == ([] if processes is None else [processes])
+    if processes is None:
+        assert pid_log.pids() == ({os.getpid()} if names != [] else set())
+    else:
+        assert len(pid_log.pids()) == processes and os.getpid() in pid_log.pids()
     on_cpus(monkeypatch, 1)
     assert reports == run_claim_suites(names, instances=2, seed=5)
 

@@ -354,6 +354,27 @@ def test_an_error_in_a_claims_worker_is_one_error_line(monkeypatch, tmp_path, ca
     assert line != f"INVARIANT_VIOLATION: raised in process {os.getpid()}"  # in a worker
 
 
+def test_an_error_in_a_prob_worker_is_one_error_line(monkeypatch, tmp_path, capsys):
+    parent, decide = os.getpid(), majlab.stability._le_t_ok_bits
+
+    def broken(*args):
+        if os.getpid() != parent:
+            raise InvariantViolationError(f"raised in process {os.getpid()}")
+        return decide(*args)
+
+    monkeypatch.setattr(majlab.stability, "_le_t_ok_bits", broken)
+    monkeypatch.setattr(majlab.probe, "_usable_cpus", lambda: 2)
+    out = tmp_path / "prob.json"
+    argv = ["prob", "--target", "le_t", "--height", "2", "--t", "2", "--method", "mc",
+            "--trials", "140000", "-o", str(out)]  # two spans of trials
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("INVARIANT_VIOLATION: raised in process ")
+    assert line != f"INVARIANT_VIOLATION: raised in process {parent}"  # in a worker
+
+
 def test_domain_error_exits(tmp_path, tree_file, capsys):
     assert main(["simulate", "--tree", str(tmp_path / "missing.txt")]) == 1
     assert capsys.readouterr().err.startswith("IO_ERROR:")
@@ -577,6 +598,17 @@ def test_artifact_matches_its_golden_digest(name, tmp_path, monkeypatch):
 def test_check_claims_artifact_does_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypatch):
     monkeypatch.setattr(majlab.claims, "_usable_cpus", lambda: cpus)
     argv, digest = GOLDEN["check-claims"]
+    assert _pinned_digest(argv, tmp_path, monkeypatch) == digest
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize(
+    "name", ["prob-strong-mc-300k", "prob-weak-mc-300k", "prob-le_t-k4-minus-mc-300k"]
+)
+def test_prob_mc_artifact_does_not_depend_on_the_cpu_count(name, cpus, tmp_path, monkeypatch):
+    # three spans of trials: in this process, or here and on two workers
+    monkeypatch.setattr(majlab.probe, "_usable_cpus", lambda: cpus)
+    argv, digest = GOLDEN[name]
     assert _pinned_digest(argv, tmp_path, monkeypatch) == digest
 
 

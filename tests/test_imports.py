@@ -15,8 +15,8 @@ from majlab.cli import main
 SRC = str(Path(majlab.__file__).parents[1])
 
 # Runs one command in-process and prints, as the last line of stderr, the
-# majlab modules loaded by then, and numpy.ma and the pool modules if they
-# are; stdout is left to the command.
+# majlab modules loaded by then, and numpy.ma and the pool modules, which
+# no command should load, if they are; stdout is left to the command.
 RUN_AND_LIST = """\
 import json, sys
 import majlab.cli
@@ -100,19 +100,26 @@ def test_no_command_loads_numpy_ma(argv, left_out, workdir):
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="sets the CPU affinity")
 @pytest.mark.parametrize(
-    "argv,on_one_cpu,pool",
+    "argv,on_one_cpu",
     [
-        (["check-claims", "--instances", "1", "-o", "claims-1.json"], True, False),
+        (["check-claims", "--instances", "1", "-o", "claims-1.json"], True),
         (["check-claims", "--instances", "1", "--suites", "tau_within_budget",
-          "-o", "claims-one.json"], False, False),
-        (["check-claims", "--instances", "1", "-o", "claims-all.json"], False, True),
+          "-o", "claims-one.json"], False),
+        (["check-claims", "--instances", "1", "-o", "claims-all.json"], False),
+        # two spans of trials
+        (["prob", "--target", "le_t", "--height", "2", "--t", "2", "--method", "mc",
+          "--trials", "140000", "-o", "prob-mc-1.json"], True),
+        (["prob", "--target", "le_t", "--height", "2", "--t", "2", "--method", "mc",
+          "--trials", "140000", "-o", "prob-mc-all.json"], False),
+        (["mc-tau", "--k", "2", "--h", "3", "--trials", "130", "--workers", "3",
+          "-o", "mc-workers.json"], False),
     ],
-    ids=["one-cpu", "one-suite", "usable-cpus"],
+    ids=["one-cpu", "one-suite", "usable-cpus", "prob-mc-one-cpu", "prob-mc-usable-cpus",
+         "mc-tau-workers"],
 )
-def test_claims_load_the_pool_modules_only_to_fork(argv, on_one_cpu, pool, workdir):
-    # one usable CPU, or one suite, runs in the CLI's own process
-    forks = pool and len(os.sched_getaffinity(0)) > 1
-    assert loaded_modules(argv, workdir, on_one_cpu) & POOL == (POOL if forks else set())
+def test_no_command_loads_the_pool_modules(argv, on_one_cpu, workdir):
+    # in its own process or on forked ones, a command forks bare processes
+    assert not loaded_modules(argv, workdir, on_one_cpu) & POOL
     assert (workdir / argv[-1]).is_file()
 
 

@@ -1,11 +1,13 @@
 """Probability estimation: frozen exact values, MC consistency, fixed point."""
 
-import concurrent.futures
+import contextlib
 import dataclasses
 import itertools
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -197,14 +199,22 @@ def _probe(target, height, t, k, xi, trials, seed):
     return estimate_probability(target, height, t, k=k, method="mc", trials=trials, seed=seed)
 
 
+def on_cpus(monkeypatch, cpus):
+    """Make the probes see ``cpus`` usable CPUs."""
+    monkeypatch.setattr(probe, "_usable_cpus", lambda: cpus)
+
+
 @pytest.mark.parametrize("target,height,t,k,xi", SPAN_PROBES)
 def test_mc_estimates_do_not_depend_on_the_span(monkeypatch, target, height, t, k, xi):
+    # nor on the processes that share the spans: one_close and a single
+    # span run in this process whatever the CPU count
     for trials in (1, 13, 1001, 20_003):
         want = dataclasses.asdict(_probe(target, height, t, k, xi, trials, 7))
-        for lanes in (8, 24, 1000):
+        for lanes, cpus in itertools.product((8, 24, 1000), (1, 2, 3)):
             monkeypatch.setattr(probe, "_MC_LANES", lanes)
+            on_cpus(monkeypatch, cpus)
             got = dataclasses.asdict(_probe(target, height, t, k, xi, trials, 7))
-            assert got == want, (trials, lanes)
+            assert got == want, (trials, lanes, cpus)
         monkeypatch.undo()
 
 
@@ -216,6 +226,7 @@ def test_strong_enumerates_each_pending_pattern_once_over_all_spans(monkeypatch)
         return run(self, pattern)
 
     monkeypatch.setattr(_Extensions, "run", counted)
+    on_cpus(monkeypatch, 1)  # every span in this process, where runs are logged
     one = estimate_probability("strong", 2, 2, method="mc", trials=20_003, seed=5)
     once = list(runs)
     assert once and len(set(once)) == len(once)
@@ -224,6 +235,12 @@ def test_strong_enumerates_each_pending_pattern_once_over_all_spans(monkeypatch)
     many = estimate_probability("strong", 2, 2, method="mc", trials=20_003, seed=5)
     assert many == one
     assert sorted(runs) == sorted(once)
+    # on two processes the memo is each process's own: this one enumerates
+    # a pattern of its spans once
+    runs.clear()
+    on_cpus(monkeypatch, 2)
+    assert estimate_probability("strong", 2, 2, method="mc", trials=20_003, seed=5) == one
+    assert runs and len(set(runs)) == len(runs) and set(runs) <= set(once)
 
 
 def test_one_close_span_draws_are_one_draw(monkeypatch):
@@ -244,23 +261,33 @@ def test_one_close_span_draws_are_one_draw(monkeypatch):
     # cannot show it)
     decided, run = [], _Extensions.run
     monkeypatch.setattr(_Extensions, "run", lambda self, p: decided.append(p) or run(self, p))
-    estimate_probability("one_close", 2, method="mc", trials=301, seed=3)
     want = np.random.default_rng(np.random.SeedSequence(3)).integers(0, 128, size=301, dtype=np.uint64)
-    assert decided == list(dict.fromkeys(want.tolist()))
+    # its spans continue one generator, so they run in this process even
+    # where more CPUs are usable
+    estimates = []
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        decided.clear()
+        estimates.append(estimate_probability("one_close", 2, method="mc", trials=301, seed=3))
+        assert decided == list(dict.fromkeys(want.tolist())), cpus
+    assert estimates[0] == estimates[1]
 
 
 def test_mc_peak_memory_does_not_grow_with_the_trials(monkeypatch):
     # a probe holds one span of its cone's columns at a time
     monkeypatch.setattr(probe, "_MC_LANES", 1 << 13, raising=False)
+    on_cpus(monkeypatch, 1)  # tracemalloc sees this process alone
     peaks = []
     for trials in (1 << 13, 1 << 16):
         tracemalloc.start()
         try:
-            estimate_probability("strong", 8, 2, method="mc", trials=trials, seed=1)
+            est = estimate_probability("strong", 8, 2, method="mc", trials=trials, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+    on_cpus(monkeypatch, 2)
+    assert estimate_probability("strong", 8, 2, method="mc", trials=1 << 16, seed=1) == est
 
 
 def host_wide_count(target, height, t, k, trials, seed):
@@ -613,31 +640,22 @@ def test_mc_tau_builds_no_tree(monkeypatch):
     "trials,workers,processes",
     [(10, 4, None), (64, 3, None), (65, 3, 2), (130, 2, 2), (200, 8, 4), (130, 1, None)],
 )
-def test_mc_tau_forks_at_most_one_process_per_word(monkeypatch, trials, workers, processes):
-    pools = []
-
-    class InProcessPool:
-        def __init__(self, max_workers, mp_context):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+def test_mc_tau_forks_at_most_one_process_per_word(
+    monkeypatch, pid_log, trials, workers, processes
+):
+    # the processes that run trials, this one included; None: this one alone
+    monkeypatch.setattr(probe, "_batch_taus", pid_log.wrap(probe._batch_taus))
     summary = mc_tau(2, 3, trials=trials, seed=5, workers=workers)
-    assert pools == ([] if processes is None else [processes])
+    assert len(pid_log.pids()) == (processes or 1) and os.getpid() in pid_log.pids()
+    monkeypatch.undo()
     assert summary.taus == mc_tau(2, 3, trials=trials, seed=5).taus
 
 
 def test_cli_import_leaves_out_the_pool_modules():
+    # the one pool forks bare processes, so no majlab module loads either
+    # pool module, whose import would cost a command 16-29 ms
     code = (
-        "import sys, majlab.cli; "
+        "import sys, majlab.cli, majlab.claims, majlab.probe, majlab.stability; "
         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(probe.__file__).parents[1])}
@@ -648,10 +666,139 @@ def test_cli_import_leaves_out_the_pool_modules():
 
 
 def test_a_process_that_cannot_fork_uses_one_cpu(monkeypatch):
-    # check-claims then runs its suites in-process, as on Windows
+    # check-claims then runs its suites, and prob its spans, in-process, as
+    # on Windows
     assert probe._usable_cpus() >= 1
     monkeypatch.delattr(os, "fork")
     assert probe._usable_cpus() == 1
+
+
+@contextlib.contextmanager
+def leaves_no_child_or_fd():
+    """Checks that the body, a ``probe._fork_map`` call, leaves no child
+    process and no file descriptor behind."""
+    fds = sorted(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def job_and_pid(job):
+    return job, os.getpid()
+
+
+pool_semantics = pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
+    reason="forks, and lists /proc/self/fd",
+)
+
+
+@pool_semantics
+@pytest.mark.parametrize("processes", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 12])
+def test_fork_map_returns_the_results_in_job_order(processes, count):
+    jobs = [f"job {i}" for i in range(count)]
+    with leaves_no_child_or_fd():
+        out = probe._fork_map(job_and_pid, jobs, processes)
+    assert [job for job, _ in out] == jobs
+    # dealt round-robin to one process per job at most, this one first
+    pids = [pid for _, pid in out]
+    used = min(processes, count)
+    assert len(set(pids)) == used
+    assert pids == [pids[i % used] for i in range(count)]
+    assert pids[:1] in ([], [os.getpid()])
+
+
+def fail_in_a_child(error):
+    parent = os.getpid()
+
+    def fn(job):
+        if os.getpid() != parent and job == 3:
+            raise error(f"job {job} failed in process {os.getpid()}")
+        return job
+
+    return fn
+
+
+@pool_semantics
+@pytest.mark.parametrize("error", [BudgetExceededError, ValueError, MemoryError])
+@pytest.mark.parametrize("processes", [2, 4])
+def test_an_exception_in_a_fork_map_child_is_raised_again(error, processes):
+    with leaves_no_child_or_fd(), pytest.raises(error) as raised:
+        probe._fork_map(fail_in_a_child(error), list(range(8)), processes)
+    assert type(raised.value) is error
+    message = str(raised.value)
+    assert message.startswith("job 3 failed in process ")
+    assert message != f"job 3 failed in process {os.getpid()}"
+
+
+@pool_semantics
+@pytest.mark.parametrize("how", ["SIGKILL", "SIGTERM", "exit"])
+def test_a_fork_map_child_that_dies_is_an_error(how):
+    parent = os.getpid()
+
+    def fn(job):
+        if os.getpid() != parent:
+            if how == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), getattr(signal, how))
+        return job
+
+    want = "exited with status 3" if how == "exit" else f"killed by {how}"
+    with leaves_no_child_or_fd(), pytest.raises(MajlabError, match=want):
+        probe._fork_map(fn, list(range(4)), 2)
+
+
+@pool_semantics
+def test_a_fork_map_parent_that_fails_stops_its_children():
+    # the children would sleep for minutes: they are killed and reaped
+    parent = os.getpid()
+
+    def fn(job):
+        if os.getpid() == parent:
+            raise BadTimeError("the parent's share failed")
+        time.sleep(300)
+
+    start = time.perf_counter()
+    with leaves_no_child_or_fd(), pytest.raises(BadTimeError, match="the parent's share failed"):
+        probe._fork_map(fn, list(range(6)), 3)
+    assert time.perf_counter() - start < 60
+
+
+FLUSH_ONCE = """\
+import atexit, sys
+from majlab.probe import _fork_map
+atexit.register(lambda: print("at exit"))
+print("before the pool", end=" ")  # held in the buffer of a piped stdout
+try:
+    print(_fork_map({job}, range(5), 3), end=" ")
+except ValueError as exc:
+    print("raised", exc, end=" ")
+print("after the pool")
+"""
+
+
+@pool_semantics
+@pytest.mark.parametrize(
+    "job,out",
+    [
+        ("lambda job: job * job", "before the pool [0, 1, 4, 9, 16] after the pool\nat exit\n"),
+        ("lambda job: int('x') if job == 2 else job",
+         "before the pool raised invalid literal for int() with base 10: 'x' after the pool\n"
+         "at exit\n"),
+    ],
+    ids=["results", "error"],
+)
+def test_fork_map_children_flush_nothing_of_the_parent(job, out):
+    # a child leaves by os._exit alone: no stdout buffer flushed twice, no
+    # exit handler run
+    env = {**os.environ, "PYTHONPATH": str(Path(probe.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", FLUSH_ONCE.format(job=job)],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert (proc.stdout, proc.stderr) == (out, "")
 
 
 def test_mc_tau_validation():

@@ -253,9 +253,20 @@ def test_stream_positions_are_reckoned_in_one_scope():
 
 
 def test_one_scope_forks_a_pool():
-    # mc-tau and check-claims fork their workers through one helper
-    found = _scopes(lambda node: "ProcessPoolExecutor" in _names(node))
-    assert set(found) == {"_fork_map"}, found
+    # check-claims, mc-tau and prob fork their workers through one helper,
+    # on bare os.fork: no module names a pool module
+    def fork(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "fork"
+
+    def imports_a_pool_module(node):
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").split(".")[0] in {"concurrent", "multiprocessing"}
+        return isinstance(node, ast.alias) and node.name.split(".")[0] in {
+            "concurrent", "multiprocessing"
+        }
+
+    assert _scopes(fork) == ["_fork_map"]
+    assert not _scopes(imports_a_pool_module)
 
 
 def test_cli_writes_result_types_without_restating_them():
