@@ -14,8 +14,8 @@ tallied into a ``ClaimReport``: the satisfied count, so a healthy run is
 visibly non-vacuous, and the strings of the first few violations.
 Exhaustive or analytic suites ignore the sampling budget and feed the
 same tally from a fixed sequence of outcomes.  Each suite draws from a
-substream of its own, so the selected suites run on forked workers, one
-suite a task, and report the same for any worker count.
+substream of its own, so the suites are ``probe._fork_map`` jobs and
+report the same for any process count.
 
 ``STRUCTURAL_SUITES`` hold conditional facts about the dynamics itself:
 the switch rule for balky vertices, flip deadlines for active ones, and
@@ -38,7 +38,7 @@ import numpy as np
 from .bitsliced import BatchRun, _Extensions, pack_bit_rows
 from .dynamics import OpinionVector, _step_signs, stabilise, step_budget
 from .errors import MajlabError
-from .probe import _fork_map, _pattern_cols, _recursion_map, _usable_cpus, fixed_point_q
+from .probe import _fork_map, _pattern_cols, _recursion_map, fixed_point_q
 from .stability import (
     EXTENSION_BUDGET,
     _PinnedSubtree,
@@ -783,10 +783,7 @@ def run_claim_suites(
 
     Substreams are keyed by the suite's registry position, so a suite's
     draws do not depend on which other suites run alongside it, nor on
-    which process runs it.  The suites are dealt to one process per usable
-    CPU, at most one per suite, this one working the first share and the
-    others forked; one usable CPU or one suite runs in this process alone.
-    The reports are the same for every CPU count.
+    which process runs it: each suite is one ``probe._fork_map`` job.
     """
     if instances < 1:
         raise MajlabError(f"instances must be positive, got {instances}")
@@ -796,4 +793,4 @@ def run_claim_suites(
         raise MajlabError(
             f"unknown suites: {', '.join(unknown)}; known suites: {', '.join(ALL_SUITES)}"
         )
-    return _fork_map(_run_suite, [(name, instances, seed) for name in selected], _usable_cpus())
+    return _fork_map(_run_suite, [(name, instances, seed) for name in selected])

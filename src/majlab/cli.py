@@ -27,6 +27,11 @@ import os
 import sys
 from pathlib import Path
 
+# majlab calls no BLAS: numpy's would start a thread pool that every forked
+# pool worker inherits
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import __version__

@@ -26,11 +26,9 @@ row.  The trials run in spans of at most ``_MC_LANES``, each from a
 fresh generator that draws only its span's bytes of the cone's rows and
 skips the rest of the stream, and the span counts add up, so a probe
 holds O(cone x ``_MC_LANES``) bits whatever its trial count and every
-estimate is that of the whole draw.  The spans are dealt to one process
-per usable CPU, at most one per span, this one working the first share;
-strong's memo of enumerated patterns is each process's own.  Exact
-values, a single span and 1-closeness, whose spans continue one
-generator, run in this process.
+estimate is that of the whole draw.  The spans are ``_fork_map`` jobs;
+strong's memo of enumerated patterns is each process's own.  1-closeness,
+whose spans continue one generator, runs in this process.
 
 Universal predicates are evaluated through the two extreme extensions
 (see ``stability``), which decide (<= t)-stability outright and strong
@@ -45,8 +43,7 @@ for the probability that a vertex fails to be weakly stable, and
 perfect hosts with reproducible per-trial seeds on the word engine, up to
 64 trials to a word, each word W bits wide, the narrowest of 8, 16, 32 and
 64 that holds its trials.  ``_fork_map`` is the package's one process
-pool, on bare ``os.fork``, which the Monte Carlo probes, ``mc_tau`` and
-``claims.run_claim_suites`` share.
+pool, and alone sizes it.
 """
 
 from __future__ import annotations
@@ -116,7 +113,6 @@ class McSummary:
     budget: int
     trials: int
     seed: int
-    workers: int
     taus: list[int] = field(repr=False)
     trial_seeds: list[int] = field(repr=False)
 
@@ -370,9 +366,8 @@ def _probability(
                 ok &= cols[v] if xi > 0 else mask ^ cols[v]
         return ok.bit_count(), pending.bit_count()
 
-    # the spans are independent draws: they run on the usable CPUs
-    spans = [None] if seq is None else _spans(trials)
-    counts = _fork_map(span_counts, spans, _usable_cpus())
+    # the spans are independent draws
+    counts = _fork_map(span_counts, [None] if seq is None else _spans(trials))
     count, unresolved = map(sum, zip(*counts))
     if xi is not None:
         meta["xi"] = xi
@@ -495,12 +490,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_map(fn: Callable, jobs: list, processes: int) -> list:
-    """``[fn(job) for job in jobs]`` on ``processes`` processes, at most one
-    per job: this one and forked children.  The jobs are dealt round-robin,
-    process i taking jobs i, i + processes, ..., and this process works the
-    first share; the results come back in the order of ``jobs``.  One
-    process forks nothing.
+def _fork_map(fn: Callable, jobs: list) -> list:
+    """``[fn(job) for job in jobs]`` on p = min(usable CPUs, jobs) processes:
+    this one and forked children.  This is the one place that sizes the
+    pool.  The jobs are dealt round-robin, process i taking jobs i, i + p,
+    ..., and this process works the first share; the results come back in
+    the order of ``jobs``.  One process forks nothing.
 
     A child starts with the parent's modules and their state, ``fn`` and
     its share included, so only its results cross, pickled, through a pipe
@@ -509,7 +504,7 @@ def _fork_map(fn: Callable, jobs: list, processes: int) -> list:
     and a child that dies without sending its results is a ``MajlabError``
     that names the signal or exit status.  Every child is reaped before
     this returns or raises."""
-    processes = min(processes, len(jobs))
+    processes = min(_usable_cpus(), len(jobs))
     if processes <= 1:
         return [fn(job) for job in jobs]
     pids, reads = [], []  # the children, and the read ends of their pipes
@@ -607,20 +602,19 @@ def mc_tau(
     ``seed`` with key ``(i,)``; results are therefore independent of the
     worker count and reproducible trial by trial.  Trials run 64 to a word
     on the word engine, a word of m trials on the narrowest W-bit words
-    with W >= m; ``workers`` processes, this one included and at most one
-    per word of trials, share the words.
+    with W >= m.  The words are cut into at most ``workers`` runs of
+    whole words, each one ``_fork_map`` job.
     """
     if trials < 1:
         raise MajlabError(f"trials must be positive, got {trials}")
     if workers < 1:
         raise MajlabError(f"workers must be positive, got {workers}")
     packed = PackedHost(k, h)
-    jobs = [(a, min(a + LANES, trials)) for a in range(0, trials, LANES)]
-    if workers == 1:
-        taus = _batch_taus(packed, seed, 0, trials)
-    else:
-        parts = _fork_map(lambda job: _batch_taus(packed, seed, *job), jobs, workers)
-        taus = [t for part in parts for t in part]
+    words = -(-trials // LANES)
+    shares = min(workers, words)
+    cuts = [min(words * i // shares * LANES, trials) for i in range(shares + 1)]
+    parts = _fork_map(lambda job: _batch_taus(packed, seed, *job), list(zip(cuts, cuts[1:])))
+    taus = [t for part in parts for t in part]
     return McSummary(
         k=k,
         h=h,
@@ -629,7 +623,6 @@ def mc_tau(
         budget=packed.budget,
         trials=trials,
         seed=seed,
-        workers=workers,
         taus=taus,
         trial_seeds=[trial_seed(seed, i) for i in range(trials)],
     )

@@ -238,8 +238,8 @@ def worst_case_tau(tree: RootedTree) -> WorstCaseReport:
         raise TooSmallError(
             f"worst-case analysis needs at least 5 vertices, got {tree.n}"
         )
-    # one pendant count serves the classes, the scores and the end's touch;
-    # the witness check below classifies the tree again, independently
+    # one pendant count serves the classes, the scores and the end's touch,
+    # and one classification the scores and the witness's path check
     counts = pendant_neighbour_counts(tree)
     codes = _classes(tree, counts)
     active = codes == _ACTIVE
@@ -258,11 +258,13 @@ def worst_case_tau(tree: RootedTree) -> WorstCaseReport:
             f"path of {len(vertices)} vertices does not score {tau}"
         )
     argmax = CandidatePath(tuple(vertices), tau, touches)
-    witness = _witness(tree, vertices, par)
+    witness = _witness(tree, vertices, par, codes)
     return WorstCaseReport(tau, argmax, witness, _active_bounds(tree, active, par, act))
 
 
-def _validate_candidate_path(tree: RootedTree, path: list[int], par: list[int]) -> None:
+def _validate_candidate_path(
+    tree: RootedTree, path: list[int], par: list[int], codes: np.ndarray
+) -> None:
     if len(path) == 0:
         raise BadPathError("candidate path is empty")
     if len(set(path)) != len(path):
@@ -273,7 +275,6 @@ def _validate_candidate_path(tree: RootedTree, path: list[int], par: list[int]) 
     for a, b in zip(path, path[1:]):
         if par[a] != b and par[b] != a:  # a tree's edges join children to parents
             raise BadPathError(f"vertices {a} and {b} are not adjacent")
-    codes = classify_all(tree)
     for v in path[:-1]:
         if codes[v] != _ACTIVE:
             raise BadPathError(f"interior path vertex {v} is not active")
@@ -289,13 +290,15 @@ def worst_case_witness(tree: RootedTree, path: list[int]) -> OpinionVector:
     recipe hands exactly half of its non-path subtrees a negative block,
     so the lone positive parent edge decides, one step too late.
     """
-    return _witness(tree, path, tree.parent.tolist())
+    return _witness(tree, path, tree.parent.tolist(), classify_all(tree))
 
 
-def _witness(tree: RootedTree, path: list[int], par: list[int]) -> OpinionVector:
+def _witness(
+    tree: RootedTree, path: list[int], par: list[int], codes: np.ndarray
+) -> OpinionVector:
     """``worst_case_witness`` given ``tree.parent`` as a list, which it
-    leaves unchanged."""
-    _validate_candidate_path(tree, path, par)
+    leaves unchanged, and the ``classify_all`` codes."""
+    _validate_candidate_path(tree, path, par, codes)
     # rooted at the path's end: only the end-to-root chain changes parents
     parent = par[:]
     chain = [path[-1]]

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from majlab import claims
+from majlab import claims, probe
 from majlab.claims import (
     ALL_SUITES,
     STRUCTURAL_SUITES,
@@ -55,7 +55,7 @@ def test_single_suite_selection_and_determinism():
 
 def on_cpus(monkeypatch, cpus):
     """Make ``run_claim_suites`` see ``cpus`` usable CPUs."""
-    monkeypatch.setattr(claims, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(probe, "_usable_cpus", lambda: cpus)
 
 
 @pytest.mark.parametrize("instances", [1, _CHUNK + 1])

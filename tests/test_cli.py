@@ -342,7 +342,7 @@ def test_an_error_in_a_claims_worker_is_one_error_line(monkeypatch, tmp_path, ca
         raise InvariantViolationError(f"raised in process {os.getpid()}")
 
     monkeypatch.setitem(ALL_SUITES, "tau_within_budget", broken)
-    monkeypatch.setattr(majlab.claims, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(majlab.probe, "_usable_cpus", lambda: 2)
     out = tmp_path / "claims.json"
     argv = ["check-claims", "--suites", "fixed_point_bracket,tau_within_budget",
             "--instances", "1", "-o", str(out)]
@@ -596,7 +596,7 @@ def test_artifact_matches_its_golden_digest(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_check_claims_artifact_does_not_depend_on_the_cpu_count(cpus, tmp_path, monkeypatch):
-    monkeypatch.setattr(majlab.claims, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(majlab.probe, "_usable_cpus", lambda: cpus)
     argv, digest = GOLDEN["check-claims"]
     assert _pinned_digest(argv, tmp_path, monkeypatch) == digest
 

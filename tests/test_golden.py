@@ -11,12 +11,14 @@ worst-case report on perfect and random hosts.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 import majlab.claims
 from majlab.claims import run_claim_suites
+from majlab.cli import main
 from majlab.dynamics import OpinionVector
 from majlab.probe import estimate_probability, le_t_positive_check, mc_tau
 from majlab.stability import (
@@ -364,5 +366,23 @@ def test_claim_reports_under_a_broken_engine(monkeypatch, breakage, failing, dig
 def test_claim_reports_under_a_broken_engine_in_workers(monkeypatch, breakage, failing, digest):
     # two forked workers run the engine that the parent patched, and send
     # back the same reports, violation examples included
-    monkeypatch.setattr(majlab.claims, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(majlab.probe, "_usable_cpus", lambda: 2)
     test_claim_reports_under_a_broken_engine(monkeypatch, breakage, failing, digest)
+
+
+def test_check_claims_under_a_broken_engine_exits_1(monkeypatch, tmp_path, capsys):
+    # a summary line per suite on stdout, the artifact, and one
+    # CLAIM_VIOLATION line on stderr
+    each = majlab.claims._stabilise_each
+    monkeypatch.setattr(
+        majlab.claims, "_stabilise_each",
+        lambda hosts, xi0s: [one_step_late(run) for run in each(hosts, xi0s)],
+    )
+    out = tmp_path / "claims.json"
+    argv = ["check-claims", "--suites", "fixed_point_bracket,active_deadline",
+            "--instances", "200", "--seed", "5", "-o", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert [line.split()[1] for line in captured.out.splitlines()] == ["pass", "FAIL"]
+    assert captured.err == "CLAIM_VIOLATION: 1 suite(s) reported violations\n"
+    assert [r["passed"] for r in json.loads(out.read_text())["result"]] == [True, False]

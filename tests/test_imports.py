@@ -157,3 +157,17 @@ def test_public_names_are_the_defining_modules_objects():
     with pytest.raises(AttributeError, match="no_such_name"):
         majlab.no_such_name
     assert not hasattr(majlab, "no_such_name")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists /proc/self/task")
+def test_cli_import_starts_no_thread():
+    # majlab calls no BLAS, so the CLI keeps numpy's from starting a thread
+    # pool, and the pool's workers fork from a process of one thread
+    blas = {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    env = {name: value for name, value in os.environ.items() if name not in blas}
+    env["PYTHONPATH"] = SRC
+    code = "import os, majlab.cli; print(len(os.listdir('/proc/self/task')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout == "1\n"

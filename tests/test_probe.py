@@ -21,6 +21,7 @@ from majlab.dynamics import OpinionVector, stabilise, step_budget
 from majlab.errors import (
     BadHostError,
     BadTimeError,
+    BadVertexError,
     BudgetExceededError,
     MajlabError,
 )
@@ -516,6 +517,13 @@ def test_estimate_validation_errors():
         estimate_probability("strong", 2, 0, k=4)
     with pytest.raises(BudgetExceededError):
         estimate_probability("strong", 4, 0, method="exact")
+    with pytest.raises(BadVertexError, match="non-leaf subject") as raised:
+        estimate_probability("one_close", 0)
+    assert raised.value.code == "BAD_VERTEX"
+    with pytest.raises(BadVertexError, match="non-negative, got -1"):
+        estimate_probability("weak", -1, 0)
+    with pytest.raises(MajlabError, match="xi must be"):
+        le_t_positive_check(2, 2, 0)
     # a leaf subject (height 0) is a well-posed question: it copies its
     # parent, the root, whose three leaf neighbours all copy the root and
     # so re-vote the root's earlier opinion, so the leaf is strongly
@@ -599,7 +607,7 @@ def test_mc_tau_stats_are_numpys_median_and_quantiles():
         high = int(rng.choice([1, 2, 5, 40, 10**6]))  # small highs give ties
         taus = [int(v) for v in rng.integers(0, high, n, endpoint=True)]
         diameter = int(rng.integers(1, 61))
-        summary = probe.McSummary(2, 3, 22, diameter, 9, n, 0, 1, taus, list(range(n)))
+        summary = probe.McSummary(2, 3, 22, diameter, 9, n, 0, taus, list(range(n)))
         stats = summary.stats()
         assert stats["median"] == float(np.median(taus))
         assert stats["ratio_median"] == float(np.median(np.array(taus) / diameter))
@@ -644,6 +652,7 @@ def test_mc_tau_forks_at_most_one_process_per_word(
     monkeypatch, pid_log, trials, workers, processes
 ):
     # the processes that run trials, this one included; None: this one alone
+    monkeypatch.setattr(probe, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(probe, "_batch_taus", pid_log.wrap(probe._batch_taus))
     summary = mc_tau(2, 3, trials=trials, seed=5, workers=workers)
     assert len(pid_log.pids()) == (processes or 1) and os.getpid() in pid_log.pids()
@@ -695,16 +704,17 @@ pool_semantics = pytest.mark.skipif(
 
 
 @pool_semantics
-@pytest.mark.parametrize("processes", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 12])
-def test_fork_map_returns_the_results_in_job_order(processes, count):
+def test_fork_map_returns_the_results_in_job_order(monkeypatch, cpus, count):
+    monkeypatch.setattr(probe, "_usable_cpus", lambda: cpus)
     jobs = [f"job {i}" for i in range(count)]
     with leaves_no_child_or_fd():
-        out = probe._fork_map(job_and_pid, jobs, processes)
+        out = probe._fork_map(job_and_pid, jobs)
     assert [job for job, _ in out] == jobs
     # dealt round-robin to one process per job at most, this one first
     pids = [pid for _, pid in out]
-    used = min(processes, count)
+    used = min(cpus, count)
     assert len(set(pids)) == used
     assert pids == [pids[i % used] for i in range(count)]
     assert pids[:1] in ([], [os.getpid()])
@@ -723,10 +733,11 @@ def fail_in_a_child(error):
 
 @pool_semantics
 @pytest.mark.parametrize("error", [BudgetExceededError, ValueError, MemoryError])
-@pytest.mark.parametrize("processes", [2, 4])
-def test_an_exception_in_a_fork_map_child_is_raised_again(error, processes):
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_an_exception_in_a_fork_map_child_is_raised_again(monkeypatch, error, cpus):
+    monkeypatch.setattr(probe, "_usable_cpus", lambda: cpus)
     with leaves_no_child_or_fd(), pytest.raises(error) as raised:
-        probe._fork_map(fail_in_a_child(error), list(range(8)), processes)
+        probe._fork_map(fail_in_a_child(error), list(range(8)))
     assert type(raised.value) is error
     message = str(raised.value)
     assert message.startswith("job 3 failed in process ")
@@ -735,7 +746,8 @@ def test_an_exception_in_a_fork_map_child_is_raised_again(error, processes):
 
 @pool_semantics
 @pytest.mark.parametrize("how", ["SIGKILL", "SIGTERM", "exit"])
-def test_a_fork_map_child_that_dies_is_an_error(how):
+def test_a_fork_map_child_that_dies_is_an_error(monkeypatch, how):
+    monkeypatch.setattr(probe, "_usable_cpus", lambda: 2)
     parent = os.getpid()
 
     def fn(job):
@@ -747,12 +759,13 @@ def test_a_fork_map_child_that_dies_is_an_error(how):
 
     want = "exited with status 3" if how == "exit" else f"killed by {how}"
     with leaves_no_child_or_fd(), pytest.raises(MajlabError, match=want):
-        probe._fork_map(fn, list(range(4)), 2)
+        probe._fork_map(fn, list(range(4)))
 
 
 @pool_semantics
-def test_a_fork_map_parent_that_fails_stops_its_children():
+def test_a_fork_map_parent_that_fails_stops_its_children(monkeypatch):
     # the children would sleep for minutes: they are killed and reaped
+    monkeypatch.setattr(probe, "_usable_cpus", lambda: 3)
     parent = os.getpid()
 
     def fn(job):
@@ -762,17 +775,18 @@ def test_a_fork_map_parent_that_fails_stops_its_children():
 
     start = time.perf_counter()
     with leaves_no_child_or_fd(), pytest.raises(BadTimeError, match="the parent's share failed"):
-        probe._fork_map(fn, list(range(6)), 3)
+        probe._fork_map(fn, list(range(6)))
     assert time.perf_counter() - start < 60
 
 
 FLUSH_ONCE = """\
 import atexit, sys
-from majlab.probe import _fork_map
+from majlab import probe
+probe._usable_cpus = lambda: 3
 atexit.register(lambda: print("at exit"))
 print("before the pool", end=" ")  # held in the buffer of a piped stdout
 try:
-    print(_fork_map({job}, range(5), 3), end=" ")
+    print(probe._fork_map({job}, range(5)), end=" ")
 except ValueError as exc:
     print("raised", exc, end=" ")
 print("after the pool")

@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import majlab
@@ -267,6 +268,20 @@ def test_one_scope_forks_a_pool():
 
     assert _scopes(fork) == ["_fork_map"]
     assert not _scopes(imports_a_pool_module)
+
+
+def test_one_scope_sizes_the_pool():
+    # every pooled command hands _fork_map its jobs alone, and it alone
+    # reads the usable CPUs
+    def reads_cpus(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "_usable_cpus"
+
+    def pooled(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "_fork_map"
+
+    assert _scopes(reads_cpus) == ["_fork_map"]
+    assert sorted(_scopes(pooled)) == ["_probability", "mc_tau", "run_claim_suites"]
+    assert list(inspect.signature(majlab.probe._fork_map).parameters) == ["fn", "jobs"]
 
 
 def test_cli_writes_result_types_without_restating_them():

@@ -287,6 +287,8 @@ def test_vertex_and_time_preconditions():
         is_weakly_t_stable(HOST, xi0, 1, -1)
     with pytest.raises(BadTimeError):
         is_le_t_stable(HOST, xi0, 1, 1)
+    with pytest.raises(BadTimeError, match="even t, got 3"):
+        le_t_stable_extreme_runs(HOST, xi0, 1, 3)
 
 
 @pytest.mark.parametrize(

@@ -384,9 +384,9 @@ def test_brute_force_budget():
         brute_force_tau(STAR6, budget=4)
 
 
-def test_worst_case_tau_counts_pendant_neighbours_twice(monkeypatch):
-    # once for its classes, scores and end, and once in the witness check,
-    # which classifies the tree on its own as an independent check
+def test_worst_case_tau_counts_pendant_neighbours_once(monkeypatch):
+    # once for its classes, scores and end, and the witness check reads the
+    # same classes; worst_case_witness classifies a caller's path itself
     calls = []
 
     def counted(host):
@@ -400,7 +400,9 @@ def test_worst_case_tau_counts_pendant_neighbours_twice(monkeypatch):
         random_odd_tree(random_even_size(6, 20, rng), rng) for _ in range(20)
     ]:
         calls.clear()
-        worst_case_tau(tree)
+        report = worst_case_tau(tree)
+        assert calls == [tree.n]
+        assert worst_case_witness(tree, list(report.argmax.vertices)) == report.witness
         assert calls == [tree.n, tree.n]
 
 
