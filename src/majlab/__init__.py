@@ -36,12 +36,11 @@ _EXPORTS = {
     ),
     "probe": (
         "FixedPointResult", "McSummary", "ProbEstimate", "estimate_probability",
-        "fixed_point_q", "le_t_positive_check", "mc_tau", "trial_seed",
+        "fixed_point_q", "mc_tau", "trial_seed",
     ),
     "stability": (
         "StabilityVerdict", "is_le_t_stable", "is_one_close_to_stability",
-        "is_strongly_t_stable", "is_weakly_t_stable", "le_t_stable_extreme_runs",
-        "strong_t_stable_extreme_runs",
+        "is_strongly_t_stable", "is_weakly_t_stable",
     ),
     "treegen": ("random_even_size", "random_odd_tree"),
     "trees": (

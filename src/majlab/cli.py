@@ -199,7 +199,7 @@ def cmd_stability(args) -> int:
 
 def cmd_prob(args) -> int:
     from .bitsliced import EXTENSION_BUDGET
-    from .probe import _probability
+    from .probe import estimate_probability
 
     if args.budget is None:
         args.budget = EXTENSION_BUDGET
@@ -207,9 +207,9 @@ def cmd_prob(args) -> int:
     if args.xi is not None and args.target != "le_t":
         raise MajlabError("--xi applies only to --target le_t")
     xi = None if args.xi is None else 1 if args.xi == "+" else -1
-    est = _probability(
-        args.target, args.height, args.t, args.k, args.method, args.trials, seed,
-        args.budget, xi,
+    est = estimate_probability(
+        args.target, args.height, args.t, k=args.k, method=args.method,
+        trials=args.trials, seed=seed, budget=args.budget, xi=xi,
     )
     cfg = _config(args, ("target", "height", "t", "k", "method", "trials", "budget", "xi"))
     cfg["seed"] = seed

@@ -237,7 +237,7 @@ def is_t_stable(host, xi0: OpinionVector, v: int, t: int) -> bool:
     """True iff xi_s(v) = xi_{s+2}(v) for every s >= t with s = t (mod 2)."""
     if not (0 <= v < host.n):
         raise BadVertexError(f"vertex {v} out of range for n={host.n}")
-    if t < 0:
+    if t is None or t < 0:
         raise BadTimeError(f"t must be >= 0, got {t}")
     return stabilise(host, xi0).is_vertex_t_stable(v, t)
 

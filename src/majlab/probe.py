@@ -260,30 +260,17 @@ def estimate_probability(
     trials: int = 100_000,
     seed: int = 0,
     budget: int = EXTENSION_BUDGET,
+    xi: int | None = None,
 ) -> ProbEstimate:
     """Probability that the subject vertex satisfies a stability predicate.
 
     The opinion on the subject's subtree is uniform; for weak stability
     at t >= 1 the rest of the host is uniform as well.  ``method`` is
     ``"exact"``, ``"mc"``, or ``"auto"`` (exact when the enumeration
-    fits the budget).
+    fits the budget).  A ``xi`` of +1 or -1 (le_t only) further asks for
+    the subject's time-0 opinion to equal it: on the stable event that is
+    its time-t opinion too.
     """
-    return _probability(target, height, t, k, method, trials, seed, budget, None)
-
-
-def _probability(
-    target: str,
-    height: int,
-    t: int | None,
-    k: int,
-    method: str,
-    trials: int,
-    seed: int,
-    budget: int,
-    xi: int | None,
-) -> ProbEstimate:
-    """``estimate_probability``; a ``xi`` of +1 or -1 (le_t only) further
-    asks for the subject's time-0 opinion to equal it."""
     # imported here: mc-tau and fixed-point run no predicate
     from .stability import (
         _PinnedSubtree,
@@ -295,6 +282,10 @@ def _probability(
 
     if target not in TARGETS:
         raise MajlabError(f"unknown target {target!r}")
+    if xi is not None and target != "le_t":
+        raise MajlabError(f"xi applies only to target 'le_t', got {target!r}")
+    if xi not in (None, -1, 1):
+        raise MajlabError(f"xi must be +1 or -1, got {xi}")
     t = _validate_t(target, t)
     if target != "le_t" and k != 2:
         raise BadHostError(f"target {target!r} is defined on binary hosts, got k={k}")
@@ -410,27 +401,6 @@ def _one_close_count(
             count += verdicts[p]
         drawn += len(patterns)
     return count, drawn
-
-
-def le_t_positive_check(
-    k: int,
-    t: int,
-    xi: int,
-    *,
-    height: int = 2,
-    method: str = "auto",
-    trials: int = 100_000,
-    seed: int = 0,
-    budget: int = EXTENSION_BUDGET,
-) -> ProbEstimate:
-    """P[subject is (<= t)-stable with time-t opinion ``xi``] (even t).
-
-    On the stable event the time-t opinion equals the time-0 one, so the
-    joint event is decided from the subtree pattern alone.
-    """
-    if xi not in (-1, 1):
-        raise MajlabError(f"xi must be +1 or -1, got {xi}")
-    return _probability("le_t", height, t, k, method, trials, seed, budget, xi)
 
 
 def _recursion_map(x: float) -> float:

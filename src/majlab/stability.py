@@ -17,12 +17,13 @@ canonical extension that pads everything outside the subtree with the
 vertex's own time-t opinion.  The universal predicates lean on
 monotonicity of the dynamics: the all-negative and all-positive
 extensions bound every other one pointwise at every time, which decides
-(<= t)-stability outright and strong t-stability in all but one case —
+(<= t)-stability at even t and strong t-stability in all but one case —
 extremes that are both t-stable but settle the vertex at opposite
-parity-t opinions pin nothing in between, and only then does the
+parity-t opinions pin nothing in between, and only then does the strong
 decision fall back to enumerating all extensions, the lanes of one
-bit-sliced run laid out once per subject (``bitsliced._Extensions``),
-subject to a budget.
+bit-sliced run laid out once per subject (``bitsliced._Extensions``).
+The (<= t) decider enumerates whenever the extensions fit the budget and
+reads the extremes past it.  The budget caps the enumeration alone.
 
 Each predicate has one implementation: the private layer below decides
 it for a batch of patterns on ``BatchRun``, one bit per pattern, for the
@@ -92,7 +93,7 @@ def _check_query(
         # 3 & ~2 is the one nonzero entry when every other vertex has 0 or 2
         if kids[tree.root] != 3 or np.count_nonzero(kids & ~2) != 1:
             raise BadHostError("host must be a binary tree whose root has three children")
-    if least is not None and t < least:
+    if least is not None and (t is None or t < least):
         raise BadTimeError(f"t must be >= {least}, got {t}")
     _check_length(tree, xi0)
 
@@ -390,13 +391,30 @@ def is_le_t_stable(
     budget: int = EXTENSION_BUDGET,
 ) -> StabilityVerdict:
     """Decide (<= t)-stability: every extension keeps the opinion of ``v``
-    constant over times of t's parity up to and including t."""
+    constant over times of t's parity up to and including t.
+
+    All extensions are enumerated when they fit the budget.  Past it, at
+    even t, the two extreme extensions decide (see ``_le_t_ok_bits``), run
+    on the depth-t cone; a counterexample is the subtree's opinions with
+    the constant of a changing extreme outside.  The budget applies to the
+    enumeration alone, as for ``is_strongly_t_stable``.
+    """
     _check_query(tree, xi0, v, t, leaf=True, binary=False, least=2)
+    base = xi0.to_signs()
     ids = _walk(tree, v, int(tree.parent[v]))[0]
-    ext = _Extensions(tree, ids, budget)
-    pattern = pack_bit_rows([xi0.to_signs()[ids] > 0])[0]
-    changed = _changed_by(ext.run(pattern), v, t)
-    return _verdict(ext, "le_t", t, changed, pattern, ext.width)
+    if t & 1 or 1 << (tree.n - len(ids)) <= budget:
+        ext = _Extensions(tree, ids, budget)
+        pattern = pack_bit_rows([base[ids] > 0])[0]
+        changed = _changed_by(ext.run(pattern), v, t)
+        return _verdict(ext, "le_t", t, changed, pattern, ext.width)
+    cone, cols = _PinnedSubtree(tree, v, depth=t), _columns(base)
+    low, high = (_changed_by(cone.run(cols, 1, fill), 0, t) for fill in (0, 1))
+    cert = None
+    if low or high:
+        cert = np.full(tree.n, -1 if low else 1, dtype=np.int8)
+        cert[ids] = base[ids]
+        cert = OpinionVector(cert)
+    return StabilityVerdict("le_t", v, t, not (low or high), "extremes", cert, 2)
 
 
 def is_one_close_to_stability(
@@ -418,35 +436,3 @@ def is_one_close_to_stability(
     pattern = pack_bit_rows([xi0.to_signs()[sub.ids] > 0])[0]
     violations = _one_close_violations(ext.run(pattern), sub)
     return _verdict(ext, "one_close", None, violations, pattern, ext.width)
-
-
-def strong_t_stable_extreme_runs(
-    tree: RootedTree, xi0: OpinionVector, v: int, t: int
-) -> bool | None:
-    """Strong t-stability from the two extreme extensions alone.
-
-    Returns False when an extreme flips ``v`` after ``t`` at t's parity
-    (the extreme is itself a counterexample), True when both extremes hold
-    ``v`` t-stable and settle it at the same parity-t opinion (every other
-    extension is pinned in between), and None when the extremes settle at
-    opposite opinions, which they alone cannot decide.
-    """
-    _check_query(tree, xi0, v, t, leaf=False, binary=True, least=0)
-    sub = _PinnedSubtree(tree, v)
-    low, high, pending = _extremes(sub, _columns(xi0.to_signs()), 1, t)
-    return None if pending else not (low | high)
-
-
-def le_t_stable_extreme_runs(
-    tree: RootedTree, xi0: OpinionVector, v: int, t: int
-) -> bool:
-    """(<= t)-stability decided from the two extreme extensions (even t).
-
-    For even t the time-0 opinion of ``v`` is shared by all extensions,
-    so constancy of both extreme trajectories pins every other one.
-    """
-    _check_query(tree, xi0, v, t, leaf=True, binary=False, least=2)
-    if t & 1:
-        raise BadTimeError(f"extreme-run (<=t)-stability needs an even t, got {t}")
-    sub = _PinnedSubtree(tree, v, depth=t)
-    return _le_t_ok_bits(sub, _columns(xi0.to_signs()), 1, t) == 1

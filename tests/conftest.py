@@ -3,6 +3,11 @@ the processes that run a function."""
 
 import os
 
+# as the CLI does: numpy's BLAS would start a thread pool in this process,
+# and the pool tests would fork from a threaded one
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import networkx as nx
 import numpy as np
 import pytest

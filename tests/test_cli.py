@@ -166,6 +166,20 @@ def test_stability_cli(tmp_path):
                  "--vertex", "1"]) == 1
 
 
+def test_stability_past_the_budget_reads_the_extremes(tmp_path, capsys):
+    # the 2^127 extensions of vertex 1 are far over budget, and both
+    # universal deciders cap their enumeration alone
+    path = tmp_path / "h6.txt"
+    assert main(["gen", "--k", "2", "--h", "6", "-o", str(path)]) == 0
+    argv = ["stability", "--tree", str(path), "--vertex", "1"]
+    for kind in ("strong", "le_t"):
+        result = run_json([*argv, "--kind", kind, "--t", "2"], tmp_path)["result"]
+        assert (result["method"], result["checked"]) == ("extremes", 2)
+    # the extremes decide (<= t)-stability at even t alone
+    assert main([*argv, "--kind", "le_t", "--t", "3"]) == 1
+    assert capsys.readouterr().err.startswith("BUDGET_EXCEEDED: 2^127 extensions")
+
+
 def test_stability_error_codes_on_stderr(tmp_path, capsys):
     path = tmp_path / "host.txt"
     save_tree(RootedTree.from_edges(HOST_EDGES), path)

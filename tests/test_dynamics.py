@@ -58,6 +58,13 @@ def test_opinion_vector_basics():
         xi.n = 5
     with pytest.raises(OpinionFormatError):
         OpinionVector.from_string("+0-")
+    for v in (-1, 3):
+        with pytest.raises(BadVertexError, match=f"vertex {v} out of range") as raised:
+            xi.sign(v)
+        assert raised.value.code == "BAD_VERTEX"
+    assert repr(xi) == "OpinionVector('+-+')"
+    # another type is not equal, by the reflected comparison
+    assert (xi == 3) is False and xi != 3
 
 
 def test_opinion_array_operations_at_scale():
@@ -202,6 +209,8 @@ def test_is_t_stable_rejects_bad_vertices_and_times():
         is_t_stable(STAR, xi0, 4, 0)
     with pytest.raises(BadTimeError, match="^t must be >= 0, got -1$"):
         is_t_stable(STAR, xi0, 0, -1)
+    with pytest.raises(BadTimeError, match="^t must be >= 0, got None$"):
+        is_t_stable(STAR, xi0, 0, None)
 
 
 def test_stabilise_history_is_opt_in_and_starts_at_xi0():

@@ -20,7 +20,7 @@ import majlab.claims
 from majlab.claims import run_claim_suites
 from majlab.cli import main
 from majlab.dynamics import OpinionVector
-from majlab.probe import estimate_probability, le_t_positive_check, mc_tau
+from majlab.probe import estimate_probability, mc_tau
 from majlab.stability import (
     is_le_t_stable,
     is_one_close_to_stability,
@@ -86,7 +86,7 @@ def test_mc_counts_at_trials_off_the_byte_grid(
 
 
 def test_le_t_positive_count_at_trials_off_the_byte_grid():
-    est = le_t_positive_check(2, 4, -1, method="mc", trials=999, seed=3)
+    est = estimate_probability("le_t", 2, 4, xi=-1, method="mc", trials=999, seed=3)
     assert (est.xi, est.count, est.trials) == (-1, 280, 999)
 
 
@@ -100,7 +100,7 @@ def test_le_t_positive_count_at_trials_off_the_byte_grid():
     ],
 )
 def test_le_t_positive_counts(xi, method, count, denominator):
-    est = le_t_positive_check(2, 4, xi, method=method, trials=2000, seed=3)
+    est = estimate_probability("le_t", 2, 4, xi=xi, method=method, trials=2000, seed=3)
     assert (est.xi, est.method, est.count) == (xi, method, count)
     assert (est.denominator or est.trials) == denominator
 

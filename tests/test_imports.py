@@ -171,3 +171,10 @@ def test_cli_import_starts_no_thread():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout == "1\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads Linux's /proc")
+def test_the_tests_run_in_a_one_thread_process():
+    # the pool tests fork from this process, as commands fork from a
+    # process of one thread
+    assert len(os.listdir("/proc/self/task")) == 1

@@ -28,7 +28,6 @@ from majlab.errors import (
 from majlab.probe import (
     estimate_probability,
     fixed_point_q,
-    le_t_positive_check,
     mc_tau,
     trial_seed,
 )
@@ -195,9 +194,9 @@ SPAN_PROBES = [
 
 
 def _probe(target, height, t, k, xi, trials, seed):
-    if xi is not None:
-        return le_t_positive_check(k, t, xi, height=height, method="mc", trials=trials, seed=seed)
-    return estimate_probability(target, height, t, k=k, method="mc", trials=trials, seed=seed)
+    return estimate_probability(
+        target, height, t, k=k, method="mc", trials=trials, seed=seed, xi=xi
+    )
 
 
 def on_cpus(monkeypatch, cpus):
@@ -426,14 +425,9 @@ def test_le_t_probes_build_only_the_levels_their_cone_reads(monkeypatch, k, heig
             for (trials, seed), xi in itertools.product(runs, (None, 1, -1)):
                 built.clear()
                 method = "mc" if trials else "exact"
-                if xi is None:
-                    est = estimate_probability(
-                        "le_t", height, t, k=k, method=method, trials=trials or 1, seed=seed
-                    )
-                else:
-                    est = le_t_positive_check(
-                        k, t, xi, height=height, method=method, trials=trials or 1, seed=seed
-                    )
+                est = estimate_probability(
+                    "le_t", height, t, k=k, method=method, trials=trials or 1, seed=seed, xi=xi
+                )
                 got = (est.count, est.trials if trials else est.denominator)
                 assert got == full_height_le_t_count(height, t, k, trials, seed, xi)
                 assert built == [min(height, t + 1) + 1], (height, t)
@@ -462,8 +456,8 @@ def test_mc_strong_reports_unresolved_patterns():
 
 def test_le_t_positive_split_is_symmetric():
     whole = estimate_probability("le_t", 2, 2)
-    pos = le_t_positive_check(2, 2, 1)
-    neg = le_t_positive_check(2, 2, -1)
+    pos = estimate_probability("le_t", 2, 2, xi=1)
+    neg = estimate_probability("le_t", 2, 2, xi=-1)
     assert pos.xi == 1 and neg.xi == -1
     assert pos.method == neg.method == "exact"
     assert pos.count == neg.count
@@ -523,7 +517,9 @@ def test_estimate_validation_errors():
     with pytest.raises(BadVertexError, match="non-negative, got -1"):
         estimate_probability("weak", -1, 0)
     with pytest.raises(MajlabError, match="xi must be"):
-        le_t_positive_check(2, 2, 0)
+        estimate_probability("le_t", 2, 2, xi=0)
+    with pytest.raises(MajlabError, match="xi applies only to target 'le_t'"):
+        estimate_probability("strong", 2, 2, xi=1)
     # a leaf subject (height 0) is a well-posed question: it copies its
     # parent, the root, whose three leaf neighbours all copy the root and
     # so re-vote the root's earlier opinion, so the leaf is strongly
@@ -679,6 +675,15 @@ def test_a_process_that_cannot_fork_uses_one_cpu(monkeypatch):
     # on Windows
     assert probe._usable_cpus() >= 1
     monkeypatch.delattr(os, "fork")
+    assert probe._usable_cpus() == 1
+
+
+def test_usable_cpus_fall_back_on_the_cpu_count(monkeypatch):
+    # where the affinity mask cannot be read, every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert probe._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert probe._usable_cpus() == 1
 
 

@@ -191,12 +191,15 @@ def test_claims_steps_trajectories_through_one_seam():
     assert "StabilisationResult" not in set().union(*map(_names, ast.walk(tree)))
 
 
-def _imported_names(module: str) -> set[str]:
+def _imported_names(module: str, source: str | None = None) -> set[str]:
+    """The names that ``module`` imports, from the sibling module ``source``
+    alone if given."""
     path = Path(majlab.__file__).parent / module
     return {
         alias.name
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom)
+        and (source is None or node.module == source)
         for alias in node.names
     }
 
@@ -280,7 +283,7 @@ def test_one_scope_sizes_the_pool():
         return isinstance(node, ast.Call) and ast.unparse(node.func) == "_fork_map"
 
     assert _scopes(reads_cpus) == ["_fork_map"]
-    assert sorted(_scopes(pooled)) == ["_probability", "mc_tau", "run_claim_suites"]
+    assert sorted(_scopes(pooled)) == ["estimate_probability", "mc_tau", "run_claim_suites"]
     assert list(inspect.signature(majlab.probe._fork_map).parameters) == ["fn", "jobs"]
 
 
@@ -296,8 +299,10 @@ def test_cli_writes_result_types_without_restating_them():
     fields = {"ci_halfwidth", "denominator", "unresolved", "residual",
               "iterations", "tolerance", "checked", "certificate"}
     assert not strings & fields
-    # and prob reaches the probe through one call path
-    assert not _imported_names("cli.py") & {"estimate_probability", "le_t_positive_check"}
+    # and prob reaches the probe through its one public call
+    from_probe = _imported_names("cli.py", "probe")
+    assert "estimate_probability" in from_probe
+    assert not [name for name in from_probe if name.startswith("_")]
 
 
 def test_witness_reuses_the_tree_rooting():

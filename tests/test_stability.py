@@ -24,8 +24,6 @@ from majlab.stability import (
     is_one_close_to_stability,
     is_strongly_t_stable,
     is_weakly_t_stable,
-    le_t_stable_extreme_runs,
-    strong_t_stable_extreme_runs,
 )
 from majlab.trees import RootedTree, build_perfect_tree, reroot
 
@@ -107,6 +105,17 @@ def one_close_oracle(tree, xi0, v):
     return True
 
 
+def strong_extremes(tree, xi0, v, t):
+    """The strong verdict of the two extremes alone, None where they leave
+    it open: the decider with no budget for enumeration."""
+    try:
+        got = is_strongly_t_stable(tree, xi0, v, t, budget=0)
+    except BudgetExceededError:
+        return None
+    assert got.method == "extremes"
+    return got.verdict
+
+
 def all_patterns(tree, v):
     ids = subtree_ids(tree, v)
     for bits in range(1 << len(ids)):
@@ -166,7 +175,7 @@ def test_strong_extreme_runs_are_three_valued():
     for tree, v in ((HOST, 1), (PERFECT2, 1)):
         for t in range(4):
             for xi0 in all_patterns(tree, v):
-                fast = strong_t_stable_extreme_runs(tree, xi0, v, t)
+                fast = strong_extremes(tree, xi0, v, t)
                 full = is_strongly_t_stable(tree, xi0, v, t)
                 outcomes.add(fast)
                 if fast is None:
@@ -179,7 +188,7 @@ def test_strong_extreme_runs_are_three_valued():
 def test_strong_budget_applies_to_enumeration_only():
     tree, v, bits, t = EXTREMES_OPEN
     xi0 = pattern_vector(tree, subtree_ids(tree, v), bits)
-    assert strong_t_stable_extreme_runs(tree, xi0, v, t) is None
+    assert strong_extremes(tree, xi0, v, t) is None
     got = is_strongly_t_stable(tree, xi0, v, t)
     assert got.verdict is True and got.method == "brute-force"
     assert got.checked == 2 + 8  # two extremes plus 2^3 outside fills
@@ -188,7 +197,7 @@ def test_strong_budget_applies_to_enumeration_only():
     # decisive extremes need no enumeration, so the budget never triggers
     for bits in range(32):
         cand = pattern_vector(tree, subtree_ids(tree, v), bits)
-        fast = strong_t_stable_extreme_runs(tree, cand, v, 0)
+        fast = strong_extremes(tree, cand, v, 0)
         if fast is not None:
             got = is_strongly_t_stable(tree, cand, v, 0, budget=2)
             assert got.verdict == fast and got.method == "extremes"
@@ -247,14 +256,41 @@ def test_le_t_matches_enumeration_oracle():
     assert verdicts == {True, False}
 
 
-def test_le_t_extreme_runs_decide_even_t():
-    for tree, v in ((HOST, 1), (KARY, 1), (PERFECT2, 1)):
+def test_le_t_extreme_runs_decide_even_t(exhaustive_suite, random_suite):
+    # with no budget for enumeration the extremes decide even t, on the
+    # depth-t cone, and a counterexample is the subtree's opinions with
+    # one changing extreme's constant outside
+    cases = [
+        (tree, v, xi0)
+        for tree, v in ((HOST, 1), (KARY, 1), (PERFECT2, 1))
+        for xi0 in all_patterns(tree, v)
+    ]
+    rng = np.random.default_rng(20261022)
+    # four draws on every odd-degree tree of at most 12 vertices, and one
+    # on each random tree, whose subtrees reach below the depth-t cone
+    draws = [(tree, 4) for tree in exhaustive_suite] + [(tree, 1) for tree in random_suite]
+    for tree, count in draws:
+        for xi0 in (OpinionVector.random(tree.n, rng) for _ in range(count)):
+            cases += [(tree, v, xi0) for v in range(tree.n) if v != tree.root]
+    negative = 0
+    for tree, v, xi0 in cases:
+        inside = tree.subtree_mask(v)
         for t in (2, 4):
-            for xi0 in all_patterns(tree, v):
-                assert (
-                    le_t_stable_extreme_runs(tree, xi0, v, t)
-                    == is_le_t_stable(tree, xi0, v, t).verdict
-                )
+            got = is_le_t_stable(tree, xi0, v, t, budget=0)
+            want = is_le_t_stable(tree, xi0, v, t)
+            assert want.method == "brute-force"
+            assert (got.kind, got.vertex, got.t, got.verdict) == ("le_t", v, t, want.verdict)
+            assert (got.method, got.checked) == ("extremes", 2)
+            if got.verdict:
+                assert got.certificate is None
+                continue
+            negative += 1
+            cert = got.certificate.to_signs()
+            assert np.array_equal(cert[inside], xi0.to_signs()[inside])
+            assert len(set(cert[~inside].tolist())) == 1
+            hist = stabilise(tree, got.certificate, keep_history=True).history
+            assert len({int(tail_state(hist, s)[v]) for s in range(0, t + 1, 2)}) > 1
+    assert 0 < negative < 2 * len(cases)
 
 
 def test_le_t_allows_leaves_and_kary_hosts():
@@ -287,8 +323,9 @@ def test_vertex_and_time_preconditions():
         is_weakly_t_stable(HOST, xi0, 1, -1)
     with pytest.raises(BadTimeError):
         is_le_t_stable(HOST, xi0, 1, 1)
-    with pytest.raises(BadTimeError, match="even t, got 3"):
-        le_t_stable_extreme_runs(HOST, xi0, 1, 3)
+    # past the budget only even t is decided, by the extremes
+    with pytest.raises(BudgetExceededError):
+        is_le_t_stable(HOST, xi0, 1, 3, budget=0)
 
 
 @pytest.mark.parametrize(
@@ -296,10 +333,8 @@ def test_vertex_and_time_preconditions():
     [
         (is_weakly_t_stable, 0, True),
         (is_strongly_t_stable, 0, True),
-        (strong_t_stable_extreme_runs, 0, True),
         (is_one_close_to_stability, None, True),
         (is_le_t_stable, 2, False),
-        (le_t_stable_extreme_runs, 2, False),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )
@@ -317,6 +352,8 @@ def test_each_decider_checks_vertex_host_time_then_length(decide, least, binary)
     if least is not None:
         with pytest.raises(BadTimeError, match=f"^t must be >= {least}, got {least - 1}$"):
             decide(HOST, short, 1, least - 1)
+        with pytest.raises(BadTimeError, match=f"^t must be >= {least}, got None$"):
+            decide(HOST, short, 1, None)
     with pytest.raises(LengthMismatchError):
         decide(HOST, short, 1, *(() if least is None else (least,)))
 
@@ -553,7 +590,7 @@ def test_weak_and_strong_match_the_int8_runs():
                     if tree.is_leaf(v):
                         continue
                     fast, cert = int8_strong_extremes(tree, xi0, v, t)
-                    assert strong_t_stable_extreme_runs(tree, xi0, v, t) is fast
+                    assert strong_extremes(tree, xi0, v, t) is fast
                     got = is_strongly_t_stable(tree, xi0, v, t)
                     if fast is None:
                         assert got.method == "brute-force"
@@ -573,7 +610,7 @@ def test_le_t_extremes_match_the_int8_runs(exhaustive_suite, random_suite):
             if v == tree.root:
                 continue
             for t in (2, 4):
-                got = le_t_stable_extreme_runs(tree, xi0, v, t)
+                got = is_le_t_stable(tree, xi0, v, t, budget=0).verdict
                 assert got is int8_le_t_extremes(tree, xi0, v, t)
                 verdicts.add(got)
     assert verdicts == {True, False}

@@ -54,6 +54,9 @@ def test_star_basics():
     assert tree.pendant.tolist() == [False, True, True, True]
     assert tree.depth.tolist() == [0, 1, 1, 1]
     assert tree.height.tolist() == [1, 0, 0, 0]
+    # the repr derives the diameter of a fresh tree
+    assert repr(RootedTree.from_edges(STAR)) == "RootedTree(n=4, root=0, diameter=2)"
+    assert (tree == 3) is False and tree != 3
 
 
 def test_from_edges_explicit_root():
