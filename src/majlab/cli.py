@@ -176,10 +176,8 @@ def cmd_stability(args) -> int:
     tree = load_tree(args.tree)
     seed = _resolved_seed(args)
     xi0 = _initial_opinions(tree, args, seed)
-    needs_t = args.kind in ("weak", "strong", "le_t")
-    if needs_t and args.t is None:
-        raise BadTimeError(f"kind {args.kind!r} requires --t")
-    if not needs_t and args.t is not None:
+    # each decider that takes t refuses a missing one
+    if args.kind == "one_close" and args.t is not None:
         raise BadTimeError("kind 'one_close' does not take --t")
     if args.kind == "weak":
         verdict = is_weakly_t_stable(tree, xi0, args.vertex, args.t)

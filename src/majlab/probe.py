@@ -27,15 +27,16 @@ fresh generator that draws only its span's bytes of the cone's rows and
 skips the rest of the stream, and the span counts add up, so a probe
 holds O(cone x ``_MC_LANES``) bits whatever its trial count and every
 estimate is that of the whole draw.  The spans are ``_fork_map`` jobs;
-strong's memo of enumerated patterns is each process's own.  1-closeness,
-whose spans continue one generator, runs in this process.
+the memo of enumerated patterns is each process's own.
 
-Universal predicates are evaluated through the two extreme extensions
-(see ``stability``), which decide (<= t)-stability outright and strong
-t-stability except for patterns whose extremes settle the subject at
-opposite opinions; those are re-decided by extension enumeration when
-the budget allows and are otherwise scored unstable and reported as
-``unresolved``, making the estimate a lower bound.
+(<= t) and strong stability are evaluated through the two extreme
+extensions (see ``stability``), which decide (<= t)-stability outright
+and strong t-stability except for patterns whose extremes settle the
+subject at opposite opinions; those are re-decided by extension
+enumeration when the budget allows and are otherwise scored unstable and
+reported as ``unresolved``, making the estimate a lower bound.
+1-closeness enumerates the extensions of every pattern, and is refused
+when they exceed the budget.
 
 ``fixed_point_q`` locates the fixed point of the one-level recursion
 for the probability that a vertex fails to be weakly stable, and
@@ -53,11 +54,11 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
-from .bitsliced import EXTENSION_BUDGET, LANES, PackedHost, _Extensions, pack_bit_rows, tt_column
+from .bitsliced import EXTENSION_BUDGET, LANES, PackedHost, pack_bit_rows, tt_column
 from .dynamics import TARGETS, _opinion_bytes
 from .errors import (
     BadHostError,
@@ -67,9 +68,6 @@ from .errors import (
     MajlabError,
 )
 from .trees import _perfect_level_starts, build_perfect_tree
-
-if TYPE_CHECKING:
-    from .stability import _PinnedSubtree
 
 
 @dataclass(frozen=True)
@@ -275,6 +273,7 @@ def estimate_probability(
     from .stability import (
         _PinnedSubtree,
         _le_t_ok_bits,
+        _one_close_ok_bits,
         _step_subtree,
         _strong_ok_bits,
         _weak_ok_bits,
@@ -329,10 +328,7 @@ def estimate_probability(
         )
     meta = {"target": target, "k": k, "height": height, "t": t}
     seq = _sampler(method, trials, seed)
-    if target == "one_close":
-        count, width = _one_close_count(sub, trials, seq, budget)
-        return _estimate(count, width, method, seed, **meta)
-    verdicts: dict[int, bool] = {}  # strong's enumerated patterns, over a process's spans
+    verdicts: dict[int, bool] = {}  # the enumerated patterns, over a process's spans
 
     def span_counts(lanes: tuple[int, int] | None) -> tuple[int, int]:
         """(count, unresolved) of the trials ``lanes``, of every pattern
@@ -351,6 +347,8 @@ def estimate_probability(
             ok = _weak_ok_bits(sub, cols, mask)
         elif target == "strong":
             ok, pending = _strong_ok_bits(sub, cols, mask, t, budget, verdicts)
+        elif target == "one_close":
+            ok = _one_close_ok_bits(sub, cols, mask, budget, verdicts)
         else:
             ok = _le_t_ok_bits(sub, cols, mask, t)
             if xi is not None:
@@ -370,37 +368,6 @@ def estimate_probability(
     if target == "strong":
         meta["unresolved"] = unresolved
     return _estimate(count, trials, method, seed, **meta)
-
-
-def _one_close_count(
-    sub: _PinnedSubtree, trials: int, seq: np.random.SeedSequence | None, budget: int
-) -> tuple[int, int]:
-    """(1-close patterns, patterns drawn) at the subject of ``sub``: every
-    subtree pattern without ``seq``, with it ``trials`` uniform draws from
-    one generator, a span of at most ``_MC_LANES`` at a time, each distinct
-    pattern decided once over all its extensions."""
-    from .stability import _one_close_violations
-
-    m = len(sub.ids)
-    if seq is None:
-        spans = [range(1 << m)]
-    else:
-        rng = np.random.default_rng(seq)
-        # the spans' draws continue one another: together they are one draw
-        spans = (
-            rng.integers(0, 1 << m, size=b - a, dtype=np.uint64).tolist()
-            for a, b in _spans(trials)
-        )
-    ext = _Extensions(sub.tree, sub.ids, budget)
-    verdicts: dict[int, bool] = {}
-    count = drawn = 0
-    for patterns in spans:
-        for p in patterns:
-            if p not in verdicts:
-                verdicts[p] = not _one_close_violations(ext.run(p), sub)
-            count += verdicts[p]
-        drawn += len(patterns)
-    return count, drawn
 
 
 def _recursion_map(x: float) -> float:

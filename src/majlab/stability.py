@@ -23,14 +23,18 @@ parity-t opinions pin nothing in between, and only then does the strong
 decision fall back to enumerating all extensions, the lanes of one
 bit-sliced run laid out once per subject (``bitsliced._Extensions``).
 The (<= t) decider enumerates whenever the extensions fit the budget and
-reads the extremes past it.  The budget caps the enumeration alone.
+reads the extremes past it, and 1-closeness is decided by enumeration
+alone.  The budget caps the enumeration alone.
 
 Each predicate has one implementation: the private layer below decides
 it for a batch of patterns on ``BatchRun``, one bit per pattern, for the
 enumerating deciders here and for the estimates in ``probe``; a scalar
-query is a batch of width one.  Its extreme and canonical runs fill the
-whole outside with one constant per trajectory, which then never
-changes, so they step only the subtree and the vertex's pinned parent
+query is a batch of width one.  The patterns that need enumeration,
+strong's pending ones and every 1-close one, are split by subtree
+pattern in one walk (``_pattern_ok_bits``) that runs each pattern's
+extensions once.  The layer's extreme and canonical runs fill the whole
+outside with one constant per trajectory, which then never changes, so
+they step only the subtree and the vertex's pinned parent
 (``_PinnedSubtree``); the (<= t) runs step only the subtree's top t
 levels, the rest pinned, since nothing deeper reaches the vertex by
 time t.  Weak t-stability steps its time-t state on the light cone
@@ -40,6 +44,7 @@ alone: the subtree and the outside within t - 1 of the vertex's parent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -288,6 +293,37 @@ def _extremes(
     return low, high, mask & ~(low | high) & (settled[0] ^ settled[1])
 
 
+def _pattern_ok_bits(
+    sub: _PinnedSubtree, cols: list[int], bits: int, budget: int,
+    verdicts: dict[int, bool], holds: Callable[[BatchRun], bool],
+) -> int:
+    """The ``bits`` whose subtree pattern passes ``holds``, a test of the
+    run of all its extensions, at the subject of ``sub``.
+
+    Only the subtree entries of ``cols`` are read.  The bits are split by
+    their subtree pattern, one subtree column at a time, and only a
+    pattern not yet in ``verdicts`` is run, its verdict kept there.
+    """
+    ids, ext, ok = sub.ids, None, 0
+    # depth first, so only one group per subtree column is held at a time
+    stack = [(bits, 0, 0)]  # (bits, their pattern on ids[:j], j)
+    while stack:
+        bits, key, j = stack.pop()
+        if j == len(ids):
+            if key not in verdicts:
+                if ext is None:
+                    ext = _Extensions(sub.tree, ids, budget)
+                verdicts[key] = holds(ext.run(key))
+            if verdicts[key]:
+                ok |= bits
+            continue
+        on = bits & cols[ids[j]]
+        for part, k in ((bits ^ on, key), (on, key | 1 << j)):
+            if part:
+                stack.append((part, k, j + 1))
+    return ok
+
+
 def _strong_ok_bits(
     sub: _PinnedSubtree,
     cols: list[int],
@@ -300,37 +336,32 @@ def _strong_ok_bits(
     at the subject of ``sub``, the subtree with its pinned parent.
 
     Only the subtree entries of ``cols`` are read.  The extreme extensions
-    decide almost every pattern (see ``_extremes``).  Pending bits are
-    split by their subtree pattern, one subtree column at a time, and
-    each pattern is re-decided once by enumerating its extensions, as
-    ``is_strongly_t_stable`` does; they stay pending when 2^(outside)
-    exceeds the budget.  ``verdicts`` maps each pattern enumerated so far
-    to its verdict, so calls that share it enumerate each pattern once.
+    decide almost every pattern (see ``_extremes``).  The pending ones are
+    re-decided by enumerating their extensions, as ``is_strongly_t_stable``
+    does, with ``verdicts`` the memo of ``_pattern_ok_bits``; they stay
+    pending when 2^(outside) exceeds the budget.
     """
     low, high, pending = _extremes(sub, cols, mask, t)
     ok = mask & ~(low | high) & ~pending
-    ids = sub.ids
-    if not pending or 1 << (sub.tree.n - len(ids)) > budget:
+    if not pending or 1 << (sub.tree.n - len(sub.ids)) > budget:
         return ok, pending
-    ext = None
-    verdicts = {} if verdicts is None else verdicts
-    # depth first, so only one group per subtree column is held at a time
-    stack = [(pending, 0, 0)]  # (bits, their pattern on ids[:j], j)
-    while stack:
-        bits, key, j = stack.pop()
-        if j == len(ids):
-            if key not in verdicts:
-                if ext is None:
-                    ext = _Extensions(sub.tree, ids, budget)
-                verdicts[key] = not _late_flips(ext.run(key), ids[0], t)
-            if verdicts[key]:
-                ok |= bits
-            continue
-        on = bits & cols[ids[j]]
-        for part, k in ((bits ^ on, key), (on, key | 1 << j)):
-            if part:
-                stack.append((part, k, j + 1))
+    ok |= _pattern_ok_bits(
+        sub, cols, pending, budget, {} if verdicts is None else verdicts,
+        lambda run: not _late_flips(run, sub.ids[0], t),
+    )
     return ok, 0
+
+
+def _one_close_ok_bits(
+    sub: _PinnedSubtree, cols: list[int], mask: int, budget: int, verdicts: dict[int, bool]
+) -> int:
+    """Bits whose pattern is 1-close to stability at the subject of
+    ``sub``, by enumerating its extensions as ``is_one_close_to_stability``
+    does, with ``verdicts`` the memo of ``_pattern_ok_bits``."""
+    return _pattern_ok_bits(
+        sub, cols, mask, budget, verdicts,
+        lambda run: not _one_close_violations(run, sub),
+    )
 
 
 def _le_t_ok_bits(sub: _PinnedSubtree, cols: list[int], mask: int, t: int) -> int:

@@ -46,6 +46,17 @@ def test_tt_column_enumerates_all_assignments():
             col = tt_column(i, m)
             for j in range(1 << m):
                 assert (col >> j) & 1 == (j >> i) & 1
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=f"variable index {i} out of range for m=3"):
+            tt_column(i, 3)
+
+
+def test_batch_run_needs_one_column_per_vertex():
+    tree = build_perfect_tree(2, 1)
+    adj = adjacency_lists(tree)
+    for cols in ([0] * (tree.n - 1), [0] * (tree.n + 1)):
+        with pytest.raises(ValueError, match="one column per vertex required"):
+            BatchRun(adj, cols, 1, step_budget(tree))
 
 
 @settings(max_examples=150, derandomize=True)

@@ -134,7 +134,7 @@ def test_worst_case_and_brute_force_cli(tmp_path, tree_file):
     assert brute["result"]["tau"] == report.tau
 
 
-def test_stability_cli(tmp_path):
+def test_stability_cli(tmp_path, capsys):
     path = tmp_path / "host.txt"
     save_tree(RootedTree.from_edges(HOST_EDGES), path)
     payload = run_json(
@@ -160,10 +160,18 @@ def test_stability_cli(tmp_path):
         assert payload["result"]["kind"] == kind
         assert payload["result"]["verdict"] in (True, False)
 
+    capsys.readouterr()
     assert main(["stability", "--tree", str(path), "--kind", "one_close",
                  "--vertex", "1", "--t", "2"]) == 1
+    assert capsys.readouterr().err.startswith("BAD_TIME: kind 'one_close' does not take --t")
+    # the decider refuses a missing t
     assert main(["stability", "--tree", str(path), "--kind", "weak",
                  "--vertex", "1"]) == 1
+    assert capsys.readouterr().err.startswith("BAD_TIME: t must be >= 0, got None")
+    # and a bad vertex before a missing t
+    assert main(["stability", "--tree", str(path), "--kind", "weak",
+                 "--vertex", "99"]) == 1
+    assert capsys.readouterr().err.startswith("BAD_VERTEX: vertex 99 out of range")
 
 
 def test_stability_past_the_budget_reads_the_extremes(tmp_path, capsys):

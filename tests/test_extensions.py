@@ -15,11 +15,7 @@ from majlab.bitsliced import _Extensions, lowest_bit_index, tt_column
 from majlab.dynamics import OpinionVector
 from majlab.errors import BudgetExceededError
 from majlab.probe import estimate_probability
-from majlab.stability import (
-    EXTENSION_BUDGET,
-    _PinnedSubtree,
-    is_one_close_to_stability,
-)
+from majlab.stability import _PinnedSubtree, is_one_close_to_stability
 from majlab.trees import build_perfect_tree
 
 
@@ -111,27 +107,27 @@ def test_one_close_count_is_the_per_pattern_decider_count(monkeypatch, height, n
     if never_weak:
         monkeypatch.setattr(stability, "_weak_ok_bits", lambda sub, cols, mask: 0)
     host = build_perfect_tree(2, height + 1)
-    sub = _PinnedSubtree(host, 1)
+    ids = _PinnedSubtree(host, 1).ids
     ones = np.ones(host.n, dtype=np.int8)
-    verdict = {
-        p: is_one_close_to_stability(host, oracle_extension_vector(ones, sub.ids, p), 1).verdict
-        for p in range(1 << len(sub.ids))
-    }
-    assert probe._one_close_count(sub, 1, None, EXTENSION_BUDGET) == (
-        sum(verdict.values()),
-        1 << len(sub.ids),
-    )
+    verdict = [
+        is_one_close_to_stability(host, oracle_extension_vector(ones, ids, p), 1).verdict
+        for p in range(1 << len(ids))
+    ]
+    est = estimate_probability("one_close", height, method="exact")
+    assert (est.count, est.denominator) == (sum(verdict), 1 << len(ids))
     if never_weak and height == 2:
-        assert 0 < sum(verdict.values()) < len(verdict)
+        assert 0 < sum(verdict) < len(verdict)
+    # bit r of a trial's pattern is its draw in row r
     seed, trials = 17, 500
     draws = np.random.default_rng(np.random.SeedSequence(seed)).integers(
-        0, 1 << len(sub.ids), size=trials, dtype=np.uint64
+        0, 2, size=(len(ids), trials), dtype=np.uint8
     )
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    assert probe._one_close_count(sub, trials, rng, EXTENSION_BUDGET) == (
-        sum(verdict[int(p)] for p in draws),
-        trials,
-    )
+    patterns = (draws.astype(np.int64) << np.arange(len(ids))[:, None]).sum(axis=0)
+    monkeypatch.setattr(probe, "_MC_LANES", 64)
+    for cpus in (1, 2):
+        monkeypatch.setattr(probe, "_usable_cpus", lambda: cpus)
+        est = estimate_probability("one_close", height, method="mc", trials=trials, seed=seed)
+        assert est.count == sum(verdict[p] for p in patterns.tolist()), cpus
 
 
 def test_strong_probe_walks_its_cone_once(monkeypatch):

@@ -206,8 +206,8 @@ def on_cpus(monkeypatch, cpus):
 
 @pytest.mark.parametrize("target,height,t,k,xi", SPAN_PROBES)
 def test_mc_estimates_do_not_depend_on_the_span(monkeypatch, target, height, t, k, xi):
-    # nor on the processes that share the spans: one_close and a single
-    # span run in this process whatever the CPU count
+    # nor on the processes that share the spans: a single span runs in
+    # this process whatever the CPU count
     for trials in (1, 13, 1001, 20_003):
         want = dataclasses.asdict(_probe(target, height, t, k, xi, trials, 7))
         for lanes, cpus in itertools.product((8, 24, 1000), (1, 2, 3)):
@@ -218,59 +218,33 @@ def test_mc_estimates_do_not_depend_on_the_span(monkeypatch, target, height, t, 
         monkeypatch.undo()
 
 
-def test_strong_enumerates_each_pending_pattern_once_over_all_spans(monkeypatch):
+@pytest.mark.parametrize("target,t", [("strong", 2), ("one_close", None)])
+def test_strong_enumerates_each_pending_pattern_once_over_all_spans(monkeypatch, target, t):
+    # and 1-closeness each drawn pattern, through the same memo
     runs, run = [], _Extensions.run
 
     def counted(self, pattern):
         runs.append(pattern)
         return run(self, pattern)
 
+    def estimate():
+        return estimate_probability(target, 2, t, method="mc", trials=20_003, seed=5)
+
     monkeypatch.setattr(_Extensions, "run", counted)
     on_cpus(monkeypatch, 1)  # every span in this process, where runs are logged
-    one = estimate_probability("strong", 2, 2, method="mc", trials=20_003, seed=5)
+    one = estimate()
     once = list(runs)
     assert once and len(set(once)) == len(once)
     runs.clear()
     monkeypatch.setattr(probe, "_MC_LANES", 64)
-    many = estimate_probability("strong", 2, 2, method="mc", trials=20_003, seed=5)
-    assert many == one
+    assert estimate() == one
     assert sorted(runs) == sorted(once)
     # on two processes the memo is each process's own: this one enumerates
     # a pattern of its spans once
     runs.clear()
     on_cpus(monkeypatch, 2)
-    assert estimate_probability("strong", 2, 2, method="mc", trials=20_003, seed=5) == one
+    assert estimate() == one
     assert runs and len(set(runs)) == len(runs) and set(runs) <= set(once)
-
-
-def test_one_close_span_draws_are_one_draw(monkeypatch):
-    # numpy does not document that bounded uint64 draws of consecutive
-    # sizes continue one another, below 2^32 too, where each value takes
-    # half a stream word; the 1-close probe draws its patterns so
-    for lanes in (1, 3, 8, 77):
-        monkeypatch.setattr(probe, "_MC_LANES", lanes)
-        spans = probe._spans(301)
-        for m, seed in itertools.product((1, 3, 7, 8, 15, 16, 31, 32, 33, 40, 63), range(50)):
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            want = rng.integers(0, 1 << m, size=301, dtype=np.uint64)
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            got = [rng.integers(0, 1 << m, size=b - a, dtype=np.uint64) for a, b in spans]
-            assert np.array_equal(np.concatenate(got), want), (m, seed, lanes)
-    # and the probe, in spans of 77, decides its patterns in the order of
-    # that one draw (at height 2 every pattern is 1-close, so the estimate
-    # cannot show it)
-    decided, run = [], _Extensions.run
-    monkeypatch.setattr(_Extensions, "run", lambda self, p: decided.append(p) or run(self, p))
-    want = np.random.default_rng(np.random.SeedSequence(3)).integers(0, 128, size=301, dtype=np.uint64)
-    # its spans continue one generator, so they run in this process even
-    # where more CPUs are usable
-    estimates = []
-    for cpus in (1, 2):
-        on_cpus(monkeypatch, cpus)
-        decided.clear()
-        estimates.append(estimate_probability("one_close", 2, method="mc", trials=301, seed=3))
-        assert decided == list(dict.fromkeys(want.tolist())), cpus
-    assert estimates[0] == estimates[1]
 
 
 def test_mc_peak_memory_does_not_grow_with_the_trials(monkeypatch):
@@ -750,19 +724,25 @@ def test_an_exception_in_a_fork_map_child_is_raised_again(monkeypatch, error, cp
 
 
 @pool_semantics
-@pytest.mark.parametrize("how", ["SIGKILL", "SIGTERM", "exit"])
+@pytest.mark.parametrize("how", ["SIGKILL", "SIGTERM", "SIGRTMIN+1", "exit"])
 def test_a_fork_map_child_that_dies_is_an_error(monkeypatch, how):
     monkeypatch.setattr(probe, "_usable_cpus", lambda: 2)
     parent = os.getpid()
+    signum = signal.SIGRTMIN + 1 if how == "SIGRTMIN+1" else getattr(signal, how, None)
 
     def fn(job):
         if os.getpid() != parent:
             if how == "exit":
                 os._exit(3)
-            os.kill(os.getpid(), getattr(signal, how))
+            os.kill(os.getpid(), signum)
         return job
 
-    want = "exited with status 3" if how == "exit" else f"killed by {how}"
+    if how == "exit":
+        want = "exited with status 3"
+    elif how == "SIGRTMIN+1":  # Python names no real-time signal but SIGRTMIN and SIGRTMAX
+        want = f"killed by signal {int(signum)}$"
+    else:
+        want = f"killed by {how}$"
     with leaves_no_child_or_fd(), pytest.raises(MajlabError, match=want):
         probe._fork_map(fn, list(range(4)))
 
